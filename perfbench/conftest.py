@@ -1,0 +1,6 @@
+"""Tests of the benchmark import the engine from the checkout's src/."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
