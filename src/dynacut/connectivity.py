@@ -92,7 +92,9 @@ class StackDS:
         return self.initialize(apply_seq(g_before.copy(), seq))
 
     def clone(self, inst: MultiLevelDS) -> MultiLevelDS:
-        return inst.clone()
+        # batch_update rebuilds from g_before and engine_query works on
+        # per-level clones, so no caller mutates a served instance.
+        return inst
 
     def fingerprint(self, inst: MultiLevelDS) -> Tuple:
         return inst.fingerprint()

@@ -15,9 +15,9 @@ into superedges and keeps intercluster edges verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .cutprimitives import components
 from .dynforest import DeleteTerminal, GraphDS, InsertTerminal
@@ -25,7 +25,7 @@ from .errors import RejectedOp
 from .expander import decremental_single_expander, expander_decomposition
 from .multigraph import (
     DeleteEdge, DeleteVertex, EdgeKey, InsertEdge, InsertVertex, MultiGraph,
-    UpdateOp, UpdateSeq, VertexId, apply_seq, edge_key, induced_subgraph,
+    UpdateOp, UpdateSeq, VertexId, edge_key, induced_subgraph,
     simple_view,
 )
 from .repair import initial_ia, repair_set
@@ -92,29 +92,28 @@ def default_params(t: int, c: int, strict: bool = False) -> LayerParams:
 
 @dataclass
 class CutPartitionDS:
-    ds: GraphDS                                   # the input graph, no terminals
-    layers: List[Tuple[GraphDS, GraphDS]]         # (with terminals, without)
+    ds: GraphDS                   # the input graph, no terminals
+    layers: List[GraphDS]         # layer graphs, each with its terminals
     params: LayerParams
     gamma: int
     phi: Fraction
 
     def partition(self) -> List[Set[VertexId]]:
         """The expander clusters: components of the layer-0 graph."""
-        return components(self.layers[0][0].g)
+        return components(self.layers[0].g)
 
     def cut_partition(self) -> List[Set[VertexId]]:
         """The refined partition: components of the final layer's graph."""
-        return components(self.layers[-1][0].g)
+        return components(self.layers[-1].g)
 
     def clone(self) -> "CutPartitionDS":
         return CutPartitionDS(self.ds.clone(),
-                              [(a.clone(), b.clone()) for a, b in self.layers],
+                              [ds.clone() for ds in self.layers],
                               self.params, self.gamma, self.phi)
 
     def fingerprint(self) -> Tuple:
         return (self.ds.fingerprint(),
-                tuple(a.fingerprint() + b.fingerprint()
-                      for a, b in self.layers))
+                tuple(ds.fingerprint() for ds in self.layers))
 
 
 def _remove_edges(g: MultiGraph, edges) -> MultiGraph:
@@ -158,14 +157,13 @@ def cut_partition_preprocess(g: MultiGraph, phi: Fraction, c: int, t: int,
     n = params.layer_count()
     cur = _remove_edges(g, inter)
     terms = _ends(inter)
-    layers = [(GraphDS(cur.copy(), terms), GraphDS(cur.copy(), set()))]
+    layers = [GraphDS(cur.copy(), terms)]
     for i in range(1, n + 1):
         t_i, q_i = params.pairs[i - 1]
         ia = _layer_ia(cur, terms, t_i, q_i, n - i + 1)
         cur = _remove_edges(cur, ia)
         terms = terms | _ends(ia)
-        layers.append((GraphDS(cur.copy(), terms),
-                       GraphDS(cur.copy(), set())))
+        layers.append(GraphDS(cur.copy(), terms))
     return CutPartitionDS(GraphDS(g.copy(), set()), layers, params,
                           gamma if gamma is not None else c + 1,
                           deco.phi_certified)
@@ -183,7 +181,7 @@ def build_sparsifier(ods: CutPartitionDS, gamma: Optional[int] = None
     gamma = ods.gamma if gamma is None else gamma
     if gamma <= ods.params.c:
         raise RejectedOp("sparsifier", f"need gamma > c, got {gamma}")
-    return _sparsifier_graph(ods.ds.g, ods.layers[-1][0], gamma)
+    return _sparsifier_graph(ods.ds.g, ods.layers[-1], gamma)
 
 
 def _sparsifier_graph(g: MultiGraph, ds_q: GraphDS, gamma: int) -> MultiGraph:
@@ -237,7 +235,7 @@ def update_partition(ods: CutPartitionDS, r_edges, t: int, c: int,
         raise RejectedOp("update-partition", f"need gamma > c, got {gamma}")
     n = params.layer_count()
     r_cur = {edge_key(u, v) for u, v in r_edges}
-    g0 = ods.layers[0][0].g
+    g0 = ods.layers[0].g
     present = {e for e in r_cur if g0.has_edge(*e)}
     if present:
         rest = _remove_edges(g0, present)
@@ -253,23 +251,22 @@ def update_partition(ods: CutPartitionDS, r_edges, t: int, c: int,
     h = 0
     selected = [0]
     for i in range(c, 0, -1):
-        ds_h, dsp_h = ods.layers[h]
-        dsp_h2i = ods.layers[h + 2 * i][1]
+        ds_h = ods.layers[h]
+        ds_h2i = ods.layers[h + 2 * i]
         r_next = {e for e in r_cur if ds_h.g.has_edge(*e)}
         for e in sorted(r_next):
             ds_h.ds_update(DeleteEdge(*e))
-            dsp_h.ds_update(DeleteEdge(*e))
-            if dsp_h2i.g.has_edge(*e):
-                dsp_h2i.ds_update(DeleteEdge(*e))
+            if ds_h2i.g.has_edge(*e):
+                ds_h2i.ds_update(DeleteEdge(*e))
         buckets: Dict[VertexId, Set[VertexId]] = {}
         for e in r_next:
             for x in e:
                 buckets.setdefault(ds_h.comp_id(x), set()).add(x)
         for cid in sorted(buckets):
-            comp = dsp_h.component_vertices(cid)
-            ds1 = _restricted_ds(dsp_h.g, comp, set())
+            comp = ds_h.component_vertices(cid)
+            ds1 = _restricted_ds(ds_h.g, comp, set())
             ds2 = _restricted_ds(ds_h.g, comp, ds_h.terminals)
-            ds3 = _restricted_ds(dsp_h2i.g, comp, set())
+            ds3 = _restricted_ds(ds_h2i.g, comp, set())
             w = repair_set(ds1, ds2, ds3, buckets[cid], i,
                            params.t_at(h), params.q_at(h + 2 * i) * (c + 1))
             r_next |= w
@@ -280,7 +277,7 @@ def update_partition(ods: CutPartitionDS, r_edges, t: int, c: int,
         h += 2 * i + 1
         selected.append(h)
         r_cur = r_next
-    ds_h, dsp_h = ods.layers[h]
+    ds_h = ods.layers[h]
     # shadow copy of the current sparsifier: the contraction diffs below are
     # merged into it so vertex ops that are absorbed by the intercluster part
     # (shared endpoints) are dropped from the emitted sequence
@@ -299,8 +296,7 @@ def update_partition(ods: CutPartitionDS, r_edges, t: int, c: int,
 
     r_final = []
     for e in sorted(r_cur):
-        if dsp_h.g.has_edge(*e):
-            dsp_h.ds_update(DeleteEdge(*e))
+        if ds_h.g.has_edge(*e):
             seq = ds_h.ds_update(InsertTerminal(e[0]))
             seq += ds_h.ds_update(InsertTerminal(e[1]))
             seq += ds_h.ds_update(DeleteEdge(*e))
@@ -342,7 +338,7 @@ def cut_partition_update(ods: CutPartitionDS, seq: UpdateSeq, phi: Fraction,
         raise RejectedOp("cut-partition-update", "need a strict structure")
     phi = Fraction(phi)
     touched = _involved(seq)
-    ds0 = ods.layers[0][0]
+    ds0 = ods.layers[0]
     r: Set[EdgeKey] = set()
     buckets: Dict[VertexId, List[VertexId]] = {}
     for x in touched:
@@ -360,7 +356,7 @@ def cut_partition_update(ods: CutPartitionDS, seq: UpdateSeq, phi: Fraction,
     for x in touched:
         if base.has_vertex(x) and base.is_isolated(x):
             new_seq.append(InsertVertex(x))
-            for ds_i, _ in new_ods.layers:
+            for ds_i in new_ods.layers:
                 ds_i.ds_update(InsertTerminal(x))
     new_seq = new_seq + list(seq)
     for op in seq:
@@ -368,6 +364,6 @@ def cut_partition_update(ods: CutPartitionDS, seq: UpdateSeq, phi: Fraction,
     for x in touched:
         if new_ods.ds.g.has_vertex(x) and new_ods.ds.g.is_isolated(x):
             new_seq.append(DeleteVertex(x))
-            for ds_i, _ in new_ods.layers:
+            for ds_i in new_ods.layers:
                 ds_i.ds_update(DeleteTerminal(x))
     return new_ods, new_seq

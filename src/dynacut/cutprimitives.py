@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .dynforest import GraphDS
 from .errors import RejectedOp
@@ -278,26 +278,6 @@ def enumerate_anchored_cuts(ds_or_g, anchors: Iterable[VertexId], c: int,
                    sorted(sides, key=lambda v: tuple(sorted(v))))
         done.append(x)
     return out
-
-
-def _bfs_tree(g: MultiGraph, x: VertexId, banned: EdgeSet, cap: int
-              ) -> Tuple[Set[VertexId], List[EdgeKey]]:
-    """BFS from x avoiding banned edges, stopping once `cap` vertices are
-    reached; returns (visited set, tree edges in discovery order)."""
-    seen = {x}
-    tree: List[EdgeKey] = []
-    queue = deque([x])
-    while queue and len(seen) < cap:
-        u = queue.popleft()
-        for v in g.neighbors(u):
-            if v in seen or edge_key(u, v) in banned:
-                continue
-            seen.add(v)
-            tree.append(edge_key(u, v))
-            queue.append(v)
-            if len(seen) >= cap:
-                break
-    return seen, tree
 
 
 def enumerate_cuts(ds1: GraphDS, ds2: GraphDS, t_prime: Iterable[VertexId],

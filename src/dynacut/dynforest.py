@@ -256,14 +256,6 @@ class GraphDS:
         label = self.comp_id(x)
         return {v for v, c in self._comp.items() if c == label}
 
-    def component_labels(self) -> Set[VertexId]:
-        self._refresh()
-        return set(self._comp_stats)
-
-    def component_map(self) -> Dict[VertexId, VertexId]:
-        self._refresh()
-        return dict(self._comp)
-
     # -- contraction ------------------------------------------------------
     def contracted(self) -> ContractedGraph:
         self._refresh()

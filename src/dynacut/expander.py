@@ -11,11 +11,11 @@ verifies each produced cluster, re-splitting on failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .cutprimitives import boundary, components, is_connected_subset
+from .cutprimitives import boundary, components
 from .errors import RejectedOp
 from .multigraph import EdgeKey, MultiGraph, VertexId, edge_key, \
     induced_subgraph, simple_view
@@ -36,10 +36,21 @@ def conductance(g: MultiGraph) -> Fraction:
         raise RejectedOp("conductance", "need at least 2 vertices")
     if n > CONDUCTANCE_LIMIT:
         raise RejectedOp("conductance", f"too large for exhaustive search ({n})")
-    verts = g.vertex_list()
-    comp = components(g)
-    if len(comp) > 1:
+    if len(components(g)) > 1:
         raise RejectedOp("conductance", "graph is disconnected")
+    best, _ = _sparsest_cut(g)
+    if best is None:
+        raise RejectedOp("conductance", "no nontrivial cut")
+    return best
+
+
+def _sparsest_cut(g: MultiGraph
+                  ) -> Tuple[Optional[Fraction], FrozenSet[VertexId]]:
+    """Exhaustive conductance search: the least cut/volume ratio and its
+    side (lowest bitmask on ties); (None, empty side) when no side has
+    volume on both sides."""
+    n = g.vertex_count()
+    verts = g.vertex_list()
     index = {v: i for i, v in enumerate(verts)}
     adj_mask = [0] * n
     deg = [0] * n
@@ -50,6 +61,7 @@ def conductance(g: MultiGraph) -> Fraction:
             deg[i] += 1
     total_vol = sum(deg)
     best = None
+    best_mask = 0
     # fix vertex 0 inside S to halve the search
     for rest in range(1 << (n - 1)):
         mask = (rest << 1) | 1
@@ -69,46 +81,8 @@ def conductance(g: MultiGraph) -> Fraction:
         val = Fraction(cut, denom)
         if best is None or val < best:
             best = val
-    if best is None:
-        raise RejectedOp("conductance", "no nontrivial cut")
-    return best
-
-
-def _sparsest_cut(g: MultiGraph) -> FrozenSet[VertexId]:
-    """The argmin side of the conductance search (lowest bitmask on ties)."""
-    n = g.vertex_count()
-    verts = g.vertex_list()
-    index = {v: i for i, v in enumerate(verts)}
-    adj_mask = [0] * n
-    deg = [0] * n
-    for v in verts:
-        i = index[v]
-        for w in g.neighbors(v):
-            adj_mask[i] |= 1 << index[w]
-            deg[i] += 1
-    total_vol = sum(deg)
-    best = None
-    best_mask = 0
-    for rest in range(1 << (n - 1)):
-        mask = (rest << 1) | 1
-        if mask == (1 << n) - 1:
-            continue
-        vol_s = 0
-        cut = 0
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            vol_s += deg[i]
-            cut += bin(adj_mask[i] & ~mask).count("1")
-        denom = min(vol_s, total_vol - vol_s)
-        if denom == 0:
-            continue
-        val = Fraction(cut, denom)
-        if best is None or val < best:
-            best = val
             best_mask = mask
-    return frozenset(verts[i] for i in range(n) if best_mask >> i & 1)
+    return best, frozenset(verts[i] for i in range(n) if best_mask >> i & 1)
 
 
 @dataclass
@@ -209,7 +183,7 @@ def expander_decomposition(g: MultiGraph, phi: Fraction,
         sub = induced_subgraph(g, cluster)
         use_exact = backend == "exact-small" or (
             backend == "auto" and len(cluster) <= EXACT_LIMIT)
-        side = _sparsest_cut(sub) if use_exact else _sweep_split(sub)
+        side = _sparsest_cut(sub)[1] if use_exact else _sweep_split(sub)
         other = cluster - side
         for part in (side, other):
             work.extend(frozenset(c) for c in

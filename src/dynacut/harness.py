@@ -120,8 +120,8 @@ class Mismatch:
     oracle_answer: bool
 
 
-def _replay(lines: Sequence[TraceLine], c: int, profile: str,
-            oracle_check: bool, stop_at: Optional[int] = None
+def _replay(lines: Sequence[TraceLine], c: int, oracle_check: bool,
+            stop_at: Optional[int] = None
             ) -> Tuple[Optional[Mismatch], Optional[object], MultiGraph]:
     """Run the trace, returning the first mismatch (if checking), the engine,
     and the shadow simple graph.  Raises TraceError for replay-invalid ops."""
@@ -161,8 +161,8 @@ def _replay(lines: Sequence[TraceLine], c: int, profile: str,
     return None, e, shadow
 
 
-def _minimize(lines: List[TraceLine], c: int, profile: str,
-              bad_index: int) -> List[TraceLine]:
+def _minimize(lines: List[TraceLine], c: int, bad_index: int
+              ) -> List[TraceLine]:
     """Greedily drop trace lines before the failing query while the mismatch
     at the final query survives.  Each candidate is re-replayed from
     scratch, so this is only meant for short reproduction traces."""
@@ -170,7 +170,7 @@ def _minimize(lines: List[TraceLine], c: int, profile: str,
 
     def still_bad(cand: List[TraceLine]) -> bool:
         try:
-            mism, _, _ = _replay(cand, c, profile, oracle_check=True)
+            mism, _, _ = _replay(cand, c, oracle_check=True)
         except (TraceError, RejectedOp, RejectedSchedule):
             return False
         return mism is not None and mism.index == len(cand) - 1
@@ -306,7 +306,7 @@ def run_trace(path: Optional[str], c: int, profile: str = "desk",
             return 2
     repair.REPAIR_LOG.clear()
     try:
-        mismatch, e, _ = _replay(lines, c, profile, oracle_check)
+        mismatch, e, _ = _replay(lines, c, oracle_check)
     except TraceError as exc:
         log.error("trace replay failed: %s", exc)
         print(f"replay error: {exc}")
@@ -319,7 +319,7 @@ def run_trace(path: Optional[str], c: int, profile: str = "desk",
             json.dump(metrics, fh, indent=2)
             fh.write("\n")
     if mismatch is not None:
-        minimized = _minimize(list(lines), c, profile, mismatch.index)
+        minimized = _minimize(list(lines), c, mismatch.index)
         print(f"MISMATCH at trace op {mismatch.index + 1}: "
               f"{mismatch.line.kind} {mismatch.line.u} {mismatch.line.v} -> "
               f"engine={mismatch.engine_answer} "

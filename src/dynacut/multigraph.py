@@ -56,9 +56,6 @@ class MultiGraph:
         """Number of distinct neighbors."""
         return len(self._adj[v])
 
-    def weighted_degree(self, v: VertexId) -> int:
-        return sum(self._adj[v].values())
-
     def vertex_count(self) -> int:
         return len(self._adj)
 

@@ -21,7 +21,7 @@ every finitely checkable inequality is decided exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 

@@ -12,13 +12,15 @@ i-1 snapshot.  Each served instance has absorbed at most xi batches.
 Background work is cooperative: a task's cost (instrumented primitive
 steps) is measured when its window opens and charged to the window's ticks
 at ceil(total/len) per tick; results install when the window closes.
-Snapshots are journaled clones, so "reverse back" is a clone restore.
+Snapshots are shared, never mutated: a closing task installs its result by
+reference into every target copy, and "reverse back" clones the parent
+snapshot only for the batch update that starts from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from .errors import RejectedOp, RejectedSchedule
 from .multigraph import MultiGraph, UpdateOp, UpdateSeq, apply_seq
@@ -29,6 +31,8 @@ class BatchableDS(Protocol):
 
     `steps` is a monotone primitive-step counter bumped by initialize and
     batch_update; the scheduler charges cost by reading its deltas.
+    batch_update may consume `inst` (the scheduler hands it a clone) but
+    must leave `g_before` unchanged: snapshots share their graphs.
     """
     steps: int
 
@@ -146,14 +150,6 @@ class _State:
 
 
 @dataclass
-class _Copy:
-    g: MultiGraph
-    inst: object
-    batches: Tuple[int, ...]
-    snaps: Dict[int, _State] = field(default_factory=dict)
-
-
-@dataclass
 class _Task:
     level: int
     j: int
@@ -192,12 +188,13 @@ class Scheduler:
         base = impl.initialize(g.copy())
         self.preprocess_steps = impl.steps - before
         self._pinned = _State(g.copy(), base, ())
-        self.copies: Dict[Tuple[int, ...], _Copy] = {}
+        # copy beta -> its level snapshots {level: state}
+        self.copies: Dict[Tuple[int, ...], Dict[int, _State]] = {}
         for length in range(1, xi + 2):
             for idx in range(2 ** length):
                 beta = tuple((idx >> (length - 1 - b)) & 1
                              for b in range(length))
-                self.copies[beta] = _Copy(g.copy(), impl.clone(base), ())
+                self.copies[beta] = {}
         self.tasks: List[_Task] = []
         self.steps_per_update: List[int] = []
         self.serve_audit: List[Tuple[int, Tuple[int, ...]]] = []
@@ -217,7 +214,7 @@ class Scheduler:
         if jp <= 0:
             return self._pinned
         prefix = batch_index(i, j, self.s)
-        snap = self.copies[prefix].snaps.get(i - 1)
+        snap = self.copies[prefix].get(i - 1)
         if snap is None:
             raise RejectedOp("scheduler", f"missing snapshot for {prefix}")
         return snap
@@ -234,7 +231,7 @@ class Scheduler:
             parity = j % 2
             targets = tuple(sorted(b for b in self.copies if b[0] == parity))
             seq = self.updates[self._t(0, j - 2):self._t(0, j)]
-            base = self.copies[targets[0]].snaps.get(0, self._pinned)
+            base = self.copies[targets[0]].get(0, self._pinned)
             g_new = apply_seq(base.g.copy(), seq)
             (inst, cost) = self._measure(
                 lambda: self.impl.initialize(g_new))
@@ -259,14 +256,7 @@ class Scheduler:
 
     def _close(self, task: _Task) -> None:
         for beta in task.targets:
-            copy = self.copies[beta]
-            r = task.result
-            copy.g = r.g.copy()
-            copy.inst = self.impl.clone(r.inst)
-            copy.batches = r.batches
-            copy.snaps[task.level] = _State(r.g.copy(),
-                                            self.impl.clone(r.inst),
-                                            r.batches)
+            self.copies[beta][task.level] = task.result
 
     def step(self, op: UpdateOp):
         """Consume one update; return the instance equal to D_{xi, now}."""
@@ -296,13 +286,9 @@ class Scheduler:
         (inst, cost) = self._measure(
             lambda: self.impl.batch_update(inst, parent.g, seq))
         charged += cost + len(seq)
-        beta = batch_index(self.xi, tau, self.s)
-        copy = self.copies[beta]
-        copy.g = apply_seq(parent.g.copy(), seq)
-        copy.inst = inst
-        copy.batches = parent.batches + (len(seq),)
+        batches = parent.batches + (len(seq),)
         self.steps_per_update.append(charged)
-        self.serve_audit.append((len(copy.batches), copy.batches))
+        self.serve_audit.append((len(batches), batches))
         return inst
 
     # -- statistics --------------------------------------------------------

@@ -193,12 +193,12 @@ def test_sparsifier_equivalence():
         ods = cut_partition_preprocess(g, phi, c, t)
         sp = build_sparsifier(ods)
         kept = {e for e in g.edge_keys()
-                if not ods.layers[-1][0].g.has_edge(*e)}
+                if not ods.layers[-1].g.has_edge(*e)}
         k = len({v for e in kept for v in e})
         assert sp.vertex_count() <= 2 * k
         assert sp.distinct_edge_count() <= 2 * k + len(kept)
         bnd = {e for e in g.edge_keys()
-               if not ods.layers[0][0].g.has_edge(*e)}
+               if not ods.layers[0].g.has_edge(*e)}
         terms = sorted({v for e in bnd for v in e})
         for x, y in itertools.combinations(terms, 2):
             assert edge_connectivity(g, x, y, c) == \

@@ -125,6 +125,33 @@ def test_engine_query_nondestructive():
     assert e.fingerprint() == before
 
 
+def test_engine_served_instances_stay_unchanged():
+    """The scheduler shares snapshots instead of cloning them, so no later
+    update or query may mutate an instance the engine served earlier
+    (the first one is also the scheduler's pinned preprocessing state)."""
+    rng = random.Random(31)
+    g = random_connected_graph(rng, 7, 4)
+    e = engine_preprocess(g, 2)
+    held = [(e.current, e.current.fingerprint())]
+    for step in range(20):
+        present = g.edge_keys()
+        absent = [(u, v) for u, v in itertools.combinations(g.vertex_list(), 2)
+                  if not g.has_edge(u, v)]
+        if absent and (step % 2 or len(present) < 7):
+            u, v = rng.choice(absent)
+            g.add_edge(u, v, 1)
+            engine_update(e, InsertEdge(u, v, 1))
+        else:
+            u, v = rng.choice(present)
+            g.remove_edge(u, v)
+            engine_update(e, DeleteEdge(u, v))
+        x, y = rng.sample(g.vertex_list(), 2)
+        assert engine_query(e, x, y) == offline_oracle(g, x, y, 2)
+        held.append((e.current, e.current.fingerprint()))
+    for inst, fp in held:
+        assert inst.fingerprint() == fp
+
+
 def test_engine_insert_then_delete_query_equivalent():
     g = barbell()
     e = engine_preprocess(g, 2)

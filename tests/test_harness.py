@@ -158,7 +158,7 @@ def test_injected_bug_detected(tmp_path, capsys, monkeypatch):
     assert repro[-1] == TraceLine("query", 0, 4)
     # minimization drops at least the unrelated passing query
     assert len(repro) < len(lines)
-    mism, _, _ = harness._replay(repro, 2, "desk", oracle_check=False)
+    mism, _, _ = harness._replay(repro, 2, oracle_check=False)
     assert mism is None  # repro is replayable on the unbugged engine
 
 

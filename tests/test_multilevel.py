@@ -227,7 +227,7 @@ class TestPreprocess:
             c_str = s.chain[1]
             for i in range(1, mds.level_count()):
                 lo, hi = mds.levels[i - 1].ds.g, mds.levels[i].ds.g
-                ends = mds.levels[i - 1].layers[0][0].terminals
+                ends = mds.levels[i - 1].layers[0].terminals
                 for x in sorted(ends):
                     for y in sorted(ends):
                         if x < y:

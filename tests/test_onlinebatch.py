@@ -38,6 +38,29 @@ class CounterDS:
         return inst
 
 
+class CloneCountDS(CounterDS):
+    """CounterDS that counts clones and checks that every batch_update gets
+    the instance the scheduler cloned just before it."""
+
+    def __init__(self):
+        super().__init__()
+        self.clones = 0
+        self.batches = 0
+        self._fresh = None
+
+    def batch_update(self, inst, g_before, seq):
+        assert inst is self._fresh, "batch_update got an uncloned instance"
+        self._fresh = None
+        self.batches += 1
+        return super().batch_update(inst, g_before, seq)
+
+    def clone(self, inst):
+        assert self._fresh is None, "clone not followed by batch_update"
+        self.clones += 1
+        self._fresh = (inst[0], inst[1])
+        return self._fresh
+
+
 class SortedEdgeListDS:
     """Maintains the sorted weighted edge list through each batch."""
 
@@ -184,6 +207,19 @@ class TestAgainstReference:
         g0 = random_connected_graph(rng, 6, 3)
         ops = op_stream(rng, g0.copy(), 90)
         drive(MultiLevelMock, g0, ops, xi, w)
+
+    @pytest.mark.parametrize("xi,w", PAIRS)
+    def test_clones_only_for_batch_updates(self, xi, w):
+        rng = random.Random(500 + xi)
+        g0 = random_connected_graph(rng, 6, 3)
+        ops = op_stream(rng, g0.copy(), 120)
+        sched = scheduler_init(CloneCountDS(), g0, xi, w)
+        assert sched.impl.clones == 0
+        for op in ops:
+            scheduler_step(sched, op)
+            assert sched.impl.clones == sched.impl.batches
+        # one serve per update, plus background batches when xi >= 2
+        assert sched.impl.batches >= len(ops)
 
     def test_served_graph_tracks_truth(self):
         rng = random.Random(17)

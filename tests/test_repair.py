@@ -318,8 +318,6 @@ def test_verify_ia_rejects_bad_set():
     assert ia, "expected a nonempty IA set on P5"
     bad = set(ia)
     bad.pop()
-    if bad == set(ia):
-        pytest.skip("singleton ia")
     assert not verify_ia(g, [0, 4], bad, IAParams(2, 6, 1, 1))
 
 
