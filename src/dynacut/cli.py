@@ -42,14 +42,11 @@ def main() -> None:
               help="Diff every query against the max-flow oracle.")
 @click.option("--metrics", "metrics_path", type=click.Path(dir_okay=False),
               default=None, help="Write a metrics JSON report here.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Unused by replay; recorded for provenance.")
 def run_cmd(trace_path: str, c: int, profile: str, backend: str,
-            oracle_check: bool, metrics_path: str, seed: int) -> None:
+            oracle_check: bool, metrics_path: str) -> None:
     """Replay a trace through the engine."""
     status = run_trace(trace_path, c, profile, oracle_check=oracle_check,
-                       metrics_path=metrics_path, expander_backend=backend,
-                       seed=seed)
+                       metrics_path=metrics_path, expander_backend=backend)
     sys.exit(status)
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
 from .cutprimitives import components
-from .dynforest import DeleteTerminal, GraphDS, InsertTerminal
+from .dynforest import DeleteTerminal, GraphDS, InsertTerminal, contracted_diff
 from .errors import RejectedOp
 from .expander import decremental_single_expander, expander_decomposition
 from .multigraph import (
@@ -186,7 +186,7 @@ def build_sparsifier(ods: CutPartitionDS, gamma: Optional[int] = None
 
 def _sparsifier_graph(g: MultiGraph, ds_q: GraphDS, gamma: int) -> MultiGraph:
     out = MultiGraph()
-    cg = ds_q.contracted().graph
+    cg = ds_q.contracted()
     for v in cg.vertex_list():
         out.add_vertex(v)
     for (u, v), _ in cg.edge_items():
@@ -297,14 +297,15 @@ def update_partition(ods: CutPartitionDS, r_edges, t: int, c: int,
     r_final = []
     for e in sorted(r_cur):
         if ds_h.g.has_edge(*e):
-            seq = ds_h.ds_update(InsertTerminal(e[0]))
-            seq += ds_h.ds_update(InsertTerminal(e[1]))
-            seq += ds_h.ds_update(DeleteEdge(*e))
-            for op in seq:
-                if isinstance(op, InsertEdge):
-                    emit(InsertEdge(op.u, op.v, gamma))
-                else:
-                    emit(op)
+            for ds_op in (InsertTerminal(e[0]), InsertTerminal(e[1]),
+                          DeleteEdge(*e)):
+                before = ds_h.contracted()
+                ds_h.ds_update(ds_op)
+                for op in contracted_diff(before, ds_h.contracted()):
+                    if isinstance(op, InsertEdge):
+                        emit(InsertEdge(op.u, op.v, gamma))
+                    else:
+                        emit(op)
             r_final.append(e)
     for u, v in r_final:
         for w in (u, v):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .dynforest import GraphDS
 from .errors import RejectedOp
@@ -197,7 +197,6 @@ def induced_cut_side(g: MultiGraph, e0: Iterable[EdgeKey],
     vs = set(inner)
     z = min(vs)
     comp = component_of(g, z)
-    banned_comp = _reachable(g, z, edges, within=comp)
     # L = union of components of (comp minus e0) on the inner side: grow by
     # adding components reachable without crossing e0 from any inner vertex
     side = set()

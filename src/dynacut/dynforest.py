@@ -2,14 +2,16 @@
 data structure GraphDS.
 
 GraphDS wraps a multigraph plus a terminal set, maintains a spanning forest of
-the simple view, and keeps the terminal contraction of the forest: connecting
-paths between terminals are compressed into superedges whose endpoints are
-terminals or branch vertices (forest degree >= 3 within the pruned Steiner
-forest).  Every update returns the exact update sequence that transforms the
-previous contracted graph into the new one.
+the simple view, and reads off the terminal contraction of the forest:
+connecting paths between terminals are compressed into superedges whose
+endpoints are terminals or branch vertices (forest degree >= 3 within the
+pruned Steiner forest).  contracted_diff() of two contractions read before
+and after a run of updates is the exact update sequence that transforms the
+one into the other.
 
-All mutations are journaled; rollback_to() restores graph, terminals, and
-forest bit-exactly.
+Updates only apply and journal; the component labels and the contraction are
+computed when first read after a change.  rollback_to() restores graph,
+terminals, and forest bit-exactly.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def contract_partition(g: MultiGraph, partition, gamma: int = 1) -> MultiGraph:
         if not terms:
             continue
         ds = GraphDS(induced_subgraph(g, part), terms)
-        cg = ds.contracted().graph
+        cg = ds.contracted()
         for v in cg.vertex_list():
             if not out.has_vertex(v):
                 out.add_vertex(v)
@@ -91,14 +93,6 @@ class DeleteTerminal:
 
 
 DsOp = object  # UpdateOp | InsertTerminal | DeleteTerminal
-
-
-class ContractedGraph:
-    """Simple graph of superedges plus the forest-edge -> superedge cover map."""
-
-    def __init__(self, graph: MultiGraph, cover: Dict[EdgeKey, EdgeKey]):
-        self.graph = graph
-        self.cover = cover
 
 
 def contracted_diff(old: MultiGraph, new: MultiGraph) -> UpdateSeq:
@@ -143,8 +137,8 @@ class GraphDS:
         self._journal: List[_UndoRecord] = []
         self._dirty = True
         self._comp: Dict[VertexId, VertexId] = {}
-        self._comp_stats: Dict[VertexId, Tuple[int, int, int, Optional[VertexId]]] = {}
-        self._contracted: Optional[ContractedGraph] = None
+        self._comp_stats: Dict[VertexId, Tuple[int, int, Optional[VertexId]]] = {}
+        self._contracted: Optional[MultiGraph] = None
 
     # -- forest -----------------------------------------------------------
     def _build_forest(self) -> None:
@@ -208,18 +202,15 @@ class GraphDS:
         stats: Dict[VertexId, List] = {}
         for v, label in comp.items():
             if label not in stats:
-                stats[label] = [0, 0, 0, None]
+                stats[label] = [0, 0, None]
             stats[label][0] += 1
-        for (u, v), _ in self.g.edge_items():
-            stats[comp[u]][1] += 1
         for t in sorted(self.terminals):
             s = stats[comp[t]]
-            s[2] += 1
-            if s[3] is None:
-                s[3] = t
+            s[1] += 1
+            if s[2] is None:
+                s[2] = t
         self._comp = comp
         self._comp_stats = {k: tuple(v) for k, v in stats.items()}
-        self._contracted = self._compute_contraction()
         self._dirty = False
 
     # -- queries (Figure-5 vocabulary) ------------------------------------
@@ -237,32 +228,30 @@ class GraphDS:
         self._refresh()
         return self._comp_stats[self._comp[x]][0]
 
-    def distinct_edge_number(self, x: VertexId) -> int:
+    def terminal_number(self, x: VertexId) -> int:
         self._check_vertex(x)
         self._refresh()
         return self._comp_stats[self._comp[x]][1]
 
-    def terminal_number(self, x: VertexId) -> int:
-        self._check_vertex(x)
-        self._refresh()
-        return self._comp_stats[self._comp[x]][2]
-
     def one_terminal(self, x: VertexId) -> Optional[VertexId]:
         self._check_vertex(x)
         self._refresh()
-        return self._comp_stats[self._comp[x]][3]
+        return self._comp_stats[self._comp[x]][2]
 
     def component_vertices(self, x: VertexId) -> Set[VertexId]:
         label = self.comp_id(x)
         return {v for v, c in self._comp.items() if c == label}
 
     # -- contraction ------------------------------------------------------
-    def contracted(self) -> ContractedGraph:
-        self._refresh()
-        assert self._contracted is not None
+    def contracted(self) -> MultiGraph:
+        """The superedge graph; built on first read after a change, and
+        never mutated afterwards, so an earlier read stays a valid
+        snapshot for contracted_diff."""
+        if self._contracted is None:
+            self._contracted = self._compute_contraction()
         return self._contracted
 
-    def _compute_contraction(self) -> ContractedGraph:
+    def _compute_contraction(self) -> MultiGraph:
         adj = self._forest_adj()
         sdeg = {v: len(nbrs) for v, nbrs in adj.items()}
         alive = set(self.g.vertices)
@@ -290,7 +279,6 @@ class GraphDS:
             elif d >= 3:
                 nodes.add(v)
         cg = MultiGraph()
-        cover: Dict[EdgeKey, EdgeKey] = {}
         for v in sorted(nodes):
             cg.add_vertex(v)
         visited_edges: Set[EdgeKey] = set()
@@ -299,37 +287,24 @@ class GraphDS:
                 e0 = edge_key(u, first)
                 if e0 in visited_edges:
                     continue
-                path_edges = [e0]
                 visited_edges.add(e0)
                 prev, cur = u, first
                 while cur not in nodes:
                     nxt = [w for w in alive_neighbors(cur) if w != prev]
                     assert len(nxt) == 1, "interior path vertex must have degree 2"
-                    e = edge_key(cur, nxt[0])
-                    path_edges.append(e)
-                    visited_edges.add(e)
+                    visited_edges.add(edge_key(cur, nxt[0]))
                     prev, cur = cur, nxt[0]
-                se = edge_key(u, cur)
-                if not cg.has_edge(*se):
-                    cg.add_edge(se[0], se[1], 1)
-                for e in path_edges:
-                    cover[e] = se
-        return ContractedGraph(cg, cover)
-
-    def covering_edge(self, x: VertexId, y: VertexId) -> Optional[EdgeKey]:
-        e = edge_key(x, y)
-        if e not in self.forest:
-            raise RejectedOp("covering-edge", f"({x},{y}) not a forest edge")
-        return self.contracted().cover.get(e)
+                if not cg.has_edge(u, cur):
+                    cg.add_edge(u, cur, 1)
+        return cg
 
     # -- updates ----------------------------------------------------------
-    def ds_update(self, op: DsOp) -> UpdateSeq:
-        old = self.contracted().graph
-        rec = self._apply(op)
-        self._journal.append(rec)
+    def ds_update(self, op: DsOp) -> None:
+        """Apply and journal one op; read contracted() around it for the
+        change to the contraction."""
+        self._journal.append(self._apply(op))
         self._dirty = True
-        new = self.contracted().graph
-        return contracted_diff(old, new)
+        self._contracted = None
 
     def _apply(self, op: DsOp) -> _UndoRecord:
         rec = _UndoRecord(None, None, None)
@@ -414,6 +389,7 @@ class GraphDS:
             for e in rec.forest_removed:
                 self.forest.add(e)
             self._dirty = True
+            self._contracted = None
 
     def clone(self) -> "GraphDS":
         ds = GraphDS.__new__(GraphDS)

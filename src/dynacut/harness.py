@@ -285,16 +285,27 @@ def _build_metrics(lines, c, profile, e, mismatch, repair_log) -> Dict:
 def run_trace(path: Optional[str], c: int, profile: str = "desk",
               oracle_check: bool = False,
               metrics_path: Optional[str] = None,
-              expander_backend: str = "auto", seed: int = 0,
+              expander_backend: str = "auto",
               lines: Optional[List[TraceLine]] = None) -> int:
     """Replay a trace through the engine.  Returns 0 on success, 1 on an
     oracle mismatch (after printing a minimized reproduction), 2 on a parse
-    or replay error.  `lines` may be passed instead of a file path."""
+    or replay error.  `lines` may be passed instead of a file path.  The
+    expander backend applies for this call only."""
+    previous = expander.DEFAULT_BACKEND
     try:
         expander.set_default_backend(expander_backend)
     except RejectedOp as exc:
         log.error("%s", exc)
         return 2
+    try:
+        return _run_trace(path, c, profile, oracle_check, metrics_path, lines)
+    finally:
+        expander.set_default_backend(previous)
+
+
+def _run_trace(path: Optional[str], c: int, profile: str, oracle_check: bool,
+               metrics_path: Optional[str],
+               lines: Optional[List[TraceLine]]) -> int:
     if lines is None:
         assert path is not None
         try:
@@ -313,7 +324,6 @@ def run_trace(path: Optional[str], c: int, profile: str = "desk",
         return 2
     repair_log = list(repair.REPAIR_LOG)
     metrics = _build_metrics(lines, c, profile, e, mismatch, repair_log)
-    metrics["seed"] = seed
     if metrics_path:
         with open(metrics_path, "w") as fh:
             json.dump(metrics, fh, indent=2)

@@ -4,8 +4,8 @@ from collections import deque
 import pytest
 
 from dynacut.dynforest import (
-    ContractedGraph, DeleteTerminal, GraphDS, InsertTerminal,
-    contract_partition, contracted_diff,
+    DeleteTerminal, GraphDS, InsertTerminal, contract_partition,
+    contracted_diff,
 )
 from dynacut.errors import RejectedOp
 from dynacut.multigraph import (
@@ -33,7 +33,6 @@ def test_queries_c4():
     ds = GraphDS(cycle_graph(4))
     for x in range(4):
         assert ds.vertex_number(x) == 4
-        assert ds.distinct_edge_number(x) == 4
         assert ds.comp_id(x) == 0
 
 
@@ -74,8 +73,6 @@ def test_queries_match_bfs_oracle(seed):
         comp = bfs_component(g, x)
         assert ds.vertex_number(x) == len(comp)
         assert ds.comp_id(x) == min(comp)
-        assert ds.distinct_edge_number(x) == sum(
-            1 for (a, b) in g.edge_keys() if a in comp)
         assert ds.terminal_number(x) == len(comp & terms)
 
 
@@ -92,27 +89,48 @@ def test_forest_delta_on_tree_edge_delete():
 def test_insert_terminal_singleton_tree():
     g = MultiGraph.from_edges([0], [])
     ds = GraphDS(g)
-    seq = ds.ds_update(InsertTerminal(0))
-    assert seq == []
-    assert ds.contracted().graph.vertex_count() == 0
+    before = ds.contracted()
+    ds.ds_update(InsertTerminal(0))
+    assert contracted_diff(before, ds.contracted()) == []
+    assert ds.contracted().vertex_count() == 0
 
 
 def test_star_superedges():
     g = MultiGraph.from_edges([0, 1, 2, 3],
                               [(0, 1), (0, 2), (0, 3)])  # center 0
     ds = GraphDS(g, terminals={1, 2, 3})
-    cg = ds.contracted().graph
+    cg = ds.contracted()
     assert cg.vertices == {0, 1, 2, 3}
     assert set(cg.edge_keys()) == {(0, 1), (0, 2), (0, 3)}
 
 
-def test_covering_edge_path():
-    ds = GraphDS(path_graph(4), terminals={0, 3})
-    assert ds.covering_edge(1, 2) == (0, 3)
-    ds2 = GraphDS(path_graph(4), terminals={0})
-    assert ds2.covering_edge(1, 2) is None
-    with pytest.raises(RejectedOp):
-        GraphDS(cycle_graph(4)).covering_edge(0, 5)
+def test_contraction_built_only_when_read(monkeypatch):
+    calls = []
+    build = GraphDS._compute_contraction
+
+    def counted(self):
+        calls.append(1)
+        return build(self)
+
+    monkeypatch.setattr(GraphDS, "_compute_contraction", counted)
+    rng = random.Random(31)
+    ds = GraphDS(random_connected_graph(rng, 60, 40),
+                 set(rng.sample(range(60), 8)))
+    for i in range(20):
+        if i % 3 == 0:
+            ds.ds_update(DeleteEdge(*rng.choice(ds.g.edge_keys())))
+        elif i % 3 == 1:
+            u, v = rng.choice([(u, v) for u in range(60)
+                               for v in range(u + 1, 60)
+                               if not ds.g.has_edge(u, v)])
+            ds.ds_update(InsertEdge(u, v, 1))
+        else:
+            ds.ds_update(InsertTerminal(rng.randrange(60)))
+    assert calls == []
+    cg = ds.contracted()
+    assert len(calls) == 1
+    assert ds.contracted() is cg
+    assert len(calls) == 1
 
 
 def brute_force_superedges(g, forest, terminals):
@@ -169,14 +187,9 @@ def test_superedges_match_brute_force(seed):
     g = random_connected_graph(rng, 20, 6)
     terms = set(rng.sample(range(20), rng.randint(1, 6)))
     ds = GraphDS(g, terms)
-    cg = ds.contracted().graph
+    cg = ds.contracted()
     expect = brute_force_superedges(g, ds.forest, terms)
     assert set(cg.edge_keys()) == expect
-    # covering agrees with path decomposition membership
-    for e in sorted(ds.forest):
-        cov = ds.covering_edge(*e)
-        if cov is not None:
-            assert cov in expect
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -185,28 +198,30 @@ def test_update_seq_replays_contraction(seed):
     g = random_connected_graph(rng, 14, 5)
     terms = set(rng.sample(range(14), 4))
     ds = GraphDS(g, terms)
-    shadow = ds.contracted().graph.copy()
+    shadow = ds.contracted().copy()
     lengths = []
     for _ in range(50):
         choice = rng.random()
+        before = ds.contracted()
         try:
             if choice < 0.3:
                 u, v = rng.sample(range(14), 2)
-                seq = ds.ds_update(InsertEdge(u, v, rng.randint(1, 3)))
+                ds.ds_update(InsertEdge(u, v, rng.randint(1, 3)))
             elif choice < 0.6:
                 edges = ds.g.edge_keys()
                 if not edges:
                     continue
-                seq = ds.ds_update(DeleteEdge(*rng.choice(edges)))
+                ds.ds_update(DeleteEdge(*rng.choice(edges)))
             elif choice < 0.8:
-                seq = ds.ds_update(InsertTerminal(rng.randrange(14)))
+                ds.ds_update(InsertTerminal(rng.randrange(14)))
             else:
-                seq = ds.ds_update(DeleteTerminal(rng.randrange(14)))
+                ds.ds_update(DeleteTerminal(rng.randrange(14)))
         except RejectedOp:
             continue
+        seq = contracted_diff(before, ds.contracted())
         lengths.append(len(seq))
         apply_seq(shadow, seq)
-        assert shadow == ds.contracted().graph
+        assert shadow == ds.contracted()
     # O(1) contract: constant bound on every delta (see ledger note on the
     # forest-edge-deletion worst case)
     assert max(lengths, default=0) <= 16
@@ -218,8 +233,9 @@ def test_terminal_ops_delta_small():
     ds = GraphDS(g, set(rng.sample(range(16), 3)))
     for v in range(16):
         for op in (InsertTerminal(v), DeleteTerminal(v)):
-            seq = ds.ds_update(op)
-            assert len(seq) <= 8
+            before = ds.contracted()
+            ds.ds_update(op)
+            assert len(contracted_diff(before, ds.contracted())) <= 8
 
 
 def test_rollback_restores_bit_exact():

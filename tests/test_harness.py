@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import dynacut.expander as expander
 import dynacut.harness as harness
 from dynacut.cli import main as cli_main
 from dynacut.harness import (
@@ -137,6 +138,12 @@ def test_replay_error_exit_code():
 
 def test_bad_backend_exit_code():
     assert run_trace(None, 2, lines=[], expander_backend="nope") == 2
+
+
+def test_backend_restored_after_run():
+    assert expander.DEFAULT_BACKEND == "auto"
+    assert run_trace(None, 2, lines=[], expander_backend="exact-small") == 0
+    assert expander.DEFAULT_BACKEND == "auto"
 
 
 def test_injected_bug_detected(tmp_path, capsys, monkeypatch):
