@@ -15,7 +15,7 @@ from .multigraph import (CompositeOp, DeleteEdge, InsertEdge, InsertVertex,
                          apply_seq, degree_reduce)
 from .multilevel import (MultiLevelDS, ParamSchedule, make_schedule,
                          preprocess_multi_level)
-from .onlinebatch import Scheduler, scheduler_init, scheduler_step
+from .onlinebatch import Scheduler
 
 
 def _capped_maxflow(g: MultiGraph, x: VertexId, y: VertexId, cap: int) -> int:
@@ -64,7 +64,7 @@ def offline_oracle(g: MultiGraph, x: VertexId, y: VertexId, c: int) -> bool:
 
 
 def edge_connectivity(g: MultiGraph, x: VertexId, y: VertexId, cap_at: int) -> int:
-    """min(cap_at, x-y edge connectivity)."""
+    """Test oracle: min(cap_at, x-y edge connectivity)."""
     if x == y:
         return cap_at
     return _capped_maxflow(g, x, y, cap_at)
@@ -130,17 +130,15 @@ class Engine:
                 self.scheduler.impl.steps)
 
 
-def engine_preprocess(g: MultiGraph, c: int, profile: str = "desk",
+def engine_preprocess(g: MultiGraph, c: int,
                       n_cap: Optional[int] = None) -> Engine:
     if c < 1:
         raise RejectedOp("engine", f"c must be >= 1, got {c}")
-    if profile not in ("desk", "paper-validate"):
-        raise RejectedOp("engine", f"unknown profile {profile!r}")
     n_cap = max(n_cap or 0, g.vertex_count(), 2)
     sched = _flat_schedule(c, n_cap)
     reduction = degree_reduce(g, c)
     xi, w = 1, 12
-    scheduler = scheduler_init(StackDS(sched), reduction.multigraph, xi, w)
+    scheduler = Scheduler(StackDS(sched), reduction.multigraph, xi, w)
     return Engine(c, reduction, scheduler, sched,
                   scheduler.impl.clone(scheduler._pinned.inst))
 
@@ -157,7 +155,7 @@ def engine_update(e: Engine, op: UpdateOp) -> None:
         seq.extend(e.reduction.reduce_update(op))
     else:
         raise RejectedOp("engine", f"unsupported op {op!r}")
-    e.current = scheduler_step(e.scheduler, CompositeOp(tuple(seq)))
+    e.current = e.scheduler.step(CompositeOp(tuple(seq)))
 
 
 _ATTACH_A = -1   # v':  pendant forcing v_{u,u} into End(boundary)

@@ -25,10 +25,10 @@ from .errors import RejectedOp
 from .expander import decremental_single_expander, expander_decomposition
 from .multigraph import (
     DeleteEdge, DeleteVertex, EdgeKey, InsertEdge, InsertVertex, MultiGraph,
-    UpdateOp, UpdateSeq, VertexId, edge_key, induced_subgraph,
+    UpdateOp, UpdateSeq, VertexId, apply_update, edge_key, induced_subgraph,
     simple_view,
 )
-from .repair import initial_ia, repair_set
+from .repair import _ends, initial_ia, repair_set
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def default_params(t: int, c: int, strict: bool = False) -> LayerParams:
 
 @dataclass
 class CutPartitionDS:
-    ds: GraphDS                   # the input graph, no terminals
+    g: MultiGraph                 # the input graph
     layers: List[GraphDS]         # layer graphs, each with its terminals
     params: LayerParams
     gamma: int
@@ -107,13 +107,14 @@ class CutPartitionDS:
         return components(self.layers[-1].g)
 
     def clone(self) -> "CutPartitionDS":
-        return CutPartitionDS(self.ds.clone(),
+        return CutPartitionDS(self.g.copy(),
                               [ds.clone() for ds in self.layers],
                               self.params, self.gamma, self.phi)
 
     def fingerprint(self) -> Tuple:
-        return (self.ds.fingerprint(),
-                tuple(ds.fingerprint() for ds in self.layers))
+        graph = (tuple(sorted(self.g.edge_items())),
+                 tuple(self.g.vertex_list()))
+        return (graph, tuple(ds.fingerprint() for ds in self.layers))
 
 
 def _remove_edges(g: MultiGraph, edges) -> MultiGraph:
@@ -122,10 +123,6 @@ def _remove_edges(g: MultiGraph, edges) -> MultiGraph:
         if h.has_edge(u, v):
             h.remove_edge(u, v)
     return h
-
-
-def _ends(edges) -> Set[VertexId]:
-    return {v for e in edges for v in e}
 
 
 def _layer_ia(g: MultiGraph, terms: Set[VertexId], t_i: int, q_i: int,
@@ -143,8 +140,7 @@ def _layer_ia(g: MultiGraph, terms: Set[VertexId], t_i: int, q_i: int,
 
 def cut_partition_preprocess(g: MultiGraph, phi: Fraction, c: int, t: int,
                              params: Optional[LayerParams] = None,
-                             gamma: Optional[int] = None,
-                             backend: str = "auto") -> CutPartitionDS:
+                             gamma: Optional[int] = None) -> CutPartitionDS:
     """Build the structure from scratch: expander decomposition, then one
     witness layer per composition step."""
     if params is None:
@@ -152,7 +148,7 @@ def cut_partition_preprocess(g: MultiGraph, phi: Fraction, c: int, t: int,
     if params.c != c or params.t != t:
         raise RejectedOp("cut-partition", "params disagree with (t, c)")
     phi = Fraction(phi)
-    deco = expander_decomposition(simple_view(g), phi, backend)
+    deco = expander_decomposition(simple_view(g), phi)
     inter = {e for e in deco.intercluster if g.has_edge(*e)}
     n = params.layer_count()
     cur = _remove_edges(g, inter)
@@ -164,7 +160,7 @@ def cut_partition_preprocess(g: MultiGraph, phi: Fraction, c: int, t: int,
         cur = _remove_edges(cur, ia)
         terms = terms | _ends(ia)
         layers.append(GraphDS(cur.copy(), terms))
-    return CutPartitionDS(GraphDS(g.copy(), set()), layers, params,
+    return CutPartitionDS(g.copy(), layers, params,
                           gamma if gamma is not None else c + 1,
                           deco.phi_certified)
 
@@ -175,13 +171,25 @@ def build_sparsifier(ods: CutPartitionDS, gamma: Optional[int] = None
     gamma, plus every intercluster edge at its original multiplicity.
 
     Fresh from cut_partition_preprocess, the final layer's terminals are the
-    K endpoints of the B edges kept verbatim, so by the count in
-    contract_partition the output has at most 2K <= 4|B| vertices and
-    2K + |B| <= 5|B| distinct edges."""
+    K endpoints of the B edges kept verbatim, so K <= 2|B|, and the output
+    has at most 2K <= 4|B| vertices and 2K + |B| <= 5|B| distinct edges.
+
+    Proof.  The terminal contraction works on the spanning forest pruned of
+    non-terminal leaves, so every leaf of a pruned tree is a terminal.  A
+    tree with L leaves has at most L - 2 vertices of degree >= 3, so a
+    pruned tree holding k terminals keeps at most k + (k - 2) nodes, and its
+    superedges form a tree on those nodes: at most 2k - 3 superedges.
+    Summing over trees gives at most K branch vertices and 2K superedges;
+    the kept vertices are the K terminals plus the branch vertices, and the
+    distinct edges are the superedges plus B.  The bound is tight up to
+    lower-order terms: two binary trees with k leaves each, matched leaf to
+    leaf, give |B| = k, 4k - 4 vertices and 5k - 6 edges.  It is not 3|B|:
+    two 3-leaf stars joined leaf to leaf give |B| = 3 with 8 vertices and 9
+    edges."""
     gamma = ods.gamma if gamma is None else gamma
     if gamma <= ods.params.c:
         raise RejectedOp("sparsifier", f"need gamma > c, got {gamma}")
-    return _sparsifier_graph(ods.ds.g, ods.layers[-1], gamma)
+    return _sparsifier_graph(ods.g, ods.layers[-1], gamma)
 
 
 def _sparsifier_graph(g: MultiGraph, ds_q: GraphDS, gamma: int) -> MultiGraph:
@@ -281,7 +289,7 @@ def update_partition(ods: CutPartitionDS, r_edges, t: int, c: int,
     # shadow copy of the current sparsifier: the contraction diffs below are
     # merged into it so vertex ops that are absorbed by the intercluster part
     # (shared endpoints) are dropped from the emitted sequence
-    shadow = _sparsifier_graph(ods.ds.g, ds_h, gamma)
+    shadow = _sparsifier_graph(ods.g, ds_h, gamma)
     new_seq: UpdateSeq = []
 
     def emit(op: UpdateOp) -> None:
@@ -290,7 +298,6 @@ def update_partition(ods: CutPartitionDS, r_edges, t: int, c: int,
         if isinstance(op, DeleteVertex) and (
                 not shadow.has_vertex(op.v) or shadow.degree(op.v) > 0):
             return
-        from .multigraph import apply_update
         apply_update(shadow, op)
         new_seq.append(op)
 
@@ -310,10 +317,10 @@ def update_partition(ods: CutPartitionDS, r_edges, t: int, c: int,
     for u, v in r_final:
         for w in (u, v):
             emit(InsertVertex(w))
-        emit(InsertEdge(u, v, ods.ds.g.multiplicity(u, v)))
+        emit(InsertEdge(u, v, ods.g.multiplicity(u, v)))
     new_params = transformed_params(params, t, c)
     new_layers = [ods.layers[j] for j in selected]
-    return (CutPartitionDS(ods.ds, new_layers, new_params, gamma, ods.phi),
+    return (CutPartitionDS(ods.g, new_layers, new_params, gamma, ods.phi),
             new_seq)
 
 
@@ -349,11 +356,11 @@ def cut_partition_update(ods: CutPartitionDS, seq: UpdateSeq, phi: Fraction,
         w_id = buckets[cid]
         d_id = {edge_key(u, v) for u in w_id for v in ds0.g.neighbors(u)}
         comp = ds0.component_vertices(cid)
-        sub = simple_view(induced_subgraph(ds0.g, comp))
-        r_id = decremental_single_expander(GraphDS(sub, set()), phi, d_id)
+        r_id = decremental_single_expander(induced_subgraph(ds0.g, comp),
+                                           phi, d_id)
         r |= r_id | d_id
     new_ods, new_seq = update_partition(ods, r, t, c, gamma, params)
-    base = new_ods.ds.g
+    base = new_ods.g
     for x in touched:
         if base.has_vertex(x) and base.is_isolated(x):
             new_seq.append(InsertVertex(x))
@@ -361,9 +368,9 @@ def cut_partition_update(ods: CutPartitionDS, seq: UpdateSeq, phi: Fraction,
                 ds_i.ds_update(InsertTerminal(x))
     new_seq = new_seq + list(seq)
     for op in seq:
-        new_ods.ds.ds_update(op)
+        apply_update(base, op)
     for x in touched:
-        if new_ods.ds.g.has_vertex(x) and new_ods.ds.g.is_isolated(x):
+        if base.has_vertex(x) and base.is_isolated(x):
             new_seq.append(DeleteVertex(x))
             for ds_i in new_ods.layers:
                 ds_i.ds_update(DeleteTerminal(x))

@@ -1,6 +1,5 @@
-"""Cut objects and primitives: interception tests, atomic-cut verification,
-bounded simple/non-simple cut enumeration, and S-equivalence of realizable
-pairs.
+"""Cut objects and primitives: interception tests, the atomic-cut test,
+bounded simple/non-simple cut enumeration, and realizable pairs.
 
 Conventions: a cut is named by one vertex side V'.  The cut-set is the set of
 distinct boundary edges; the cut *size* counts multiplicities.  A cut is
@@ -75,8 +74,8 @@ def is_simple_cut(g: MultiGraph, side: Iterable[VertexId]) -> bool:
 
 def is_atomic_cut(g: MultiGraph, side: Iterable[VertexId],
                   universe: Optional[Set[VertexId]] = None) -> bool:
-    """Both sides connected; the complement is taken within `universe`
-    (default: the connected component containing the side)."""
+    """Test oracle: both sides connected; the complement is taken within
+    `universe` (default: the connected component containing the side)."""
     s = set(side)
     if universe is None:
         universe = component_of(g, min(s))
@@ -121,9 +120,9 @@ class Cut:
 
 def intercepts(g: MultiGraph, f: Iterable[EdgeKey],
                cut) -> bool:
-    """True iff no connected component of g minus f contains every edge of
-    the cut's cut-set (an edge is contained when both its endpoints are).
-    `cut` may be a Cut or a bare iterable of edges."""
+    """Test oracle: true iff no connected component of g minus f contains
+    every edge of the cut's cut-set (an edge is contained when both its
+    endpoints are).  `cut` may be a Cut or a bare iterable of edges."""
     cutset = cut.cutset if isinstance(cut, Cut) else cut
     cut_edges = [edge_key(u, v) for u, v in cutset]
     if not cut_edges:
@@ -137,39 +136,12 @@ def intercepts(g: MultiGraph, f: Iterable[EdgeKey],
     return False
 
 
-# -- atomic cut verification ----------------------------------------------
-
-def atomic_cut_verify(ds: GraphDS, e0: Iterable[EdgeKey]) -> bool:
-    """True iff e0 is the cut-set of an atomic cut of some connected
-    component; the DS is restored before returning."""
-    edges = sorted({edge_key(u, v) for u, v in e0})
-    if not edges:
-        raise RejectedOp("atomic-cut-verify", "empty edge set")
-    for u, v in edges:
-        if not ds.g.has_edge(u, v):
-            raise RejectedOp("atomic-cut-verify", f"edge ({u},{v}) absent")
-    comps = {ds.comp_id(u) for u, v in edges} | {ds.comp_id(v) for u, v in edges}
-    if len(comps) > 1:
-        return False
-    from .multigraph import DeleteEdge
-    mark = ds.mark()
-    try:
-        for u, v in edges:
-            ds.ds_update(DeleteEdge(u, v))
-        sides = set()
-        for u, v in edges:
-            iu, iv = ds.comp_id(u), ds.comp_id(v)
-            if iu == iv:
-                return False
-            sides.add(iu)
-            sides.add(iv)
-        return len(sides) == 2
-    finally:
-        ds.rollback_to(mark)
-
+# -- atomic cuts -----------------------------------------------------------
 
 def induces_atomic_cut(g: MultiGraph, e0: Iterable[EdgeKey]) -> bool:
-    """Standalone version of atomic_cut_verify over a plain multigraph."""
+    """True iff e0 is the cut-set of an atomic cut of some connected
+    component: removing e0 from that component leaves exactly two pieces,
+    and every edge of e0 joins them."""
     edges = {edge_key(u, v) for u, v in e0}
     if not edges:
         return False
@@ -208,7 +180,7 @@ def induced_cut_side(g: MultiGraph, e0: Iterable[EdgeKey],
 
 # -- bounded cut enumeration ----------------------------------------------
 
-def enumerate_simple_cuts(ds_or_g, x: VertexId, c: int, t: int,
+def enumerate_simple_cuts(g: MultiGraph, x: VertexId, c: int, t: int,
                           excluded: Iterable[VertexId] = ()
                           ) -> Set[VertexSet]:
     """All V' with x in V', |V'| <= t, G[V'] connected, cut size <= c,
@@ -219,7 +191,6 @@ def enumerate_simple_cuts(ds_or_g, x: VertexId, c: int, t: int,
     every valid side is one leaf, and any branch whose committed boundary
     already exceeds c dies immediately.
     """
-    g: MultiGraph = ds_or_g.g if isinstance(ds_or_g, GraphDS) else ds_or_g
     if not g.has_vertex(x):
         raise RejectedOp("enumerate-simple-cuts", f"vertex {x} absent")
     out: Set[VertexSet] = set()
@@ -264,7 +235,7 @@ def enumerate_simple_cuts(ds_or_g, x: VertexId, c: int, t: int,
     return out
 
 
-def enumerate_anchored_cuts(ds_or_g, anchors: Iterable[VertexId], c: int,
+def enumerate_anchored_cuts(g: MultiGraph, anchors: Iterable[VertexId], c: int,
                             t: int) -> List[Tuple[VertexId, VertexSet]]:
     """Every side meeting `anchors` exactly once, tagged with the smallest
     anchor it contains and ordered by (anchor, side).  Matches the union of
@@ -272,7 +243,7 @@ def enumerate_anchored_cuts(ds_or_g, anchors: Iterable[VertexId], c: int,
     out: List[Tuple[VertexId, VertexSet]] = []
     done: List[VertexId] = []
     for x in sorted(set(anchors)):
-        sides = enumerate_simple_cuts(ds_or_g, x, c, t, excluded=done)
+        sides = enumerate_simple_cuts(g, x, c, t, excluded=done)
         out.extend((x, side) for side in
                    sorted(sides, key=lambda v: tuple(sorted(v))))
         done.append(x)
@@ -291,7 +262,7 @@ def enumerate_cuts(ds1: GraphDS, ds2: GraphDS, t_prime: Iterable[VertexId],
     if not tp <= terms:
         raise RejectedOp("enumerate-cuts", "T' not within the terminal sets")
     universe: Set[VertexSet] = \
-        {side for _, side in enumerate_anchored_cuts(ds1, tp, c, t)}
+        {side for _, side in enumerate_anchored_cuts(g, tp, c, t)}
     # keep only pieces whose terminal trace stays within T'
     pieces = sorted((v for v in universe if (v & terms) <= tp),
                     key=lambda s: tuple(sorted(s)))
@@ -316,7 +287,7 @@ def enumerate_cuts(ds1: GraphDS, ds2: GraphDS, t_prime: Iterable[VertexId],
     return out
 
 
-# -- realizable pairs and S-equivalence -----------------------------------
+# -- realizable pairs -------------------------------------------------------
 
 @dataclass(frozen=True)
 class RealizablePair:
@@ -330,36 +301,3 @@ class RealizablePair:
            ) -> "RealizablePair":
         return cls(frozenset(edge_key(u, v) for u, v in edges),
                    frozenset(side))
-
-
-def check_realizable_pair(g: MultiGraph, pair: RealizablePair,
-                          c: Optional[int] = None, t: Optional[int] = None
-                          ) -> bool:
-    if not pair.side:
-        return False
-    if t is not None and len(pair.side) > t:
-        return False
-    if not is_simple_cut(g, pair.side):
-        return False
-    b = boundary(g, pair.side)
-    if c is not None and sum(g.multiplicity(u, v) for u, v in b) > c:
-        return False
-    if not pair.edges <= b:
-        return False
-    return induces_atomic_cut(g, pair.edges)
-
-
-def s_equivalent(ds: GraphDS, p1: RealizablePair, p2: RealizablePair,
-                 c: Optional[int] = None, t: Optional[int] = None,
-                 validate: bool = True) -> bool:
-    """True iff the atomic cuts induced by the two pairs agree on the
-    terminal set S of `ds` (L1 n S = L2 n S); the DS is restored."""
-    g = ds.g
-    if validate:
-        for p in (p1, p2):
-            if not check_realizable_pair(g, p, c, t):
-                raise RejectedOp("s-equivalent", f"invalid realizable pair {p}")
-    s = ds.terminals
-    l1 = induced_cut_side(g, p1.edges, p1.side)
-    l2 = induced_cut_side(g, p2.edges, p2.side)
-    return (l1 & s) == (l2 & s)

@@ -23,63 +23,8 @@ from typing import Dict, List, Optional, Set, Tuple
 from .errors import RejectedOp
 from .multigraph import (
     DeleteEdge, DeleteVertex, EdgeKey, InsertEdge, InsertVertex, MultiGraph,
-    UpdateOp, UpdateSeq, VertexId, edge_key, induced_subgraph,
+    UpdateOp, UpdateSeq, VertexId, apply_update, edge_key, inverse_op,
 )
-
-
-def contract_partition(g: MultiGraph, partition, gamma: int = 1) -> MultiGraph:
-    """Contraction of g over a vertex partition: intercluster edges at their
-    original multiplicity plus per-cluster superedges (w.r.t. terminals =
-    endpoints of intercluster edges) at multiplicity gamma.
-
-    Preserves connectivity among its vertices.  Size: let B be the distinct
-    intercluster edges and K the number of their distinct endpoints, so
-    K <= 2|B|.  Then |V| <= 2K <= 4|B| and |E| <= 2K + |B| <= 5|B|.
-
-    Proof.  In each cluster the terminal contraction works on the spanning
-    forest pruned of non-terminal leaves, so every leaf of a pruned tree is
-    a terminal.  A tree with L leaves has at most L - 2 vertices of degree
-    >= 3, so a pruned tree holding k terminals keeps at most k + (k - 2)
-    nodes, and its superedges form a tree on those nodes: at most 2k - 3
-    superedges.  Every terminal lies in one cluster, so summing over trees
-    gives at most K branch vertices and 2K superedges; the kept vertices are
-    the K terminals plus the branch vertices, and the distinct edges are the
-    superedges plus B.  The bound is tight up to lower-order terms: two
-    binary trees with k leaves each, matched leaf to leaf, give |B| = k,
-    4k - 4 vertices and 5k - 6 edges.  It is not 3|B|: two 3-leaf stars
-    joined leaf to leaf give |B| = 3 with 8 vertices and 9 edges.
-    """
-    comp_of: Dict[VertexId, int] = {}
-    for i, part in enumerate(partition):
-        for v in part:
-            if v in comp_of:
-                raise RejectedOp("contract-partition", f"vertex {v} repeated")
-            comp_of[v] = i
-    boundary = [((u, v), m) for (u, v), m in g.edge_items()
-                if comp_of[u] != comp_of[v]]
-    terminals_per: Dict[int, Set[VertexId]] = {}
-    for (u, v), _ in boundary:
-        terminals_per.setdefault(comp_of[u], set()).add(u)
-        terminals_per.setdefault(comp_of[v], set()).add(v)
-    out = MultiGraph()
-    for (u, v), _ in boundary:
-        for w in (u, v):
-            if not out.has_vertex(w):
-                out.add_vertex(w)
-    for i, part in enumerate(partition):
-        terms = terminals_per.get(i)
-        if not terms:
-            continue
-        ds = GraphDS(induced_subgraph(g, part), terms)
-        cg = ds.contracted()
-        for v in cg.vertex_list():
-            if not out.has_vertex(v):
-                out.add_vertex(v)
-        for (a, b), _ in cg.edge_items():
-            out.add_edge(a, b, gamma)
-    for (u, v), m in boundary:
-        out.add_edge(u, v, m)
-    return out
 
 
 @dataclass(frozen=True)
@@ -308,28 +253,29 @@ class GraphDS:
 
     def _apply(self, op: DsOp) -> _UndoRecord:
         rec = _UndoRecord(None, None, None)
-        if isinstance(op, InsertVertex):
-            self.g.add_vertex(op.v)
-            rec.graph_undo = DeleteVertex(op.v)
-        elif isinstance(op, DeleteVertex):
+        if isinstance(op, InsertTerminal):
+            if not self.g.has_vertex(op.v):
+                raise RejectedOp("ds-update", f"vertex {op.v} absent")
+            if op.v not in self.terminals:
+                self.terminals.add(op.v)
+                rec.terminal_remove = op.v
+            return rec
+        if isinstance(op, DeleteTerminal):
             if op.v in self.terminals:
-                raise RejectedOp("ds-update", f"vertex {op.v} still a terminal")
-            self.g.remove_vertex(op.v)
-            rec.graph_undo = InsertVertex(op.v)
-        elif isinstance(op, InsertEdge):
-            self.g.add_edge(op.u, op.v, op.mult)
-            rec.graph_undo = DeleteEdge(op.u, op.v)
+                self.terminals.discard(op.v)
+                rec.terminal_add = op.v
+            return rec
+        if isinstance(op, DeleteVertex) and op.v in self.terminals:
+            raise RejectedOp("ds-update", f"vertex {op.v} still a terminal")
+        rec.graph_undo = inverse_op(self.g, op)
+        apply_update(self.g, op)
+        if isinstance(op, InsertEdge):
             if self.comp_or_none(op.u) != self.comp_or_none(op.v):
                 e = edge_key(op.u, op.v)
                 self.forest.add(e)
                 rec.forest_added.add(e)
         elif isinstance(op, DeleteEdge):
-            mult = self.g.multiplicity(op.u, op.v)
-            if mult == 0:
-                raise RejectedOp("ds-update", f"edge ({op.u},{op.v}) absent")
             e = edge_key(op.u, op.v)
-            self.g.remove_edge(op.u, op.v)
-            rec.graph_undo = InsertEdge(op.u, op.v, mult)
             if e in self.forest:
                 self.forest.discard(e)
                 rec.forest_removed.add(e)
@@ -344,18 +290,6 @@ class GraphDS:
                 if repl is not None:
                     self.forest.add(repl)
                     rec.forest_added.add(repl)
-        elif isinstance(op, InsertTerminal):
-            if not self.g.has_vertex(op.v):
-                raise RejectedOp("ds-update", f"vertex {op.v} absent")
-            if op.v not in self.terminals:
-                self.terminals.add(op.v)
-                rec.terminal_remove = op.v
-        elif isinstance(op, DeleteTerminal):
-            if op.v in self.terminals:
-                self.terminals.discard(op.v)
-                rec.terminal_add = op.v
-        else:
-            raise RejectedOp("ds-update", f"unknown op {op!r}")
         return rec
 
     def comp_or_none(self, x: VertexId) -> Optional[VertexId]:
@@ -371,15 +305,7 @@ class GraphDS:
         while len(self._journal) > mark:
             rec = self._journal.pop()
             if rec.graph_undo is not None:
-                op = rec.graph_undo
-                if isinstance(op, InsertEdge):
-                    self.g.add_edge(op.u, op.v, op.mult)
-                elif isinstance(op, DeleteEdge):
-                    self.g.remove_edge(op.u, op.v)
-                elif isinstance(op, InsertVertex):
-                    self.g.add_vertex(op.v)
-                elif isinstance(op, DeleteVertex):
-                    self.g.remove_vertex(op.v)
+                apply_update(self.g, rec.graph_undo)
             if rec.terminal_add is not None:
                 self.terminals.add(rec.terminal_add)
             if rec.terminal_remove is not None:
@@ -411,6 +337,8 @@ class GraphDS:
 
     # -- invariant checking (tests) ---------------------------------------
     def check_forest(self) -> None:
+        """Test oracle: the forest spans every component of g and is
+        acyclic."""
         for u, v in self.forest:
             assert self.g.has_edge(u, v), "forest edge missing from graph"
         # acyclic and spanning: per component, forest edges = vertices - 1

@@ -11,6 +11,7 @@ verifies each produced cluster, re-splitting on failure.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
@@ -237,7 +238,6 @@ def pruning(g: MultiGraph, d_edges: Iterable[EdgeKey], phi: Fraction
         return True
 
     # grow P along a BFS order seeded at the deleted edges' endpoints
-    from collections import deque
     seeds = sorted({v for e in d_set for v in e})
     order: List[VertexId] = []
     seen = set(seeds)
@@ -265,13 +265,12 @@ def pruning(g: MultiGraph, d_edges: Iterable[EdgeKey], phi: Fraction
     return set(g.vertex_list())
 
 
-def decremental_single_expander(ds, phi: Fraction,
+def decremental_single_expander(g: MultiGraph, phi: Fraction,
                                 d_edges: Iterable[EdgeKey]) -> Set[EdgeKey]:
     """Intercluster edges of an expander decomposition of G minus d_edges,
     built by pruning around the deletions and re-decomposing only the pruned
     part; O(|D|) edges when G was a phi-expander."""
-    from .dynforest import GraphDS
-    g = simple_view(ds.g if isinstance(ds, GraphDS) else ds)
+    g = simple_view(g)
     d_set = {edge_key(u, v) for u, v in d_edges}
     phi = Fraction(phi)
     m = g.distinct_edge_count()

@@ -127,8 +127,7 @@ def _replay(lines: Sequence[TraceLine], c: int, oracle_check: bool,
     and the shadow simple graph.  Raises TraceError for replay-invalid ops."""
     ids = {tl.u for tl in lines if tl.kind != "comment"} | \
           {tl.v for tl in lines if tl.kind != "comment"}
-    e = engine_preprocess(MultiGraph(), c, profile="desk",
-                          n_cap=max(len(ids), 2))
+    e = engine_preprocess(MultiGraph(), c, n_cap=max(len(ids), 2))
     shadow = MultiGraph()
     for i, tl in enumerate(lines):
         if stop_at is not None and i > stop_at:

@@ -328,13 +328,13 @@ class MultiLevelDS:
 
     @property
     def graph(self) -> MultiGraph:
-        return self.levels[0].ds.g
+        return self.levels[0].g
 
     def level_count(self) -> int:           # ell + 1 levels, top index ell
         return len(self.levels)
 
     def level_edge_counts(self) -> List[int]:
-        return [ods.ds.g.distinct_edge_count() for ods in self.levels]
+        return [ods.g.distinct_edge_count() for ods in self.levels]
 
     def etas_observed(self) -> List[Fraction]:
         counts = self.level_edge_counts()
@@ -395,7 +395,11 @@ def update_multi_level(mds: MultiLevelDS, seq: UpdateSeq, k: int
     """Absorb one update batch as round k.  Small batches propagate level by
     level; once a level's sequence exceeds its threshold, that level and
     everything above it are rebuilt from scratch.  Consumes its input (the
-    level structures are updated in place)."""
+    level structures are updated in place).
+
+    This is the paper's batch update, kept off the engine path: the engine's
+    desk schedule has no spare rounds (rounds = 0), so StackDS rebuilds with
+    preprocess_multi_level instead of calling this."""
     sched = mds.schedule
     if k > sched.rounds:
         raise RejectedOp("multi-level update",
@@ -417,7 +421,7 @@ def update_multi_level(mds: MultiLevelDS, seq: UpdateSeq, k: int
             ods, cur_seq, phi, target, sched.t, sched.gamma, ods.params)
         new_levels.append(_reframe(new_ods, c_next))
     if rebuild_from is not None:
-        g_cur = apply_seq(mds.levels[rebuild_from].ds.g.copy(), cur_seq)
+        g_cur = apply_seq(mds.levels[rebuild_from].g.copy(), cur_seq)
         _build_levels(g_cur, sched, k, new_levels)
     else:
         sp = build_sparsifier(new_levels[-1], sched.gamma)

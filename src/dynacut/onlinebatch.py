@@ -71,7 +71,8 @@ def dependency_chain(xi: int, j: int, s: int) -> List[Tuple[int, int]]:
 
 
 def dependency_audit(xi: int, w: int, j: int) -> bool:
-    """Every realized dependency satisfies t_{i,j} <= t_{i',j'+2} + d_{i'}/2."""
+    """Test oracle: every realized dependency satisfies
+    t_{i,j} <= t_{i',j'+2} + d_{i'}/2."""
     s = _scale(xi, w)
     d = [s ** (xi - i) for i in range(xi + 1)]
     chain = dependency_chain(xi, j, s)
@@ -97,8 +98,8 @@ def _scale(xi: int, w: int) -> int:
 # -- reference executor ----------------------------------------------------
 
 class ReferenceExecutor:
-    """Direct, memoized evaluation of the snapshot lattice: the ground truth
-    the scheduler must reproduce at every time step."""
+    """Test oracle: direct, memoized evaluation of the snapshot lattice, the
+    ground truth the scheduler must reproduce at every time step."""
 
     def __init__(self, impl: BatchableDS, g: MultiGraph, xi: int, w: int):
         self.impl = impl
@@ -311,12 +312,3 @@ class Scheduler:
             "total_steps": sum(spu),
             "preprocess_steps": self.preprocess_steps,
         }
-
-
-def scheduler_init(impl: BatchableDS, g: MultiGraph, xi: int, w: int
-                   ) -> Scheduler:
-    return Scheduler(impl, g, xi, w)
-
-
-def scheduler_step(sched: Scheduler, op: UpdateOp):
-    return sched.step(op)

@@ -18,7 +18,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .cutprimitives import (
     RealizablePair,
-    atomic_cut_verify,
     boundary,
     components,
     cut_size,
@@ -28,7 +27,7 @@ from .cutprimitives import (
     induced_cut_side,
     induces_atomic_cut,
 )
-from .dynforest import GraphDS
+from .dynforest import DeleteTerminal, GraphDS, InsertTerminal
 from .errors import RejectedOp
 from .multigraph import DeleteEdge, EdgeKey, MultiGraph, VertexId, edge_key
 
@@ -95,8 +94,7 @@ def _separates(g: MultiGraph, e0: EdgeSet, side: Iterable[VertexId],
 
 # -- elimination procedure -------------------------------------------------
 
-def elimination(ds_t: GraphDS, ds_s: GraphDS, gamma, c: int, t: int
-                ) -> Set[EdgeKey]:
+def elimination(ds_t: GraphDS, ds_s: GraphDS, gamma) -> Set[EdgeKey]:
     """Boundary edges of a maximal chain of pairs from `gamma`; the output
     intercepts a small terminal-separating cut for every pair."""
     pool = [p if isinstance(p, RealizablePair) else RealizablePair.of(*p)
@@ -167,7 +165,7 @@ def bipartition_system(ds: GraphDS, c: int, t: int) -> BipartitionSystem:
     s = frozenset(ds.terminals)
     u: List[Tuple[RealizablePair, FrozenSet[VertexId], int]] = []
     seen = set()
-    for _, side in enumerate_anchored_cuts(ds, s, c, t):
+    for _, side in enumerate_anchored_cuts(g, s, c, t):
         b = boundary(g, side)
         for e_sub in _edge_subsets(b):
             if not induces_atomic_cut(g, e_sub):
@@ -249,7 +247,7 @@ def type_one_repair_set(ds1: GraphDS, ds2: GraphDS, ds3: GraphDS,
     for pair, trace in zip(system.pairs, system.traces):
         buckets: Dict[VertexId, List[RealizablePair]] = defaultdict(list)
         seen = set()
-        for _, side in enumerate_anchored_cuts(ds1, pair.side, c, t):
+        for _, side in enumerate_anchored_cuts(g, pair.side, c, t):
             if not (side & s):
                 continue
             b = boundary(g, side)
@@ -270,7 +268,7 @@ def type_one_repair_set(ds1: GraphDS, ds2: GraphDS, ds3: GraphDS,
                 buckets[cid].append(cand)
         w1 |= set(boundary(g, pair.side))
         for cid in sorted(buckets):
-            w1 |= elimination(ds2, ds1, buckets[cid], c, t)
+            w1 |= elimination(ds2, ds1, buckets[cid])
     return w1
 
 
@@ -283,11 +281,11 @@ def type_two_repair_set(ds1: GraphDS, ds2: GraphDS, ds3: GraphDS,
     w2: Set[EdgeKey] = set()
     for s_v in sorted(s):
         reach: Set[VertexId] = set()
-        for side in enumerate_simple_cuts(ds1, s_v, c, q):
+        for side in enumerate_simple_cuts(g, s_v, c, q):
             reach |= (side & t_set)
         gamma: List[RealizablePair] = []
         seen = set()
-        for _, side in enumerate_anchored_cuts(ds1, reach, c, t):
+        for _, side in enumerate_anchored_cuts(g, reach, c, t):
             if side & s:
                 continue
             b = boundary(g, side)
@@ -313,7 +311,7 @@ def type_two_repair_set(ds1: GraphDS, ds2: GraphDS, ds3: GraphDS,
                     if key not in seen:
                         seen.add(key)
                         gamma.append(cand)
-        w2 |= elimination(ds2, ds1, gamma, c, t)
+        w2 |= elimination(ds2, ds1, gamma)
     return w2
 
 
@@ -334,7 +332,7 @@ def type_three_repair_set(ds1: GraphDS, ds2: GraphDS, ds3: GraphDS,
     cc = {ds3.comp_id(x) for x in s}
     buckets: Dict[VertexId, List[FrozenSet[VertexId]]] = defaultdict(list)
     s0 = min(s)
-    for side in sorted(enumerate_simple_cuts(ds1, s0, c, t),
+    for side in sorted(enumerate_simple_cuts(g, s0, c, t),
                        key=lambda v: tuple(sorted(v))):
         if (side & s) != s or (side & t_set) == t_set:
             continue
@@ -349,7 +347,7 @@ def type_three_repair_set(ds1: GraphDS, ds2: GraphDS, ds3: GraphDS,
         for side in buckets[cid]:
             b = boundary(g, side)
             for e_sub in _edge_subsets(b):
-                if not atomic_cut_verify(ds1, e_sub):
+                if not induces_atomic_cut(g, e_sub):
                     continue
                 outside = sorted(_ends(e_sub) - side)
                 if not outside:
@@ -383,7 +381,7 @@ def type_three_repair_set(ds1: GraphDS, ds2: GraphDS, ds3: GraphDS,
                             seen.add(key)
                             gamma.append(cand)
         w3 |= set(best_e)
-        w3 |= elimination(ds2, ds1, gamma, c, t)
+        w3 |= elimination(ds2, ds1, gamma)
     return w3
 
 
@@ -395,7 +393,6 @@ def repair_set(ds1: GraphDS, ds2: GraphDS, ds3: GraphDS,
     """Union of the three typed repair sets; terminal mutations on the three
     data structures are rolled back before returning.  Replacements are
     budgeted q + t vertices; q >= 2t is required (see bipartition_system)."""
-    from .dynforest import DeleteTerminal, InsertTerminal
     if q < 2 * t:
         raise RejectedOp("repair-set", f"need q >= 2t, got q={q} t={t}")
     s_set = sorted(set(s))
@@ -463,7 +460,8 @@ def layered_ia(g: MultiGraph, t_verts: Iterable[VertexId],
 
 def verify_ia(g: MultiGraph, t_verts: Iterable[VertexId],
               edges: Iterable[EdgeKey], params: IAParams) -> bool:
-    """Exhaustive check of both IA conditions; components must be small."""
+    """Test oracle: exhaustive check of both IA conditions; components must
+    be small."""
     edges = {edge_key(u, v) for u, v in edges}
     t_all = set(t_verts)
     for e in edges:

@@ -24,7 +24,7 @@ from dynacut.cutprimitives import (
     Cut, boundary, components, cut_size, enumerate_simple_cuts, intercepts,
     is_atomic_cut, is_simple_cut,
 )
-from dynacut.dynforest import GraphDS, contract_partition
+from dynacut.dynforest import GraphDS
 from dynacut.harness import gen_workload, run_trace
 from dynacut.multigraph import MultiGraph, degree_reduce, induced_subgraph
 from dynacut.multilevel import make_schedule, strength_chain
@@ -39,7 +39,8 @@ from test_onlinebatch import (
     PAIRS, CounterDS, MultiLevelMock, SortedEdgeListDS, drive, op_stream,
 )
 from test_repair import _repair_scenario
-from util import random_connected_graph, random_simple_graph
+from util import (partition_sparsifier, random_connected_graph,
+                  random_simple_graph)
 
 from dynacut.dynforest import DeleteTerminal, InsertTerminal
 
@@ -163,7 +164,7 @@ def test_contraction_size_and_connectivity():
         # each class must induce a connected subgraph
         partition = [set(comp) for p in coarse if p
                      for comp in components(induced_subgraph(g, p))]
-        cg = contract_partition(g, partition)
+        cg = partition_sparsifier(g, partition)
         owner = {v: i for i, p in enumerate(partition) for v in p}
         bnd = [(u, v) for (u, v), _ in g.edge_items()
                if owner[u] != owner[v]]

@@ -9,6 +9,7 @@ from dynacut.connectivity import (
     edge_connectivity, engine_preprocess, engine_query, engine_update,
     offline_oracle,
 )
+from dynacut.dynforest import GraphDS
 from dynacut.errors import RejectedOp
 from dynacut.multigraph import DeleteEdge, InsertEdge, MultiGraph
 
@@ -110,6 +111,21 @@ def test_engine_barbell():
     assert not engine_query(e, 2, 3)      # the bridge endpoints themselves
     assert engine_query(e, 0, 1)          # inside a triangle
     assert engine_query(e, 3, 5)
+
+
+def test_preprocess_builds_a_graphds_per_layer_only(monkeypatch):
+    """Each level holds its input graph as a plain MultiGraph, so the
+    layers are the only GraphDS objects a preprocess builds."""
+    built = []
+    init = GraphDS.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GraphDS, "__init__", counting_init)
+    e = engine_preprocess(barbell(), 2)
+    assert len(built) == sum(len(ods.layers) for ods in e.current.levels)
 
 
 def test_engine_query_same_vertex():

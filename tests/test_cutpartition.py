@@ -23,7 +23,7 @@ def _ends(edges):
 
 
 def _intercluster_edges(ods):
-    g = ods.ds.g
+    g = ods.g
     gq = ods.layers[-1].g
     return {e for e in g.edge_keys() if not gq.has_edge(*e)}
 
@@ -63,7 +63,7 @@ def _check_ods(ods, t, c):
     for q in q_parts:
         assert len({owner[v] for v in q}) == 1  # Q refines P
     bnd = _intercluster_edges(ods)
-    g = ods.ds.g
+    g = ods.g
     terms = _ends({e for e in g.edge_keys()
                    if not ods.layers[0].g.has_edge(*e)})
     for part in p_parts:
@@ -232,7 +232,7 @@ def test_cpu_isolated_vertex_insertion():
     old_sp = build_sparsifier(ods)
     new_ods, seq = cut_partition_update(ods.clone(), [InsertVertex(99)],
                                         Fraction(2, 5), 1, 4, 2)
-    assert new_ods.ds.g.has_vertex(99)
+    assert new_ods.g.has_vertex(99)
     assert build_sparsifier(new_ods) == apply_seq(old_sp.copy(), seq)
 
 
@@ -242,7 +242,7 @@ def test_cpu_barbell_bridge_deletion():
     old_sp = build_sparsifier(ods)
     new_ods, seq = cut_partition_update(ods.clone(), [DeleteEdge(2, 3)],
                                         Fraction(2, 5), 1, 4, 2)
-    assert not new_ods.ds.g.has_edge(2, 3)
+    assert not new_ods.g.has_edge(2, 3)
     # touched endpoints become singleton clusters
     q = {frozenset(p) for p in new_ods.cut_partition()}
     assert frozenset({2}) in q and frozenset({3}) in q
@@ -276,13 +276,13 @@ def test_cpu_fuzz():
         new_ods, out = cut_partition_update(ods.clone(), seq,
                                             Fraction(1, 3), c, t, c + 1)
         done += 1
-        assert new_ods.ds.g == g2
+        assert new_ods.g == g2
         assert build_sparsifier(new_ods) == apply_seq(old_sp.copy(), out)
         # touched vertices are singletons in the refined partition
         q = {frozenset(p) for p in new_ods.cut_partition()}
         for e in dropped:
             for x in e:
-                if new_ods.ds.g.has_vertex(x):
+                if new_ods.g.has_vertex(x):
                     assert frozenset({x}) in q
         # intercluster growth bound
         old_b = len(_intercluster_edges(ods))

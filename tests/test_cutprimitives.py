@@ -1,27 +1,20 @@
 import itertools
 import random
 
-import pytest
-
 from dynacut.cutprimitives import (
     Cut,
-    RealizablePair,
-    atomic_cut_verify,
     boundary,
-    check_realizable_pair,
+    component_of,
     components,
     cut_size,
     enumerate_cuts,
     enumerate_simple_cuts,
-    induced_cut_side,
     induces_atomic_cut,
     intercepts,
     is_atomic_cut,
     is_simple_cut,
-    s_equivalent,
 )
 from dynacut.dynforest import GraphDS
-from dynacut.errors import RejectedOp
 from dynacut.multigraph import MultiGraph, edge_key
 
 from util import barbell, complete_graph, cycle_graph, random_connected_graph
@@ -132,49 +125,48 @@ def test_simple_but_not_atomic():
     assert not is_atomic_cut(g, {0, 3})
 
 
-# -- atomic_cut_verify -----------------------------------------------------
+# -- induces_atomic_cut ----------------------------------------------------
 
 def test_atomic_verify_c4_opposite_edges():
     g = cycle_graph(4)
-    ds = GraphDS(g.copy(), set())
-    fp = ds.fingerprint()
-    assert atomic_cut_verify(ds, {edge_key(0, 1), edge_key(2, 3)})
-    assert ds.fingerprint() == fp
+    before = g.copy()
+    assert induces_atomic_cut(g, {edge_key(0, 1), edge_key(2, 3)})
+    assert g == before
 
 
 def test_atomic_verify_c4_single_edge():
-    ds = GraphDS(cycle_graph(4), set())
-    assert not atomic_cut_verify(ds, {edge_key(0, 1)})
+    assert not induces_atomic_cut(cycle_graph(4), {edge_key(0, 1)})
 
 
 def test_atomic_verify_star_two_edges():
     g = _mg([(0, 1, 1), (0, 2, 1), (0, 3, 1)])
-    ds = GraphDS(g, set())
-    assert not atomic_cut_verify(ds, {edge_key(0, 1), edge_key(0, 2)})
-
-
-def test_atomic_verify_absent_edge_rejected():
-    ds = GraphDS(cycle_graph(4), set())
-    with pytest.raises(RejectedOp):
-        atomic_cut_verify(ds, {(0, 2)})
+    assert not induces_atomic_cut(g, {edge_key(0, 1), edge_key(0, 2)})
 
 
 def test_atomic_verify_cross_component_false():
     g = _mg([(0, 1, 1), (2, 3, 1)])
-    ds = GraphDS(g, set())
-    assert not atomic_cut_verify(ds, {(0, 1), (2, 3)})
+    assert not induces_atomic_cut(g, {(0, 1), (2, 3)})
 
 
-def test_atomic_verify_matches_standalone_fuzz():
+def _brute_induces_atomic_cut(g, e0):
+    comp = sorted(component_of(g, min(min(e) for e in e0)))
+    root, rest = comp[0], comp[1:]
+    for r in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, r):
+            side = {root, *extra}
+            if boundary(g, side) == e0 and is_atomic_cut(g, side, set(comp)):
+                return True
+    return False
+
+
+def test_induces_atomic_cut_matches_brute_force_fuzz():
     rng = random.Random(7)
     for _ in range(40):
         g = _rand_graph(rng, 4, 9)
-        ds = GraphDS(g.copy(), set())
-        fp = ds.fingerprint()
         keys = [k for k, _ in g.edge_items()]
-        e0 = set(rng.sample(keys, rng.randrange(1, min(4, len(keys)) + 1)))
-        assert atomic_cut_verify(ds, e0) == induces_atomic_cut(g, e0)
-        assert ds.fingerprint() == fp
+        e0 = frozenset(rng.sample(keys,
+                                  rng.randrange(1, min(4, len(keys)) + 1)))
+        assert induces_atomic_cut(g, e0) == _brute_induces_atomic_cut(g, e0)
 
 
 # -- enumerate_simple_cuts -------------------------------------------------
@@ -211,15 +203,6 @@ def test_enumerate_ring_of_cliques_empty():
         for j in range(c):
             g.add_edge(base + j, nxt + j)
     assert enumerate_simple_cuts(g, 2, c, 5) == set()
-
-
-def test_enumerate_accepts_graphds_and_restores():
-    g = cycle_graph(5)
-    ds = GraphDS(g, {0, 2})
-    fp = ds.fingerprint()
-    got = enumerate_simple_cuts(ds, 0, 2, 3)
-    assert frozenset({0}) in got
-    assert ds.fingerprint() == fp
 
 
 def test_enumerate_matches_bruteforce_fuzz():
@@ -274,81 +257,6 @@ def test_enumerate_cuts_matches_bruteforce_fuzz():
         got = enumerate_cuts(ds1, ds2, tp, 2, 3)
         assert got == brute_enumerate_cuts(g, t1, t2, tp, 2, 3)
         assert ds1.fingerprint() == fp1 and ds2.fingerprint() == fp2
-
-
-# -- realizable pairs and S-equivalence ------------------------------------
-
-def test_realizable_pair_check():
-    g = barbell()
-    p = RealizablePair.of({edge_key(2, 3)}, {0, 1, 2})
-    assert check_realizable_pair(g, p, c=1, t=3)
-    assert not check_realizable_pair(g, p, c=1, t=2)
-    bad = RealizablePair.of({edge_key(0, 1)}, {0, 1, 2})
-    assert not check_realizable_pair(g, bad)  # (0,1) not in boundary
-
-
-def test_s_equivalent_reflexive():
-    g = barbell()
-    ds = GraphDS(g, {0, 4})
-    p = RealizablePair.of({edge_key(2, 3)}, {0, 1, 2})
-    assert s_equivalent(ds, p, p, c=1, t=3)
-
-
-def test_s_equivalent_barbell_same_triangle():
-    g = barbell()
-    ds = GraphDS(g, {0, 4})
-    p1 = RealizablePair.of({edge_key(2, 3)}, {0, 1, 2})
-    p2 = RealizablePair.of({edge_key(2, 3)}, {2})
-    assert s_equivalent(ds, p1, p2, c=3, t=3)
-
-
-def test_s_equivalent_invalid_pair_rejected():
-    g = barbell()
-    ds = GraphDS(g, {0, 4})
-    good = RealizablePair.of({edge_key(2, 3)}, {0, 1, 2})
-    bad = RealizablePair.of({edge_key(0, 1)}, {3, 4})
-    with pytest.raises(RejectedOp):
-        s_equivalent(ds, good, bad)
-
-
-def test_s_equivalent_fuzz_matches_direct_traces():
-    rng = random.Random(31)
-    checked = 0
-    while checked < 30:
-        n = rng.randrange(5, 15)
-        g = random_connected_graph(rng, n, rng.randrange(0, n))
-        s = set(rng.sample(range(n), rng.randrange(2, 5)))
-        pairs = _random_pairs(rng, g, want=2)
-        if len(pairs) < 2:
-            continue
-        p1, p2 = pairs[0], pairs[1]
-        ds = GraphDS(g.copy(), s)
-        fp = ds.fingerprint()
-        got = s_equivalent(ds, p1, p2)
-        l1 = induced_cut_side(g, p1.edges, p1.side)
-        l2 = induced_cut_side(g, p2.edges, p2.side)
-        assert got == ((l1 & s) == (l2 & s))
-        assert ds.fingerprint() == fp
-        checked += 1
-
-
-def _random_pairs(rng, g, want):
-    verts = g.vertex_list()
-    found = []
-    for _ in range(200):
-        k = rng.randrange(1, max(2, len(verts) // 2))
-        side = frozenset(rng.sample(verts, k))
-        if not is_simple_cut(g, side):
-            continue
-        b = boundary(g, side)
-        for r in range(1, len(b) + 1):
-            sub = frozenset(rng.sample(sorted(b), r))
-            if induces_atomic_cut(g, sub):
-                found.append(RealizablePair.of(sub, side))
-                break
-        if len(found) >= want:
-            break
-    return found
 
 
 # -- Appendix properties ---------------------------------------------------

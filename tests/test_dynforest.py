@@ -4,8 +4,7 @@ from collections import deque
 import pytest
 
 from dynacut.dynforest import (
-    DeleteTerminal, GraphDS, InsertTerminal, contract_partition,
-    contracted_diff,
+    DeleteTerminal, GraphDS, InsertTerminal, contracted_diff,
 )
 from dynacut.errors import RejectedOp
 from dynacut.multigraph import (
@@ -13,8 +12,8 @@ from dynacut.multigraph import (
     apply_seq, edge_key, induced_subgraph,
 )
 
-from util import (barbell, cycle_graph, path_graph, random_connected_graph,
-                  random_simple_graph)
+from util import (barbell, cycle_graph, partition_sparsifier, path_graph,
+                  random_connected_graph, random_simple_graph)
 
 
 def bfs_component(g, x):
@@ -284,7 +283,7 @@ def test_contract_partition_claim(seed):
     from dynacut.cutprimitives import components
     partition = [set(comp) for p in coarse if p
                  for comp in components(induced_subgraph(g, p))]
-    cg = contract_partition(g, partition)
+    cg = partition_sparsifier(g, partition)
     boundary = [(u, v) for (u, v), _ in g.edge_items()
                 if next(i for i, p in enumerate(partition) if u in p)
                 != next(i for i, p in enumerate(partition) if v in p)]
@@ -305,7 +304,7 @@ def test_contract_partition_two_stars():
     g = MultiGraph.from_edges(range(8), [
         (0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7),
         (1, 5), (2, 6), (3, 7)])
-    cg = contract_partition(g, [{0, 1, 2, 3}, {4, 5, 6, 7}])
+    cg = partition_sparsifier(g, [{0, 1, 2, 3}, {4, 5, 6, 7}])
     assert cg.vertex_count() == 8
     assert cg.distinct_edge_count() == 9
     assert cg.vertex_count() <= 2 * 6
@@ -314,6 +313,6 @@ def test_contract_partition_two_stars():
 
 def test_contract_partition_barbell():
     g = barbell()
-    cg = contract_partition(g, [{0, 1, 2}, {3, 4, 5}], gamma=2)
+    cg = partition_sparsifier(g, [{0, 1, 2}, {3, 4, 5}], gamma=2)
     assert set(cg.vertices) == {2, 3}
     assert cg.multiplicity(2, 3) == 1

@@ -199,15 +199,12 @@ def test_pruning_contract_fuzz():
 # -- decremental single expander ---------------------------------------------
 
 def test_dse_empty_d():
-    from dynacut.dynforest import GraphDS
-    ds = GraphDS(complete_graph(6), set())
-    assert decremental_single_expander(ds, Fraction(1, 2), []) == set()
+    r = decremental_single_expander(complete_graph(6), Fraction(1, 2), [])
+    assert r == set()
 
 
 def test_dse_barbell_bridge():
-    from dynacut.dynforest import GraphDS
-    ds = GraphDS(barbell(), set())
-    r = decremental_single_expander(ds, Fraction(1, 7), [(2, 3)])
+    r = decremental_single_expander(barbell(), Fraction(1, 7), [(2, 3)])
     assert r == set()
     # final partition: components after removing D and R
     h = barbell()
@@ -217,7 +214,6 @@ def test_dse_barbell_bridge():
 
 
 def test_dse_output_clusters_certified_fuzz():
-    from dynacut.dynforest import GraphDS
     rng = random.Random(66)
     ratios = []
     for _ in range(25)[:25]:
@@ -230,8 +226,7 @@ def test_dse_output_clusters_certified_fuzz():
         edges = g.edge_keys()
         k = rng.randrange(1, min(3, len(edges)) + 1)
         d = rng.sample(edges, k)
-        ds = GraphDS(g.copy(), set())
-        r = decremental_single_expander(ds, phi, d)
+        r = decremental_single_expander(g, phi, d)
         assert not (r & {edge_key(u, v) for u, v in d})
         h = g.copy()
         for u, v in set(d) | r:

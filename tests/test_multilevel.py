@@ -161,7 +161,7 @@ def check_mds(mds: MultiLevelDS, g: MultiGraph) -> None:
     sched = mds.schedule
     assert mds.graph == g
     for i in range(1, mds.level_count()):
-        assert mds.levels[i].ds.g == build_sparsifier(mds.levels[i - 1],
+        assert mds.levels[i].g == build_sparsifier(mds.levels[i - 1],
                                                       sched.gamma)
     top = build_sparsifier(mds.levels[-1], sched.gamma)
     assert top.distinct_edge_count() == 0
@@ -184,7 +184,7 @@ class TestPreprocess:
         s = desk(1, 12, rounds=1, t=20, n_max=20, phi=Fraction(2, 5))
         mds = preprocess_multi_level(barbell(), s)
         assert mds.level_count() == 2
-        bridge = mds.levels[1].ds.g
+        bridge = mds.levels[1].g
         assert sorted(bridge.edge_items()) == [((2, 3), 1)]
         check_mds(mds, barbell())
 
@@ -226,7 +226,7 @@ class TestPreprocess:
                 continue
             c_str = s.chain[1]
             for i in range(1, mds.level_count()):
-                lo, hi = mds.levels[i - 1].ds.g, mds.levels[i].ds.g
+                lo, hi = mds.levels[i - 1].g, mds.levels[i].g
                 ends = mds.levels[i - 1].layers[0].terminals
                 for x in sorted(ends):
                     for y in sorted(ends):

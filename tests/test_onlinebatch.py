@@ -10,8 +10,7 @@ from dynacut.multigraph import (DeleteEdge, InsertEdge, MultiGraph,
                                 apply_seq, apply_update)
 from dynacut.multilevel import make_schedule, preprocess_multi_level
 from dynacut.onlinebatch import (ReferenceExecutor, Scheduler, batch_index,
-                                 dependency_audit, dependency_chain,
-                                 scheduler_init, scheduler_step)
+                                 dependency_audit, dependency_chain)
 from util import random_connected_graph
 
 
@@ -138,19 +137,19 @@ PAIRS = [(1, 12), (2, 72), (3, 432)]
 
 class TestIndexing:
     def test_scale_and_copy_count(self):
-        sched = scheduler_init(CounterDS(), MultiGraph(), 1, 12)
+        sched = Scheduler(CounterDS(), MultiGraph(), 1, 12)
         assert sched.s == 6 and sched.d == [6, 1]
         assert sched.copy_count() == 6
-        sched2 = scheduler_init(CounterDS(), MultiGraph(), 2, 72)
+        sched2 = Scheduler(CounterDS(), MultiGraph(), 2, 72)
         assert sched2.s == 6 and sched2.d == [36, 6, 1]
         assert sched2.copy_count() == 14
 
     def test_rejects_small_window(self):
         for xi in (1, 2, 3):
             with pytest.raises(RejectedSchedule):
-                scheduler_init(CounterDS(), MultiGraph(), xi, 2 * 6 ** xi - 1)
+                Scheduler(CounterDS(), MultiGraph(), xi, 2 * 6 ** xi - 1)
         with pytest.raises(RejectedSchedule):
-            scheduler_init(CounterDS(), MultiGraph(), 0, 100)
+            Scheduler(CounterDS(), MultiGraph(), 0, 100)
 
     def test_batch_index_recurrence(self):
         s = 6
@@ -171,10 +170,10 @@ class TestIndexing:
 
 def drive(impl_factory, g0, ops, xi, w):
     """Run scheduler and reference side by side; compare every serve."""
-    sched = scheduler_init(impl_factory(), g0, xi, w)
+    sched = Scheduler(impl_factory(), g0, xi, w)
     ref = ReferenceExecutor(impl_factory(), g0, xi, w)
     for j, op in enumerate(ops, start=1):
-        inst = scheduler_step(sched, op)
+        inst = sched.step(op)
         ref.push(op)
         want = ref.impl.fingerprint(ref.served(j))
         got = sched.impl.fingerprint(inst)
@@ -213,10 +212,10 @@ class TestAgainstReference:
         rng = random.Random(500 + xi)
         g0 = random_connected_graph(rng, 6, 3)
         ops = op_stream(rng, g0.copy(), 120)
-        sched = scheduler_init(CloneCountDS(), g0, xi, w)
+        sched = Scheduler(CloneCountDS(), g0, xi, w)
         assert sched.impl.clones == 0
         for op in ops:
-            scheduler_step(sched, op)
+            sched.step(op)
             assert sched.impl.clones == sched.impl.batches
         # one serve per update, plus background batches when xi >= 2
         assert sched.impl.batches >= len(ops)
@@ -226,9 +225,9 @@ class TestAgainstReference:
         g0 = random_connected_graph(rng, 6, 4)
         mirror = g0.copy()
         ops = op_stream(rng, mirror.copy(), 80)
-        sched = scheduler_init(SortedEdgeListDS(), g0, 1, 12)
+        sched = Scheduler(SortedEdgeListDS(), g0, 1, 12)
         for op in ops:
-            inst = scheduler_step(sched, op)
+            inst = sched.step(op)
             apply_update(mirror, op)
             assert tuple(sorted(mirror.edge_items())) == tuple(inst)
 

@@ -45,7 +45,7 @@ def test_elimination_empty():
     g = barbell()
     ds_t = GraphDS(g.copy(), {0, 4})
     ds_s = GraphDS(g.copy(), {0, 4})
-    assert elimination(ds_t, ds_s, [], 1, 3) == set()
+    assert elimination(ds_t, ds_s, []) == set()
 
 
 def test_elimination_singleton_gives_boundary():
@@ -54,7 +54,7 @@ def test_elimination_singleton_gives_boundary():
     ds_s = GraphDS(g.copy(), {0, 4})
     fp = ds_t.fingerprint()
     p = RealizablePair.of({(2, 3)}, {0, 1, 2})
-    assert elimination(ds_t, ds_s, [p], 1, 3) == {(2, 3)}
+    assert elimination(ds_t, ds_s, [p]) == {(2, 3)}
     assert ds_t.fingerprint() == fp
 
 
@@ -73,7 +73,7 @@ def test_elimination_intercepts_every_pair():
         gamma = _conforming_gamma(rng, g, c, t, s | t_set)
         if not gamma:
             continue
-        w = elimination(ds_t, ds_s, gamma, c, t)
+        w = elimination(ds_t, ds_s, gamma)
         terms = s | t_set
         for pair in gamma:
             tr = pair.side & terms

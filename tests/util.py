@@ -2,7 +2,10 @@
 
 import random
 
+from dynacut.cutpartition import _remove_edges, _sparsifier_graph
+from dynacut.dynforest import GraphDS
 from dynacut.multigraph import MultiGraph
+from dynacut.repair import _ends
 
 
 def random_simple_graph(rng: random.Random, n: int, p: float) -> MultiGraph:
@@ -66,3 +69,13 @@ def cycle_graph(n: int) -> MultiGraph:
 def complete_graph(n: int) -> MultiGraph:
     return MultiGraph.from_edges(
         range(n), [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def partition_sparsifier(g: MultiGraph, partition, gamma: int = 1
+                         ) -> MultiGraph:
+    """What build_sparsifier makes of a partition into connected classes:
+    the contraction of GraphDS(g - B, ends(B)) for the intercluster edges B,
+    plus B verbatim."""
+    owner = {v: i for i, part in enumerate(partition) for v in part}
+    b = [e for e in g.edge_keys() if owner[e[0]] != owner[e[1]]]
+    return _sparsifier_graph(g, GraphDS(_remove_edges(g, b), _ends(b)), gamma)
