@@ -68,10 +68,6 @@ def is_connected_subset(g: MultiGraph, side: Iterable[VertexId]) -> bool:
     return _reachable(g, start, set(), within=s) == s
 
 
-def is_simple_cut(g: MultiGraph, side: Iterable[VertexId]) -> bool:
-    return is_connected_subset(g, side)
-
-
 def is_atomic_cut(g: MultiGraph, side: Iterable[VertexId],
                   universe: Optional[Set[VertexId]] = None) -> bool:
     """Test oracle: both sides connected; the complement is taken within
@@ -104,7 +100,7 @@ def components(g: MultiGraph, banned_edges: Set[EdgeKey] = frozenset()
 
 @dataclass(frozen=True)
 class Cut:
-    """A cut named by one side, with cached cut-set and size."""
+    """Test oracle: a cut named by one side, with cached cut-set and size."""
     side: VertexSet
     cutset: EdgeSet
     size: int
@@ -184,54 +180,86 @@ def enumerate_simple_cuts(g: MultiGraph, x: VertexId, c: int, t: int,
                           excluded: Iterable[VertexId] = ()
                           ) -> Set[VertexSet]:
     """All V' with x in V', |V'| <= t, G[V'] connected, cut size <= c,
-    and V' disjoint from `excluded`.
+    and V' disjoint from `excluded` (x itself may be listed there).
 
-    Include/exclude branching on the next undecided neighbor of the grown
-    side, with the remaining multiplicity budget tracked incrementally:
-    every valid side is one leaf, and any branch whose committed boundary
-    already exceeds c dies immediately.
+    No cut of size <= c crosses an edge of multiplicity above c, so every
+    such V' is a union of heavy classes: the components of the edges heavier
+    than c, such as the gadget's path edges and the query pendants.  The
+    search therefore runs on the quotient by those edges.  A class is found
+    by a BFS over heavy edges when the search first touches it; it weighs
+    its vertex count towards t, and it is shut when it holds a vertex of
+    `excluded`.  Include/exclude branching on the next undecided neighbor
+    class of the grown side, with the remaining multiplicity budget tracked
+    incrementally: every valid side is one leaf, and any branch whose
+    committed boundary already exceeds c dies immediately.
     """
     if not g.has_vertex(x):
         raise RejectedOp("enumerate-simple-cuts", f"vertex {x} absent")
+    banned = set(excluded) - {x}
+    owner: Dict[VertexId, int] = {}
+    members: List[List[VertexId]] = []
+    adj: Dict[int, List[Tuple[int, int]]] = {}
+    shut: Set[int] = set()
+
+    def cls(v: VertexId) -> int:
+        if v not in owner:
+            k = len(members)
+            owner[v] = k
+            group = [v]
+            for u in group:
+                for w in g.neighbors(u):
+                    if w not in owner and g.multiplicity(u, w) > c:
+                        owner[w] = k
+                        group.append(w)
+            members.append(group)
+            if not banned.isdisjoint(group):
+                shut.add(k)
+        return owner[v]
+
+    def nbrs(k: int) -> List[Tuple[int, int]]:
+        if k not in adj:
+            mult: Dict[int, int] = {}
+            for u in members[k]:
+                for w in g.neighbors(u):
+                    j = cls(w)
+                    if j != k:
+                        mult[j] = mult.get(j, 0) + g.multiplicity(u, w)
+            adj[k] = list(mult.items())
+        return adj[k]
+
     out: Set[VertexSet] = set()
-    side: Set[VertexId] = {x}
-    shut: Set[VertexId] = set(excluded) - {x}
-    adj: Dict[VertexId, List[Tuple[VertexId, int]]] = {}
+    kx = cls(x)
+    # every side holds x's whole class; the side {x} is kept for any t
+    if kx in shut or len(members[kx]) > max(t, 1):
+        return out
+    side: Set[int] = {kx}
+    queue: List[int] = [k for k, _ in nbrs(kx)]
 
-    def nbrs(v: VertexId) -> List[Tuple[VertexId, int]]:
-        if v not in adj:
-            adj[v] = sorted((w, g.multiplicity(v, w))
-                            for w in g.neighbors(v))
-        return adj[v]
-
-    queue: List[VertexId] = [w for w, _ in nbrs(x)]
-
-    def rec(budget: int, i: int) -> None:
+    def rec(budget: int, i: int, weight: int) -> None:
         while i < len(queue) and (queue[i] in side or queue[i] in shut):
             i += 1
         if i == len(queue):
-            out.add(frozenset(side))
+            out.add(frozenset(v for k in side for v in members[k]))
             return
-        v = queue[i]
-        cost_in = sum(m for w, m in nbrs(v) if w in shut)
-        if len(side) < t and budget >= cost_in:
-            side.add(v)
+        k = queue[i]
+        cost_in = sum(m for j, m in nbrs(k) if j in shut)
+        if weight + len(members[k]) <= t and budget >= cost_in:
+            side.add(k)
             mark = len(queue)
-            queue.extend(w for w, _ in nbrs(v)
-                         if w not in side and w not in shut)
-            rec(budget - cost_in, i + 1)
+            queue.extend(j for j, _ in nbrs(k)
+                         if j not in side and j not in shut)
+            rec(budget - cost_in, i + 1, weight + len(members[k]))
             del queue[mark:]
-            side.remove(v)
-        cost_out = sum(m for w, m in nbrs(v) if w in side)
+            side.remove(k)
+        cost_out = sum(m for j, m in nbrs(k) if j in side)
         if budget >= cost_out:
-            shut.add(v)
-            rec(budget - cost_out, i + 1)
-            shut.remove(v)
+            shut.add(k)
+            rec(budget - cost_out, i + 1, weight)
+            shut.remove(k)
 
-    start = c - sum(g.multiplicity(x, w) for w in g.neighbors(x)
-                    if w in shut)
+    start = c - sum(m for k, m in nbrs(kx) if k in shut)
     if start >= 0:
-        rec(start, 0)
+        rec(start, 0, len(members[kx]))
     return out
 
 

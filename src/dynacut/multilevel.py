@@ -301,6 +301,7 @@ def dump_schedule(s: ParamSchedule) -> str:
 
 
 def load_schedule(text: str) -> ParamSchedule:
+    """Test oracle: the inverse of `dump_schedule`."""
     doc = json.loads(text)
     return ParamSchedule(
         profile=doc["profile"], c=doc["c"], m=doc["m"], zeta=doc["zeta"],

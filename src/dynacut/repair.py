@@ -430,10 +430,11 @@ def initial_ia(ds: GraphDS, t_verts: Iterable[VertexId], t: int, q: int,
 
 def layered_ia(g: MultiGraph, t_verts: Iterable[VertexId],
                layers: List[Tuple[int, int]], d: int) -> IASet:
-    """Compose per-layer IA sets: layer i is built on the graph minus all
-    earlier layers, with the earlier boundary endpoints added as terminals.
-    `layers` lists (t_i, q_i); the union is an IA set of strength k at depth
-    budget d (composition requires q_i * (d+1) <= t_{i+1})."""
+    """Test oracle: compose per-layer IA sets.  Layer i is built on the
+    graph minus all earlier layers, with the earlier boundary endpoints added
+    as terminals.  `layers` lists (t_i, q_i); the union is an IA set of
+    strength k at depth budget d (composition requires q_i * (d+1) <=
+    t_{i+1})."""
     for (t_i, q_i), (t_n, _) in zip(layers, layers[1:]):
         if q_i * (d + 1) > t_n:
             raise RejectedOp("layered-ia",

@@ -22,7 +22,7 @@ from dynacut.connectivity import edge_connectivity, offline_oracle
 from dynacut.cutpartition import build_sparsifier, cut_partition_preprocess
 from dynacut.cutprimitives import (
     Cut, boundary, components, cut_size, enumerate_simple_cuts, intercepts,
-    is_atomic_cut, is_simple_cut,
+    is_atomic_cut, is_connected_subset,
 )
 from dynacut.dynforest import GraphDS
 from dynacut.harness import gen_workload, run_trace
@@ -398,7 +398,7 @@ def test_property_replacement():
         g = _rand_graph(rng, 5, 9)
         verts = frozenset(g.vertex_list())
         vp = _bipartition(rng, g)
-        if not is_simple_cut(g, vp):
+        if not is_connected_subset(g, vp):
             continue
         terms = frozenset(rng.sample(sorted(verts), rng.randint(2, 4)))
         # E' = edges of boundary(vp) leaving one chosen outside component

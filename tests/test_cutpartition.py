@@ -10,7 +10,7 @@ from dynacut.cutpartition import (CutPartitionDS, LayerParams,
                                   cut_partition_update, default_params,
                                   update_partition)
 from dynacut.cutprimitives import boundary, components, cut_size, \
-    is_connected_subset, is_simple_cut
+    is_connected_subset
 from dynacut.errors import RejectedOp
 from dynacut.multigraph import (DeleteEdge, InsertEdge, InsertVertex,
                                 MultiGraph, apply_seq, edge_key, simple_view)

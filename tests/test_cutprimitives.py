@@ -7,15 +7,16 @@ from dynacut.cutprimitives import (
     component_of,
     components,
     cut_size,
+    enumerate_anchored_cuts,
     enumerate_cuts,
     enumerate_simple_cuts,
     induces_atomic_cut,
     intercepts,
     is_atomic_cut,
-    is_simple_cut,
+    is_connected_subset,
 )
 from dynacut.dynforest import GraphDS
-from dynacut.multigraph import MultiGraph, edge_key
+from dynacut.multigraph import MultiGraph, degree_reduce, edge_key
 
 from util import barbell, complete_graph, cycle_graph, random_connected_graph
 
@@ -30,16 +31,20 @@ def _rand_graph(rng, lo, hi):
     return random_connected_graph(rng, n, rng.randrange(0, n))
 
 
-def brute_simple_cuts(g, x, c, t):
-    comp = sorted(v for v in g.vertex_list())
-    others = [v for v in comp if v != x]
+def brute_simple_cuts(g, x, c, t, excluded=()):
+    """Every connected side of at most t vertices that holds x and no other
+    vertex of `excluded`, with cut size <= c, by search over all subsets."""
+    mult = {v: [(w, g.multiplicity(v, w)) for w in g.neighbors(v)]
+            for v in g.vertex_list()}
+    banned = set(excluded) - {x}
+    others = [v for v in g.vertex_list() if v != x and v not in banned]
     out = set()
     for k in range(0, t):
         for extra in itertools.combinations(others, k):
             side = frozenset((x,) + extra)
-            if not is_simple_cut(g, side):
+            if sum(m for v in side for w, m in mult[v] if w not in side) > c:
                 continue
-            if cut_size(g, side) <= c:
+            if is_connected_subset(g, side):
                 out.add(side)
     return out
 
@@ -111,17 +116,17 @@ def test_cut_of_multiplicity_size():
     cut = Cut.of(g, {0})
     assert cut.cutset == frozenset({(0, 1)})
     assert cut.size == 3
-    assert is_simple_cut(g, cut.side)
+    assert is_connected_subset(g, cut.side)
     assert is_atomic_cut(g, cut.side)
 
 
 def test_simple_but_not_atomic():
     g = cycle_graph(6)
     side = {0, 1}
-    assert is_simple_cut(g, side)
+    assert is_connected_subset(g, side)
     assert is_atomic_cut(g, side)
     # complement of {0, 3} is disconnected, side itself disconnected too
-    assert not is_simple_cut(g, {0, 3})
+    assert not is_connected_subset(g, {0, 3})
     assert not is_atomic_cut(g, {0, 3})
 
 
@@ -223,6 +228,69 @@ def test_enumerate_bound_with_multiplicities():
     got = enumerate_simple_cuts(g, 0, 2, 2)
     # {0} has size 3, excluded; {0,1} has boundary mult 2
     assert got == {frozenset({0, 1})}
+
+
+# -- enumeration across edges heavier than the budget ----------------------
+
+def _query_image(rng, n, c):
+    """The degree-reduced image of a random connected n-vertex graph, with a
+    multiplicity-(c+1) pendant on one anchor, as a query attaches it, and up
+    to two random image edges deleted."""
+    img = degree_reduce(random_connected_graph(rng, n, rng.randrange(0, 3)),
+                        c)
+    g = img.multigraph
+    g.add_vertex(-1)
+    g.add_edge(-1, img.anchor(rng.randrange(n)), c + 1)
+    for _ in range(rng.randrange(0, 3)):
+        g.remove_edge(*rng.choice(g.edge_keys()))
+    return g
+
+
+def test_enumerate_on_gadget_images_matches_bruteforce_fuzz():
+    """Gadget path edges and the pendant are heavier than the budget; the
+    random `excluded` sets often hold x itself."""
+    rng = random.Random(61)
+    multi_vertex = 0
+    for trial in range(80):
+        c = rng.randrange(1, 4)
+        g = _query_image(rng, rng.randrange(3, 5), c)
+        verts = g.vertex_list()
+        x = rng.choice(verts)
+        excluded = set(rng.sample(verts, rng.randrange(0, 3)))
+        if rng.random() < 0.5:
+            excluded.add(x)
+        for t in (3, len(verts)):
+            got = enumerate_simple_cuts(g, x, c, t, excluded)
+            assert got == brute_simple_cuts(g, x, c, t, excluded), (trial, t)
+            multi_vertex += sum(len(side) > 1 for side in got)
+    assert multi_vertex > 0
+
+
+def test_enumerate_heavy_class_of_x_larger_than_t():
+    # 0-1 is heavier than c, so every side holds both
+    g = _mg([(0, 1, 3), (1, 2, 1), (2, 0, 1)])
+    assert enumerate_simple_cuts(g, 0, 2, 1) == set()
+    assert enumerate_simple_cuts(g, 0, 2, 2) == {frozenset({0, 1})}
+
+
+def test_enumerate_excluded_heavy_neighbor_of_x():
+    g = _mg([(0, 1, 3), (1, 2, 1), (2, 0, 1)])
+    assert enumerate_simple_cuts(g, 0, 2, 3, excluded={0, 1}) == set()
+    assert enumerate_simple_cuts(g, 0, 2, 3, excluded={0, 2}) == \
+        {frozenset({0, 1})}
+    assert enumerate_simple_cuts(g, 0, 2, 3, excluded={0, 7}) == \
+        {frozenset({0, 1}), frozenset({0, 1, 2})}
+
+
+def test_anchored_cuts_two_anchors_in_one_heavy_class():
+    # every side holding anchor 1 holds anchor 0, so all are tagged 0
+    g = _mg([(0, 1, 3), (1, 2, 1), (2, 0, 1), (2, 3, 1)])
+    assert enumerate_anchored_cuts(g, [1, 0], 2, 4) == [
+        (0, frozenset({0, 1})),
+        (0, frozenset({0, 1, 2})),
+        (0, frozenset({0, 1, 2, 3})),
+    ]
+    assert enumerate_simple_cuts(g, 1, 2, 4, excluded=[0]) == set()
 
 
 # -- enumerate_cuts --------------------------------------------------------

@@ -9,7 +9,7 @@ from dynacut.cutprimitives import (
     cut_size,
     enumerate_cuts,
     intercepts,
-    is_simple_cut,
+    is_connected_subset,
 )
 from dynacut.dynforest import GraphDS
 from dynacut.errors import RejectedOp
@@ -95,7 +95,7 @@ def _conforming_gamma(rng, g, c, t, terms):
         side = frozenset(rng.sample([v for v in verts if v != anchor], k))
         if not (side & terms):
             continue
-        if not is_simple_cut(g, side) or cut_size(g, side) > c:
+        if not is_connected_subset(g, side) or cut_size(g, side) > c:
             continue
         b = sorted(boundary(g, side))
         for r in range(1, len(b) + 1):
@@ -178,7 +178,6 @@ def _repair_scenario(rng, c=1, n_lo=6, n_hi=13):
                               rng.randrange(1, g0.vertex_count() - 2)))
         cand = set(g0.vertex_list()) - drop
         sub = induced_subgraph(g0, cand)
-        from dynacut.cutprimitives import is_connected_subset
         if is_connected_subset(sub, cand):
             keep = cand
             break
