@@ -5,16 +5,18 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .cutpartition import build_sparsifier, cut_partition_update
+from .cutprimitives import component_of
 from .errors import RejectedOp
 from .multigraph import (CompositeOp, DeleteEdge, InsertEdge, InsertVertex,
                          MultiGraph,
                          ReductionImage, UpdateOp, UpdateSeq, VertexId,
-                         apply_seq, degree_reduce)
+                         apply_seq, degree_reduce, induced_subgraph,
+                         named_vertices)
 from .multilevel import (MultiLevelDS, ParamSchedule, make_schedule,
-                         preprocess_multi_level)
+                         preprocess_multi_level, splice_multi_level)
 from .onlinebatch import Scheduler
 
 
@@ -72,11 +74,15 @@ def edge_connectivity(g: MultiGraph, x: VertexId, y: VertexId, cap_at: int) -> i
 # -- fully dynamic engine --------------------------------------------------
 
 class StackDS:
-    """Batchable wrapper over the sparsifier stack: every batch replays the
-    ops onto the pre-batch graph and rebuilds the stack from scratch.  The
-    desk schedules have no spare update rounds, so rebuilding is the
-    deterministic batch rule; the round-consuming update path is what
-    queries exercise."""
+    """Batchable wrapper over the sparsifier stack.  A batch rebuilds only
+    the components it touches: it preprocesses the touched components of
+    the post-batch graph and splices the result into the pre-batch stack,
+    which gives the full rebuild exactly (see splice_multi_level).  It
+    rebuilds the whole stack instead when the batch touches every
+    component, when the part's level count differs from the stack's, or
+    when the part alone fails to preprocess.  The desk schedules have no
+    spare update rounds, so rebuilding is the deterministic batch rule; the
+    round-consuming update path is what queries exercise."""
 
     def __init__(self, sched: ParamSchedule):
         self.sched = sched
@@ -88,12 +94,31 @@ class StackDS:
 
     def batch_update(self, inst: MultiLevelDS, g_before: MultiGraph,
                      seq: UpdateSeq) -> MultiLevelDS:
+        drop: Set[VertexId] = set()
+        for v in named_vertices(seq):
+            if g_before.has_vertex(v) and v not in drop:
+                drop |= component_of(g_before, v)
+        # Each op names the vertices whose edges it changes, and a touched
+        # component that splits keeps a named vertex in every piece, so the
+        # batch turns the touched components into the post-batch graph's
+        # components that hold a named vertex.
+        part_g = apply_seq(induced_subgraph(g_before, drop), seq)
         self.steps += len(seq)
+        if len(drop) == g_before.vertex_count():
+            return self.initialize(part_g)   # part_g is the whole graph
+        self.steps += part_g.vertex_count() + part_g.distinct_edge_count()
+        try:
+            part = preprocess_multi_level(part_g, self.sched)
+        except RejectedOp:
+            part = None     # the full rebuild below raises if it must
+        if part is not None and part.level_count() == inst.level_count():
+            return splice_multi_level(inst, drop, part)
         return self.initialize(apply_seq(g_before.copy(), seq))
 
     def clone(self, inst: MultiLevelDS) -> MultiLevelDS:
-        # batch_update rebuilds from g_before and engine_query works on
-        # per-level clones, so no caller mutates a served instance.
+        # batch_update builds a new instance that shares only what it
+        # leaves unchanged, and engine_query works on per-level clones, so
+        # no caller mutates a served instance.
         return inst
 
     def fingerprint(self, inst: MultiLevelDS) -> Tuple:
@@ -119,6 +144,7 @@ class Engine:
     reduction: ReductionImage
     scheduler: Scheduler
     schedule: ParamSchedule
+    n_cap: int                  # the vertex count the schedule certifies
     current: MultiLevelDS
     query_stats: List[Dict[str, int]] = field(default_factory=list)
 
@@ -139,7 +165,7 @@ def engine_preprocess(g: MultiGraph, c: int,
     reduction = degree_reduce(g, c)
     xi, w = 1, 12
     scheduler = Scheduler(StackDS(sched), reduction.multigraph, xi, w)
-    return Engine(c, reduction, scheduler, sched,
+    return Engine(c, reduction, scheduler, sched, n_cap,
                   scheduler.impl.clone(scheduler._pinned.inst))
 
 
@@ -149,9 +175,14 @@ def engine_update(e: Engine, op: UpdateOp) -> None:
     seq: UpdateSeq = []
     if isinstance(op, (InsertEdge, DeleteEdge)):
         if isinstance(op, InsertEdge):
-            for v in (op.u, op.v):
-                if not e.reduction.simple.has_vertex(v):
-                    seq.extend(e.reduction.add_original_vertex(v))
+            simple = e.reduction.simple
+            new = [v for v in dict.fromkeys((op.u, op.v))
+                   if not simple.has_vertex(v)]
+            if simple.vertex_count() + len(new) > e.n_cap:
+                raise RejectedOp("engine", f"insert ({op.u},{op.v}) would "
+                                 f"exceed the certified {e.n_cap} vertices")
+            for v in new:
+                seq.extend(e.reduction.add_original_vertex(v))
         seq.extend(e.reduction.reduce_update(op))
     else:
         raise RejectedOp("engine", f"unsupported op {op!r}")

@@ -26,7 +26,7 @@ from .expander import decremental_single_expander, expander_decomposition
 from .multigraph import (
     DeleteEdge, DeleteVertex, EdgeKey, InsertEdge, InsertVertex, MultiGraph,
     UpdateOp, UpdateSeq, VertexId, apply_update, edge_key, induced_subgraph,
-    simple_view,
+    named_vertices, simple_view, splice_graph,
 )
 from .repair import _ends, initial_ia, repair_set
 
@@ -163,6 +163,31 @@ def cut_partition_preprocess(g: MultiGraph, phi: Fraction, c: int, t: int,
     return CutPartitionDS(g.copy(), layers, params,
                           gamma if gamma is not None else c + 1,
                           deco.phi_certified)
+
+
+def splice_partition(parent: CutPartitionDS, drop: Set[VertexId],
+                     part: CutPartitionDS) -> CutPartitionDS:
+    """parent with its components on the vertices `drop` replaced by
+    `part`, a structure built with the same parameters on other components.
+
+    Every stage of cut_partition_preprocess works per component: the
+    expander decomposition starts from the components, _layer_ia loops over
+    them, and each BFS tree of a layer's forest is rooted at its least
+    vertex and walks sorted neighbours.  So when parent and part were both
+    preprocessed, the result is what cut_partition_preprocess builds on the
+    spliced graph.  The kept components' adjacency and forest edges are
+    shared with parent, so neither may be mutated afterwards."""
+    gone = [v for v in drop if parent.g.has_vertex(v)]
+    # every layer has parent.g's vertices and a subset of its edges
+    cut = {edge_key(u, v) for u in gone for v in parent.g.neighbors(u)}
+    layers = []
+    for old, new in zip(parent.layers, part.layers):
+        layers.append(GraphDS.from_forest(
+            splice_graph(old.g, gone, new.g),
+            (old.terminals - drop) | new.terminals,
+            (old.forest - cut) | new.forest))
+    return CutPartitionDS(splice_graph(parent.g, gone, part.g), layers,
+                          parent.params, parent.gamma, parent.phi)
 
 
 def build_sparsifier(ods: CutPartitionDS, gamma: Optional[int] = None
@@ -324,16 +349,6 @@ def update_partition(ods: CutPartitionDS, r_edges, t: int, c: int,
             new_seq)
 
 
-def _involved(seq: UpdateSeq) -> List[VertexId]:
-    out: Set[VertexId] = set()
-    for op in seq:
-        if isinstance(op, (InsertEdge, DeleteEdge)):
-            out |= {op.u, op.v}
-        else:
-            out.add(op.v)
-    return sorted(out)
-
-
 def cut_partition_update(ods: CutPartitionDS, seq: UpdateSeq, phi: Fraction,
                          c: int, t: int, gamma: int,
                          params: Optional[LayerParams] = None
@@ -345,7 +360,7 @@ def cut_partition_update(ods: CutPartitionDS, seq: UpdateSeq, phi: Fraction,
     if not params.strict:
         raise RejectedOp("cut-partition-update", "need a strict structure")
     phi = Fraction(phi)
-    touched = _involved(seq)
+    touched = named_vertices(seq)
     ds0 = ods.layers[0]
     r: Set[EdgeKey] = set()
     buckets: Dict[VertexId, List[VertexId]] = {}

@@ -317,17 +317,26 @@ class GraphDS:
             self._dirty = True
             self._contracted = None
 
-    def clone(self) -> "GraphDS":
-        ds = GraphDS.__new__(GraphDS)
-        ds.g = self.g.copy()
-        ds.terminals = set(self.terminals)
-        ds.forest = set(self.forest)
+    @classmethod
+    def from_forest(cls, graph: MultiGraph, terminals: Set[VertexId],
+                    forest: Set[EdgeKey]) -> "GraphDS":
+        """A GraphDS over parts that already agree: `forest` spans the
+        simple view of `graph` and `terminals` are vertices of it.  Takes
+        the three objects as they are, without copying."""
+        ds = cls.__new__(cls)
+        ds.g = graph
+        ds.terminals = terminals
+        ds.forest = forest
         ds._journal = []
         ds._dirty = True
         ds._comp = {}
         ds._comp_stats = {}
         ds._contracted = None
         return ds
+
+    def clone(self) -> "GraphDS":
+        return GraphDS.from_forest(self.g.copy(), set(self.terminals),
+                                   set(self.forest))
 
     def fingerprint(self) -> Tuple:
         return (tuple(sorted((e, m) for e, m in self.g.edge_items())),

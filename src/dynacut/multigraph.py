@@ -146,16 +146,41 @@ class MultiGraph:
 
 
 def induced_subgraph(g: MultiGraph, vertices) -> MultiGraph:
+    """g restricted to `vertices`; built in the order of g.edge_items(),
+    walking only the kept vertices' adjacency."""
     keep = set(vertices)
+    order = sorted(keep)
     sub = MultiGraph()
-    for v in sorted(keep):
-        if not g.has_vertex(v):
+    adj = sub._adj
+    for v in order:
+        if v not in g._adj:
             raise RejectedOp("induced-subgraph", f"vertex {v} absent")
-        sub.add_vertex(v)
-    for (u, v), mult in g.edge_items():
-        if u in keep and v in keep:
-            sub.add_edge(u, v, mult)
+        adj[v] = {}
+    count = 0
+    for u in order:
+        nbrs = g._adj[u]
+        for v in sorted(nbrs):
+            if u < v and v in keep:
+                adj[u][v] = adj[v][u] = nbrs[v]
+                count += 1
+    sub._distinct_edges = count
     return sub
+
+
+def splice_graph(base: MultiGraph, drop, part: MultiGraph) -> MultiGraph:
+    """base without the vertices `drop`, plus `part`.  `drop` must be
+    vertices of base closed under adjacency, and disjoint from part's
+    vertices.  The result shares the kept vertices' adjacency with base and
+    part's adjacency with part, so none of the three may be mutated
+    afterwards."""
+    adj = dict(base._adj)
+    dropped = sum(len(adj.pop(v)) for v in drop)
+    adj.update(part._adj)
+    g = MultiGraph()
+    g._adj = adj
+    g._distinct_edges = (base._distinct_edges - dropped // 2
+                         + part._distinct_edges)
+    return g
 
 
 def simple_view(g: MultiGraph) -> MultiGraph:
@@ -220,6 +245,22 @@ def apply_update(g: MultiGraph, op: UpdateOp) -> MultiGraph:
     else:
         raise RejectedOp("apply-update", f"unknown op {op!r}")
     return g
+
+
+def named_vertices(seq: UpdateSeq) -> List[VertexId]:
+    """The vertices the ops of seq name, CompositeOps flattened, sorted."""
+    out: Set[VertexId] = set()
+    stack = list(seq)
+    while stack:
+        op = stack.pop()
+        if isinstance(op, CompositeOp):
+            stack.extend(op.ops)
+        elif isinstance(op, (InsertEdge, DeleteEdge)):
+            out.add(op.u)
+            out.add(op.v)
+        else:
+            out.add(op.v)
+    return sorted(out)
 
 
 def apply_seq(g: MultiGraph, seq: UpdateSeq) -> MultiGraph:

@@ -23,14 +23,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .cutpartition import (
     CutPartitionDS, LayerParams, build_sparsifier, cut_partition_preprocess,
-    cut_partition_update, transformed_params,
+    cut_partition_update, splice_partition, transformed_params,
 )
 from .errors import RejectedOp, RejectedSchedule
-from .multigraph import MultiGraph, UpdateSeq, apply_seq
+from .multigraph import MultiGraph, UpdateSeq, VertexId, apply_seq
 
 
 # -- symbolic values for the closed-form profile ---------------------------
@@ -373,15 +373,20 @@ def _build_levels(g: MultiGraph, sched: ParamSchedule, k: int,
         sp = build_sparsifier(ods, sched.gamma)
         if sp.distinct_edge_count() == 0:
             return
-        if sp.distinct_edge_count() >= cur.distinct_edge_count():
-            stall += 1
-            if stall >= 3:
-                raise RejectedOp(
-                    "multi-level preprocess",
-                    "sparsifier failed to shrink for 3 consecutive levels")
-        else:
-            stall = 0
+        stall = _stall(stall, cur, sp)
         cur = sp
+
+
+def _stall(stall: int, cur: MultiGraph, sp: MultiGraph) -> int:
+    """The count of consecutive levels whose sparsifier sp did not shrink
+    its input cur; raises at the third."""
+    if sp.distinct_edge_count() < cur.distinct_edge_count():
+        return 0
+    if stall + 1 >= 3:
+        raise RejectedOp(
+            "multi-level preprocess",
+            "sparsifier failed to shrink for 3 consecutive levels")
+    return stall + 1
 
 
 def preprocess_multi_level(g: MultiGraph, sched: ParamSchedule
@@ -389,6 +394,28 @@ def preprocess_multi_level(g: MultiGraph, sched: ParamSchedule
     levels: List[CutPartitionDS] = []
     _build_levels(g.copy(), sched, 0, levels)
     return MultiLevelDS(levels, sched, 0)
+
+
+def splice_multi_level(parent: MultiLevelDS, drop: Set[VertexId],
+                       part: MultiLevelDS) -> MultiLevelDS:
+    """parent, preprocessed on a graph G, with the components of G on the
+    vertices `drop` replaced by part, preprocessed on other components with
+    the same schedule and the same level count.
+
+    Every edge of every level lies inside one component of G, and each
+    level's graph is the sparsifier of the level below, built per
+    component.  So splicing level by level gives preprocess_multi_level on
+    the spliced graph, including the raise when the spliced levels fail to
+    shrink.  Shares the kept components with parent (see
+    splice_partition)."""
+    if part.level_count() != parent.level_count():
+        raise RejectedOp("multi-level splice", "level counts differ")
+    levels = [splice_partition(old, drop, new)
+              for old, new in zip(parent.levels, part.levels)]
+    stall = 0
+    for lo, hi in zip(levels, levels[1:]):
+        stall = _stall(stall, lo.g, hi.g)
+    return MultiLevelDS(levels, parent.schedule, parent.round)
 
 
 def update_multi_level(mds: MultiLevelDS, seq: UpdateSeq, k: int
@@ -399,8 +426,9 @@ def update_multi_level(mds: MultiLevelDS, seq: UpdateSeq, k: int
     level structures are updated in place).
 
     This is the paper's batch update, kept off the engine path: the engine's
-    desk schedule has no spare rounds (rounds = 0), so StackDS rebuilds with
-    preprocess_multi_level instead of calling this."""
+    desk schedule has no spare rounds (rounds = 0), so StackDS preprocesses
+    the components a batch touches and splices them in with
+    splice_multi_level instead of calling this."""
     sched = mds.schedule
     if k > sched.rounds:
         raise RejectedOp("multi-level update",

@@ -2,16 +2,22 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from dynacut import connectivity
 from dynacut.connectivity import (
-    edge_connectivity, engine_preprocess, engine_query, engine_update,
-    offline_oracle,
+    StackDS, edge_connectivity, engine_preprocess, engine_query,
+    engine_update, offline_oracle,
 )
+from dynacut.cutprimitives import components
 from dynacut.dynforest import GraphDS
 from dynacut.errors import RejectedOp
-from dynacut.multigraph import DeleteEdge, InsertEdge, MultiGraph
+from dynacut.multigraph import (DeleteEdge, InsertEdge, InsertVertex,
+                                MultiGraph, apply_update)
+from dynacut.multilevel import make_schedule, preprocess_multi_level
+from dynacut.onlinebatch import Scheduler
 
 from util import barbell, complete_graph, cycle_graph, random_connected_graph
 
@@ -141,12 +147,7 @@ def test_engine_query_nondestructive():
     assert e.fingerprint() == before
 
 
-def test_engine_served_instances_stay_unchanged():
-    """The scheduler shares snapshots instead of cloning them, so no later
-    update or query may mutate an instance the engine served earlier
-    (the first one is also the scheduler's pinned preprocessing state)."""
-    rng = random.Random(31)
-    g = random_connected_graph(rng, 7, 4)
+def _check_served_instances_stay_unchanged(rng, g):
     e = engine_preprocess(g, 2)
     held = [(e.current, e.current.fingerprint())]
     for step in range(20):
@@ -166,6 +167,174 @@ def test_engine_served_instances_stay_unchanged():
         held.append((e.current, e.current.fingerprint()))
     for inst, fp in held:
         assert inst.fingerprint() == fp
+
+
+def test_engine_served_instances_stay_unchanged():
+    """The scheduler shares snapshots instead of cloning them, so no later
+    update or query may mutate an instance the engine served earlier
+    (the first one is also the scheduler's pinned preprocessing state)."""
+    rng = random.Random(31)
+    g = random_connected_graph(rng, 7, 4)
+    _check_served_instances_stay_unchanged(rng, g)
+
+
+def test_engine_served_instances_stay_unchanged_across_components():
+    """On a graph of several components each batch splices its touched
+    components into the served stack and shares the rest, so held
+    snapshots share adjacency with later ones."""
+    rng = random.Random(32)
+    g = _components_graph(rng, [4, 3, 5])
+    _check_served_instances_stay_unchanged(rng, g)
+
+
+def _components_graph(rng, sizes):
+    """Disjoint random connected graphs of the given sizes, each with
+    about one extra edge, on consecutive vertex ids."""
+    g = MultiGraph()
+    base = 0
+    for n in sizes:
+        part = random_connected_graph(rng, n, 1)
+        for v in part.vertex_list():
+            g.add_vertex(base + v)
+        for (u, v), _ in part.edge_items():
+            g.add_edge(base + u, base + v, 1)
+        base += n
+    return g
+
+
+def _stack_state(mds):
+    """The fingerprint plus the edge count every graph of the stack keeps
+    apart from its adjacency."""
+    counts = tuple(h.distinct_edge_count() for ods in mds.levels
+                   for h in [ods.g] + [ds.g for ds in ods.layers])
+    return mds.fingerprint(), counts
+
+
+def _spy_stack(monkeypatch):
+    """Count the batches StackDS splices and the ones it rebuilds whole."""
+    calls = {"splice": 0, "full": 0}
+    in_batch = []
+    splice = connectivity.splice_multi_level
+    batch_update = StackDS.batch_update
+    initialize = StackDS.initialize
+
+    def spy_splice(*args):
+        calls["splice"] += 1
+        return splice(*args)
+
+    def spy_batch_update(self, *args):
+        in_batch.append(True)
+        try:
+            return batch_update(self, *args)
+        finally:
+            in_batch.pop()
+
+    def spy_initialize(self, g):
+        calls["full"] += bool(in_batch)
+        return initialize(self, g)
+
+    monkeypatch.setattr(connectivity, "splice_multi_level", spy_splice)
+    monkeypatch.setattr(StackDS, "batch_update", spy_batch_update)
+    monkeypatch.setattr(StackDS, "initialize", spy_initialize)
+    return calls
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_engine_splice_matches_full_rebuild_fuzz(c, monkeypatch):
+    """Every served stack equals a preprocess of its whole graph, over ops
+    that merge components, split them and add vertices."""
+    calls = _spy_stack(monkeypatch)
+    rng = random.Random(70 + c)
+    g = _components_graph(rng, [3, 4, 2])
+    e = engine_preprocess(g, c, n_cap=g.vertex_count() + 3)
+    seen = {"merge": 0, "split": 0, "add": 0}
+    for _ in range(30):
+        comps = components(g)
+        present = g.edge_keys()
+        r = rng.random()
+        if r < 0.3 and len(comps) > 1:
+            a, b = rng.sample(comps, 2)
+            op = InsertEdge(rng.choice(sorted(a)), rng.choice(sorted(b)), 1)
+            seen["merge"] += 1
+        elif r < 0.45 and g.vertex_count() < e.n_cap:
+            op = InsertEdge(rng.choice(g.vertex_list()),
+                            max(g.vertex_list()) + 1, 1)
+            g.add_vertex(op.v)
+            seen["add"] += 1
+        elif present:
+            op = DeleteEdge(*rng.choice(present))
+        else:
+            continue
+        if isinstance(op, InsertEdge):
+            g.add_edge(op.u, op.v, 1)
+        else:
+            g.remove_edge(op.u, op.v)
+            seen["split"] += len(components(g)) > len(comps)
+        engine_update(e, op)
+        # the image keeps its own edge count, which a splice must match
+        full = preprocess_multi_level(e.reduction.multigraph, e.schedule)
+        assert _stack_state(e.current) == _stack_state(full)
+    assert min(seen.values()) > 0
+    assert calls["splice"] > 0 and calls["full"] > 0
+
+
+def _two_barbells():
+    g = barbell()
+    for v in range(10, 16):
+        g.add_vertex(v)
+    for (u, v), _ in barbell().edge_items():
+        g.add_edge(u + 10, v + 10, 1)
+    return g
+
+
+def test_stack_splice_on_a_two_level_schedule(monkeypatch):
+    """On a desk schedule that stacks two levels, a batch whose touched
+    components need another level count is rebuilt whole, the others are
+    spliced, and both equal a preprocess of the whole graph.  No batch
+    touches every component, so each rebuild is the level-count fallback."""
+    calls = _spy_stack(monkeypatch)
+    sched = make_schedule(1, 12, "desk", {"rounds": 1, "t": 20, "n_max": 20,
+                                          "phi": Fraction(2, 5)})
+    g = _two_barbells()
+    impl = StackDS(sched)
+    inst = impl.initialize(g.copy())
+    assert inst.level_count() == 2
+    steps = [(DeleteEdge(4, 5), "splice"), (InsertEdge(4, 5, 1), "splice"),
+             (DeleteEdge(12, 13), "full"), (InsertVertex(20), "full"),
+             (InsertEdge(20, 0, 1), "splice"),
+             (InsertEdge(12, 13, 1), "splice"),
+             (InsertEdge(2, 12, 1), "full"), (DeleteEdge(2, 12), "full"),
+             (InsertEdge(2, 4, 1), "splice"), (DeleteEdge(2, 4), "splice")]
+    held = [(inst, inst.fingerprint())]
+    for op, path in steps:
+        before = dict(calls)
+        inst = impl.batch_update(inst, g, [op])
+        apply_update(g, op)
+        assert calls == {**before, path: before[path] + 1}
+        assert _stack_state(inst) == \
+            _stack_state(preprocess_multi_level(g, sched))
+        held.append((inst, inst.fingerprint()))
+    for inst, fp in held:
+        assert inst.fingerprint() == fp
+    # a stack that fails to shrink: the part's raise falls back to the full
+    # rebuild, which raises as preprocess_multi_level does
+    op = InsertEdge(0, 4, 1)
+    with pytest.raises(RejectedOp):
+        preprocess_multi_level(apply_update(g.copy(), op), sched)
+    before = dict(calls)
+    with pytest.raises(RejectedOp):
+        impl.batch_update(inst, g, [op])
+    assert calls == {**before, "full": before["full"] + 1}
+
+
+def test_engine_update_refuses_vertices_beyond_n_cap():
+    e = engine_preprocess(MultiGraph(), 1, n_cap=2)
+    engine_update(e, InsertEdge(0, 1, 1))
+    before = e.fingerprint()
+    with pytest.raises(RejectedOp):
+        engine_update(e, InsertEdge(1, 2, 1))
+    assert e.fingerprint() == before
+    assert not e.reduction.simple.has_vertex(2)
 
 
 def test_engine_insert_then_delete_query_equivalent():

@@ -8,11 +8,11 @@ from dynacut.errors import RejectedOp
 from dynacut.connectivity import edge_connectivity
 from dynacut.multigraph import (
     DeleteEdge, DeleteVertex, InsertEdge, InsertVertex, MultiGraph,
-    ReductionImage, apply_update, degree_reduce, gadget_id, inverse_op,
-    simple_view,
+    ReductionImage, apply_update, degree_reduce, gadget_id, induced_subgraph,
+    inverse_op, simple_view, splice_graph,
 )
 
-from util import complete_graph, random_simple_graph
+from util import complete_graph, random_multigraph, random_simple_graph
 
 
 def test_insert_edge_basic():
@@ -165,3 +165,37 @@ def test_reduction_degree_bound():
     img = degree_reduce(g, 3)
     assert max(img.multigraph.degree(v)
                for v in img.multigraph.vertex_list()) <= 3
+
+
+def _adjacency_order(g):
+    return [(v, list(nbrs.items())) for v, nbrs in g._adj.items()]
+
+
+def test_induced_subgraph_matches_filtered_edge_items():
+    """Same vertices, edges, edge count and insertion order as adding the
+    kept vertices in sorted order and then g.edge_items() restricted to
+    them."""
+    rng = random.Random(9)
+    for _ in range(30):
+        g = random_multigraph(rng, rng.randint(0, 12), 0.4)
+        vs = g.vertex_list()
+        keep = set(rng.sample(vs, rng.randint(0, len(vs))))
+        want = MultiGraph.from_edges(
+            sorted(keep), [(u, v, m) for (u, v), m in g.edge_items()
+                           if u in keep and v in keep])
+        sub = induced_subgraph(g, keep)
+        assert _adjacency_order(sub) == _adjacency_order(want)
+        assert sub.distinct_edge_count() == want.distinct_edge_count()
+    with pytest.raises(RejectedOp):
+        induced_subgraph(complete_graph(3), [0, 7])
+
+
+def test_splice_graph_shares_kept_adjacency():
+    g = MultiGraph.from_edges(range(5), [(0, 1, 2), (1, 2), (3, 4)])
+    part = MultiGraph.from_edges([3, 5], [(3, 5, 4)])
+    out = splice_graph(g, [3, 4], part)
+    assert out == MultiGraph.from_edges([0, 1, 2, 3, 5],
+                                        [(0, 1, 2), (1, 2), (3, 5, 4)])
+    assert out.distinct_edge_count() == 3
+    assert out._adj[0] is g._adj[0] and out._adj[3] is part._adj[3]
+    assert g.has_vertex(4) and g.has_edge(3, 4)
