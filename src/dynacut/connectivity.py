@@ -117,8 +117,8 @@ class StackDS:
 
     def clone(self, inst: MultiLevelDS) -> MultiLevelDS:
         # batch_update builds a new instance that shares only what it
-        # leaves unchanged, and engine_query works on per-level clones, so
-        # no caller mutates a served instance.
+        # leaves unchanged, and engine_query works on copies of the queried
+        # component, so no caller mutates a served instance.
         return inst
 
     def fingerprint(self, inst: MultiLevelDS) -> Tuple:
@@ -196,11 +196,17 @@ _ATTACH_B = -2   # v'': pendant forcing v_{w,w} into End(boundary)
 def engine_query(e: Engine, u: VertexId, w: VertexId) -> bool:
     """True iff u and w are c-edge connected in the tracked simple graph.
 
-    Attaches one pendant vertex to each anchor with multiplicity c+1, pushes
-    the four-op sequence through cloned copies of every level, applies the
-    final emitted sequence to the (edgeless) top sparsifier and answers by
-    brute force on that small graph.  The clones are discarded, so the
-    engine state is untouched."""
+    Anchors in different components of the image are not even 1-edge
+    connected, so the answer is then False at once.  Otherwise the query
+    copies every level restricted to the anchors' component C, attaches one
+    pendant vertex to each anchor with multiplicity c+1, pushes the four-op
+    sequence through the copies, applies the final emitted sequence to the
+    top sparsifier of C and answers by brute force on that small graph.
+    Every edge of every level lies inside one component of the image, and
+    every stage of the update works per component, so the copies emit the
+    sequences that copies of the whole levels would (see
+    CutPartitionDS.restrict).  The copies are discarded, so the engine state
+    is untouched."""
     if not (e.reduction.simple.has_vertex(u) and
             e.reduction.simple.has_vertex(w)):
         raise RejectedOp("engine-query", f"vertex {u} or {w} absent")
@@ -212,14 +218,19 @@ def engine_query(e: Engine, u: VertexId, w: VertexId) -> bool:
     seq: UpdateSeq = [InsertVertex(_ATTACH_A), InsertVertex(_ATTACH_B),
                       InsertEdge(au, _ATTACH_A, e.c + 1),
                       InsertEdge(aw, _ATTACH_B, e.c + 1)]
+    comp = component_of(mds.graph, au)
+    if aw not in comp:
+        e.query_stats.append({"levels": len(mds.levels), "h_vertices": 0,
+                              "h_edges": 0, "expansion": (len(seq),)})
+        return False
     target = sched.chain[mds.round + 1]
     phi = sched.phi_at(mds.round + 1)
     expansion = [len(seq)]
-    top = build_sparsifier(mds.levels[-1], sched.gamma)
-    for ods in mds.levels:
-        scratch = ods.clone()
-        _, seq = cut_partition_update(scratch, seq, phi, target, sched.t,
-                                      sched.gamma, scratch.params)
+    levels = [ods.restrict(comp) for ods in mds.levels]
+    top = build_sparsifier(levels[-1], sched.gamma)
+    for ods in levels:
+        _, seq = cut_partition_update(ods, seq, phi, target, sched.t,
+                                      sched.gamma, ods.params)
         expansion.append(len(seq))
     h = apply_seq(top, seq)
     if not (h.has_vertex(au) and h.has_vertex(aw)):

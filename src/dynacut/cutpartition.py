@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
-from .cutprimitives import components
+from .cutprimitives import component_of, components
 from .dynforest import DeleteTerminal, GraphDS, InsertTerminal, contracted_diff
 from .errors import RejectedOp
 from .expander import decremental_single_expander, expander_decomposition
@@ -111,6 +111,20 @@ class CutPartitionDS:
                               [ds.clone() for ds in self.layers],
                               self.params, self.gamma, self.phi)
 
+    def restrict(self, verts: Set[VertexId]) -> "CutPartitionDS":
+        """A copy on the vertices of `verts` that g has, where verts is a
+        union of components of g.  Every layer is a subgraph of g on g's
+        vertices, so those vertices are closed under adjacency in every
+        layer too, and each graph is a plain copy of their adjacency.
+        Every stage of the structure works per component (see
+        splice_partition), so the copy is what cut_partition_preprocess
+        builds on those components, and an update whose ops name only
+        vertices of verts or new ones emits the same sequence on it as on
+        the whole structure."""
+        return CutPartitionDS(self.g.restrict(verts),
+                              [ds.restrict(verts) for ds in self.layers],
+                              self.params, self.gamma, self.phi)
+
     def fingerprint(self) -> Tuple:
         graph = (tuple(sorted(self.g.edge_items())),
                  tuple(self.g.vertex_list()))
@@ -127,10 +141,18 @@ def _remove_edges(g: MultiGraph, edges) -> MultiGraph:
 
 def _layer_ia(g: MultiGraph, terms: Set[VertexId], t_i: int, q_i: int,
               depth: int) -> Set[EdgeKey]:
-    """One composition step: a strength-1 witness set per cluster of g."""
+    """One composition step: a strength-1 witness set per cluster of g
+    that holds two terminals or more."""
     ia: Set[EdgeKey] = set()
-    for comp in components(g):
-        local = terms & set(comp)
+    if len(terms) < 2:
+        return ia
+    seen: Set[VertexId] = set()
+    for x in sorted(terms):
+        if x in seen:
+            continue
+        comp = component_of(g, x)
+        seen |= comp
+        local = terms & comp
         if len(local) < 2:
             continue
         sub = GraphDS(induced_subgraph(g, comp), local)
@@ -151,15 +173,16 @@ def cut_partition_preprocess(g: MultiGraph, phi: Fraction, c: int, t: int,
     deco = expander_decomposition(simple_view(g), phi)
     inter = {e for e in deco.intercluster if g.has_edge(*e)}
     n = params.layer_count()
+    # _remove_edges returns a fresh graph that only the layer then holds
     cur = _remove_edges(g, inter)
     terms = _ends(inter)
-    layers = [GraphDS(cur.copy(), terms)]
+    layers = [GraphDS(cur, terms)]
     for i in range(1, n + 1):
         t_i, q_i = params.pairs[i - 1]
         ia = _layer_ia(cur, terms, t_i, q_i, n - i + 1)
         cur = _remove_edges(cur, ia)
         terms = terms | _ends(ia)
-        layers.append(GraphDS(cur.copy(), terms))
+        layers.append(GraphDS(cur, terms))
     return CutPartitionDS(g.copy(), layers, params,
                           gamma if gamma is not None else c + 1,
                           deco.phi_certified)

@@ -139,22 +139,24 @@ def induces_atomic_cut(g: MultiGraph, e0: Iterable[EdgeKey]) -> bool:
     component: removing e0 from that component leaves exactly two pieces,
     and every edge of e0 joins them."""
     edges = {edge_key(u, v) for u, v in e0}
-    if not edges:
+    if not edges or not all(g.has_vertex(x) for e in edges for x in e):
         return False
-    anchor = next(iter(edges))[0]
-    comp = component_of(g, anchor)
+    # the pieces of g minus e0 met so far; a BFS stays in its component
+    sides: List[Set[VertexId]] = []
+
+    def side_of(x: VertexId) -> Set[VertexId]:
+        for side in sides:
+            if x in side:
+                return side
+        sides.append(_reachable(g, x, edges))
+        return sides[-1]
+
     for u, v in edges:
-        if u not in comp or v not in comp:
+        if side_of(u) is side_of(v) or len(sides) > 2:
             return False
-    sides = set()
-    for u, v in edges:
-        cu = frozenset(_reachable(g, u, edges, within=comp))
-        cv = frozenset(_reachable(g, v, edges, within=comp))
-        if cu == cv:
-            return False
-        sides.add(cu)
-        sides.add(cv)
-    return len(sides) == 2
+    # every pair of e0 joins the same two pieces; they lie in one component
+    # exactly when some pair is an edge of g
+    return any(g.has_edge(u, v) for u, v in edges)
 
 
 def induced_cut_side(g: MultiGraph, e0: Iterable[EdgeKey],

@@ -338,6 +338,15 @@ class GraphDS:
         return GraphDS.from_forest(self.g.copy(), set(self.terminals),
                                    set(self.forest))
 
+    def restrict(self, verts: Set[VertexId]) -> "GraphDS":
+        """A copy on the vertices of `verts` that g has, which must be
+        closed under adjacency in g.  Every tree of the forest then lies
+        inside or outside them, so the copy keeps the forest edges met
+        while walking the copied adjacency."""
+        g = self.g.restrict(verts)
+        return GraphDS.from_forest(g, self.terminals & verts,
+                                   self.forest.intersection(g.pairs()))
+
     def fingerprint(self) -> Tuple:
         return (tuple(sorted((e, m) for e, m in self.g.edge_items())),
                 tuple(self.g.vertex_list()),

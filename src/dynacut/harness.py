@@ -314,14 +314,13 @@ def _run_trace(path: Optional[str], c: int, profile: str, oracle_check: bool,
             log.error("trace parse failed: %s", exc)
             print(f"parse error: {exc}")
             return 2
-    repair.REPAIR_LOG.clear()
     try:
-        mismatch, e, _ = _replay(lines, c, oracle_check)
+        with repair.recording() as repair_log:
+            mismatch, e, _ = _replay(lines, c, oracle_check)
     except TraceError as exc:
         log.error("trace replay failed: %s", exc)
         print(f"replay error: {exc}")
         return 2
-    repair_log = list(repair.REPAIR_LOG)
     metrics = _build_metrics(lines, c, profile, e, mismatch, repair_log)
     if metrics_path:
         with open(metrics_path, "w") as fh:

@@ -71,6 +71,13 @@ class MultiGraph:
     def edge_keys(self) -> List[EdgeKey]:
         return [k for k, _ in self.edge_items()]
 
+    def pairs(self) -> Iterator[EdgeKey]:
+        """Every distinct edge once as (u, v) with u < v, in no fixed order."""
+        for u, nbrs in self._adj.items():
+            for v in nbrs:
+                if u < v:
+                    yield u, v
+
     def is_isolated(self, v: VertexId) -> bool:
         return not self._adj[v]
 
@@ -113,6 +120,17 @@ class MultiGraph:
         g = MultiGraph()
         g._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
         g._distinct_edges = self._distinct_edges
+        return g
+
+    def restrict(self, verts) -> "MultiGraph":
+        """A copy of the graph on the vertices of `verts` it has, where
+        those vertices are closed under adjacency (a union of components).
+        Copies their adjacency dicts as they are: nothing is filtered or
+        sorted, unlike induced_subgraph."""
+        src = self._adj
+        g = MultiGraph()
+        g._adj = {v: dict(src[v]) for v in verts if v in src}
+        g._distinct_edges = sum(map(len, g._adj.values())) // 2
         return g
 
     def __eq__(self, other: object) -> bool:

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional, Set,
+                    Tuple)
 
 from .cutprimitives import (
     RealizablePair,
@@ -33,8 +35,21 @@ from .multigraph import DeleteEdge, EdgeKey, MultiGraph, VertexId, edge_key
 
 EdgeSet = FrozenSet[EdgeKey]
 
-# (|S|, |W|, c) per repair_set call; consumers may clear it between runs.
-REPAIR_LOG: List[Tuple[int, int, int]] = []
+# The logs open under recording(), innermost last.
+_LOGS: List[List[Tuple[int, int, int]]] = []
+
+
+@contextmanager
+def recording() -> Iterator[List[Tuple[int, int, int]]]:
+    """A list that collects (|S|, |W|, c) of every repair_set call made
+    inside the block.  Blocks may nest: a call is recorded in the list of
+    every open block.  Calls made outside every block record nothing."""
+    log: List[Tuple[int, int, int]] = []
+    _LOGS.append(log)
+    try:
+        yield log
+    finally:
+        _LOGS.pop()
 
 
 @dataclass(frozen=True)
@@ -409,7 +424,8 @@ def repair_set(ds1: GraphDS, ds2: GraphDS, ds3: GraphDS,
         ds1.rollback_to(marks[0])
         ds2.rollback_to(marks[1])
         ds3.rollback_to(marks[2])
-    REPAIR_LOG.append((len(s_set), len(w), c))
+    for log in _LOGS:
+        log.append((len(s_set), len(w), c))
     return w
 
 

@@ -108,8 +108,9 @@ def test_repair_set_bounds_inside_engine():
     checked = 0
     for seed in range(8):
         lines = gen_workload(10, 50, seed=900 + seed, query_rate=0.25)
-        assert run_trace(None, 2, oracle_check=True, lines=lines) == 0
-        for s_size, w_size, c in repair.REPAIR_LOG:
+        with repair.recording() as log:
+            assert run_trace(None, 2, oracle_check=True, lines=lines) == 0
+        for s_size, w_size, c in log:
             assert w_size <= s_size * (24 * c ** 3 + 24 * c ** 2 + 4 * c)
             checked += 1
     assert checked > 0

@@ -6,20 +6,21 @@ from fractions import Fraction
 
 import pytest
 
-from dynacut import connectivity
+from dynacut import connectivity, cutpartition, repair
 from dynacut.connectivity import (
     StackDS, edge_connectivity, engine_preprocess, engine_query,
     engine_update, offline_oracle,
 )
 from dynacut.cutprimitives import components
-from dynacut.dynforest import GraphDS
+from dynacut.dynforest import GraphDS, InsertTerminal
 from dynacut.errors import RejectedOp
 from dynacut.multigraph import (DeleteEdge, InsertEdge, InsertVertex,
-                                MultiGraph, apply_update)
+                                MultiGraph, apply_update, induced_subgraph)
 from dynacut.multilevel import make_schedule, preprocess_multi_level
 from dynacut.onlinebatch import Scheduler
 
-from util import barbell, complete_graph, cycle_graph, random_connected_graph
+from util import (barbell, complete_graph, cycle_graph,
+                  random_connected_graph, whole_graph_query)
 
 
 def brute_connectivity(g, x, y, cap_at):
@@ -406,3 +407,165 @@ def test_engine_query_h_contains_anchors():
     assert stat["h_vertices"] >= 2
     assert stat["levels"] == e.current.level_count()
     assert len(stat["expansion"]) == stat["levels"] + 1
+
+
+# -- queries on the anchors' component ---------------------------------------
+
+def _check_restrictions(mds, g, sched):
+    """Each level restricted to a component of g equals the level of a
+    preprocess of that component alone, and the copy shares nothing with
+    the level it was made from."""
+    for comp in components(g):
+        part = preprocess_multi_level(induced_subgraph(g, comp), sched)
+        assert part.level_count() == mds.level_count()
+        for ods, want in zip(mds.levels, part.levels):
+            before = ods.fingerprint()
+            got = ods.restrict(comp)
+            assert got.fingerprint() == want.fingerprint()
+            assert [h.distinct_edge_count() for h in
+                    [got.g] + [ds.g for ds in got.layers]] == \
+                [h.distinct_edge_count() for h in
+                 [want.g] + [ds.g for ds in want.layers]]
+            for ds in got.layers:
+                ds.check_forest()
+            x = min(got.g.vertex_list())
+            got.g.add_vertex(-1)
+            got.g.add_edge(x, -1, 1)
+            for ds in got.layers:
+                ds.ds_update(InsertVertex(-1))
+                ds.ds_update(InsertEdge(x, -1, 1))
+                ds.ds_update(InsertTerminal(x))
+            assert ods.fingerprint() == before
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_restrict_matches_preprocess_of_the_component(seed):
+    rng = random.Random(80 + seed)
+    e = engine_preprocess(_components_graph(rng, [4, 3, 5]), 1 + seed % 3)
+    img = e.reduction.multigraph
+    assert len(components(img)) == 3
+    _check_restrictions(e.current, img, e.schedule)
+
+
+def test_restrict_on_a_two_level_schedule():
+    """On the 2-level desk schedule the upper level holds only some
+    vertices of a component, and the layers have terminals; restricted
+    levels also emit the query sequences that clones of whole levels do."""
+    sched = make_schedule(1, 12, "desk", {"rounds": 1, "t": 20, "n_max": 20,
+                                          "phi": Fraction(2, 5)})
+    g = _two_barbells()
+    mds = preprocess_multi_level(g, sched)
+    assert mds.level_count() == 2
+    assert any(ds.terminals for ds in mds.levels[0].layers)
+    _check_restrictions(mds, g, sched)
+    for comp in components(g):
+        base = min(comp)
+        for a, b in [(0, 1), (0, 4), (2, 3)]:
+            emitted = []
+            for levels in ([ods.restrict(comp) for ods in mds.levels],
+                           [ods.clone() for ods in mds.levels]):
+                seq = [InsertVertex(-1), InsertVertex(-2),
+                       InsertEdge(base + a, -1, 2),
+                       InsertEdge(base + b, -2, 2)]
+                out = []
+                for ods in levels:
+                    _, seq = cutpartition.cut_partition_update(
+                        ods, seq, sched.phi_at(1), sched.chain[1], sched.t,
+                        sched.gamma, ods.params)
+                    out.append(seq)
+                emitted.append(out)
+            assert emitted[0] == emitted[1]
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_engine_query_matches_whole_graph_query_fuzz(c):
+    """Over ops that merge and split components, every answer and every
+    expansion tuple equals the query on clones of the whole levels, and a
+    query never moves the engine's fingerprint."""
+    rng = random.Random(90 + c)
+    g = _components_graph(rng, [3, 4, 3])
+    e = engine_preprocess(g, c)
+    kinds = {"same": 0, "cross": 0}
+    for _ in range(16):
+        comps = components(g)
+        present = g.edge_keys()
+        if (rng.random() < 0.35 or not present) and len(comps) > 1:
+            a, b = rng.sample(comps, 2)
+            op = InsertEdge(rng.choice(sorted(a)), rng.choice(sorted(b)), 1)
+            g.add_edge(op.u, op.v, 1)
+        else:
+            op = DeleteEdge(*rng.choice(present))
+            g.remove_edge(op.u, op.v)
+        engine_update(e, op)
+        for _ in range(3):
+            x, y = rng.sample(g.vertex_list(), 2)
+            want, stats = whole_graph_query(e, x, y)
+            before = e.fingerprint()
+            got = engine_query(e, x, y)
+            assert e.fingerprint() == before
+            assert got == want == offline_oracle(g, x, y, c)
+            if any(x in comp and y in comp for comp in components(g)):
+                assert e.query_stats[-1] == stats
+                kinds["same"] += 1
+            else:
+                assert e.query_stats[-1]["levels"] == stats["levels"]
+                kinds["cross"] += 1
+    assert min(kinds.values()) > 0
+
+
+def test_cross_component_query_answers_without_an_update(monkeypatch):
+    """Anchors in different components answer False before any level is
+    copied or updated, and the query still records a full stats entry."""
+    calls = []
+    update = connectivity.cut_partition_update
+
+    def spy(*args, **kwargs):
+        calls.append(True)
+        return update(*args, **kwargs)
+
+    monkeypatch.setattr(connectivity, "cut_partition_update", spy)
+    e = engine_preprocess(_two_barbells(), 2)
+    assert engine_query(e, 0, 1)
+    assert calls and e.query_stats[-1]["h_vertices"] >= 2
+    keys = set(e.query_stats[-1])
+    calls.clear()
+    before = e.fingerprint()
+    assert not engine_query(e, 0, 14)
+    assert not calls
+    assert e.fingerprint() == before
+    stat = e.query_stats[-1]
+    assert set(stat) == keys and len(e.query_stats) == 2
+    assert stat["levels"] == e.current.level_count()
+    assert stat["expansion"] == (4,)
+    assert (stat["h_vertices"], stat["h_edges"]) == (0, 0)
+
+
+def test_queries_outside_a_trace_leave_no_repair_log(monkeypatch):
+    """repair_set records its sizes only inside repair.recording(), so
+    queries made outside a traced replay grow no list."""
+    calls = []
+    real = cutpartition.repair_set
+
+    def spy(*args, **kwargs):
+        calls.append(True)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cutpartition, "repair_set", spy)
+
+    def list_sizes():
+        return {name: len(v) for name, v in vars(repair).items()
+                if isinstance(v, list)}
+
+    e = engine_preprocess(barbell(), 2)
+    before = list_sizes()
+    for i in range(300):
+        engine_query(e, i % 3, 3 + i % 3)
+    assert len(calls) >= 300
+    assert list_sizes() == before
+    assert not repair._LOGS
+    with repair.recording() as outer:
+        with repair.recording() as inner:
+            engine_query(e, 0, 4)
+        engine_query(e, 0, 4)
+    assert 0 < len(inner) < len(outer) == 2 * len(inner)
+    assert list_sizes() == before

@@ -153,6 +153,20 @@ def test_atomic_verify_cross_component_false():
     assert not induces_atomic_cut(g, {(0, 1), (2, 3)})
 
 
+def test_atomic_verify_pair_across_components_false():
+    """A pair that is no edge of g and joins two components names no cut,
+    though removing it leaves exactly two pieces."""
+    g = _mg([(0, 1, 1), (2, 3, 1)])
+    assert not induces_atomic_cut(g, {(1, 2)})
+    assert induces_atomic_cut(g, {(0, 1)})
+
+
+def test_atomic_verify_absent_endpoint_false():
+    g = cycle_graph(4)
+    assert not induces_atomic_cut(g, {(7, 8)})
+    assert not induces_atomic_cut(g, {(0, 1), (2, 9)})
+
+
 def _brute_induces_atomic_cut(g, e0):
     comp = sorted(component_of(g, min(min(e) for e in e0)))
     root, rest = comp[0], comp[1:]

@@ -199,3 +199,13 @@ def test_splice_graph_shares_kept_adjacency():
     assert out.distinct_edge_count() == 3
     assert out._adj[0] is g._adj[0] and out._adj[3] is part._adj[3]
     assert g.has_vertex(4) and g.has_edge(3, 4)
+
+
+def test_restrict_copies_a_union_of_components():
+    g = MultiGraph.from_edges(range(6), [(0, 1, 2), (1, 2), (3, 4, 3)])
+    out = g.restrict({0, 1, 2, 5, 9})       # 9 is absent and skipped
+    assert out == induced_subgraph(g, [0, 1, 2, 5])
+    assert out.distinct_edge_count() == 2
+    assert sorted(out.pairs()) == [(0, 1), (1, 2)]
+    out.add_edge(0, 2, 1)
+    assert not g.has_edge(0, 2) and g.distinct_edge_count() == 3

@@ -2,9 +2,11 @@
 
 import random
 
-from dynacut.cutpartition import _remove_edges, _sparsifier_graph
+from dynacut.connectivity import _ATTACH_A, _ATTACH_B, offline_oracle
+from dynacut.cutpartition import (_remove_edges, _sparsifier_graph,
+                                  build_sparsifier, cut_partition_update)
 from dynacut.dynforest import GraphDS
-from dynacut.multigraph import MultiGraph
+from dynacut.multigraph import InsertEdge, InsertVertex, MultiGraph, apply_seq
 from dynacut.repair import _ends
 
 
@@ -79,3 +81,30 @@ def partition_sparsifier(g: MultiGraph, partition, gamma: int = 1
     owner = {v: i for i, part in enumerate(partition) for v in part}
     b = [e for e in g.edge_keys() if owner[e[0]] != owner[e[1]]]
     return _sparsifier_graph(g, GraphDS(_remove_edges(g, b), _ends(b)), gamma)
+
+
+def whole_graph_query(e, u, w):
+    """Test oracle: engine_query as it ran before it restricted the levels
+    to the anchors' component.  It pushes the pendant sequence through a
+    clone of every whole level and builds H on the whole top sparsifier.
+    Returns the answer and the query_stats entry it would record, and
+    leaves the engine untouched."""
+    sched, mds = e.schedule, e.current
+    au, aw = e.reduction.anchor(u), e.reduction.anchor(w)
+    seq = [InsertVertex(_ATTACH_A), InsertVertex(_ATTACH_B),
+           InsertEdge(au, _ATTACH_A, e.c + 1),
+           InsertEdge(aw, _ATTACH_B, e.c + 1)]
+    target = sched.chain[mds.round + 1]
+    phi = sched.phi_at(mds.round + 1)
+    expansion = [len(seq)]
+    top = build_sparsifier(mds.levels[-1], sched.gamma)
+    for ods in mds.levels:
+        level = ods.clone()
+        _, seq = cut_partition_update(level, seq, phi, target, sched.t,
+                                      sched.gamma, level.params)
+        expansion.append(len(seq))
+    h = apply_seq(top, seq)
+    stats = {"levels": len(mds.levels), "h_vertices": h.vertex_count(),
+             "h_edges": h.distinct_edge_count(),
+             "expansion": tuple(expansion)}
+    return offline_oracle(h, au, aw, e.c), stats
