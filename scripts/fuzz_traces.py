@@ -10,8 +10,11 @@ reproduction trace).
 import argparse
 import sys
 import time
+from pathlib import Path
 
-from dynacut.harness import gen_workload, run_trace
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from dynacut.harness import gen_workload, run_trace  # noqa: E402
 
 
 def main() -> int:

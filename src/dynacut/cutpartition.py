@@ -155,8 +155,7 @@ def _layer_ia(g: MultiGraph, terms: Set[VertexId], t_i: int, q_i: int,
         local = terms & comp
         if len(local) < 2:
             continue
-        sub = GraphDS(induced_subgraph(g, comp), local)
-        ia |= initial_ia(sub, local, t_i, q_i, depth)
+        ia |= initial_ia(induced_subgraph(g, comp), local, t_i, q_i, depth)
     return ia
 
 
@@ -271,12 +270,6 @@ def transformed_params(params: LayerParams, t: int, c: int) -> LayerParams:
     return LayerParams(t, c, tuple(pairs), strict=False)
 
 
-def _restricted_ds(g: MultiGraph, verts: Set[VertexId],
-                   terms: Set[VertexId]) -> GraphDS:
-    keep = {v for v in verts if g.has_vertex(v)}
-    return GraphDS(induced_subgraph(g, keep), terms & keep)
-
-
 def update_partition(ods: CutPartitionDS, r_edges, t: int, c: int,
                      gamma: int, params: Optional[LayerParams] = None
                      ) -> Tuple[CutPartitionDS, UpdateSeq]:
@@ -319,11 +312,11 @@ def update_partition(ods: CutPartitionDS, r_edges, t: int, c: int,
             for x in e:
                 buckets.setdefault(ds_h.comp_id(x), set()).add(x)
         for cid in sorted(buckets):
+            # a component of layer h, so a union of components of its
+            # subgraph h + 2i as well
             comp = ds_h.component_vertices(cid)
-            ds1 = _restricted_ds(ds_h.g, comp, set())
-            ds2 = _restricted_ds(ds_h.g, comp, ds_h.terminals)
-            ds3 = _restricted_ds(ds_h2i.g, comp, set())
-            w = repair_set(ds1, ds2, ds3, buckets[cid], i,
+            w = repair_set(ds_h.g.restrict(comp), ds_h.terminals & comp,
+                           ds_h2i.g.restrict(comp), buckets[cid], i,
                            params.t_at(h), params.q_at(h + 2 * i) * (c + 1))
             r_next |= w
         for e in sorted(r_cur):

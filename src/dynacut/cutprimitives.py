@@ -13,7 +13,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .dynforest import GraphDS
 from .errors import RejectedOp
 from .multigraph import EdgeKey, MultiGraph, VertexId, edge_key
 
@@ -98,6 +97,15 @@ def components(g: MultiGraph, banned_edges: Set[EdgeKey] = frozenset()
     return out
 
 
+def component_labels(g: MultiGraph) -> Dict[VertexId, VertexId]:
+    """Each vertex mapped to the least vertex of its component."""
+    label: Dict[VertexId, VertexId] = {}
+    for v in g.vertex_list():
+        if v not in label:
+            label.update(dict.fromkeys(_reachable(g, v, set()), v))
+    return label
+
+
 @dataclass(frozen=True)
 class Cut:
     """Test oracle: a cut named by one side, with cached cut-set and size."""
@@ -161,18 +169,15 @@ def induces_atomic_cut(g: MultiGraph, e0: Iterable[EdgeKey]) -> bool:
 
 def induced_cut_side(g: MultiGraph, e0: Iterable[EdgeKey],
                      inner: Iterable[VertexId]) -> Set[VertexId]:
-    """The side L of the cut induced by e0 that contains `inner`, within the
-    connected component of `inner`."""
+    """The side L of the cut induced by e0 that contains `inner`: the union
+    of the pieces of g minus e0 that hold a vertex of `inner`.  `inner` lies
+    in one component of g (every caller passes a connected side), and a BFS
+    stays in its component, so L does too."""
     edges = {edge_key(u, v) for u, v in e0}
-    vs = set(inner)
-    z = min(vs)
-    comp = component_of(g, z)
-    # L = union of components of (comp minus e0) on the inner side: grow by
-    # adding components reachable without crossing e0 from any inner vertex
-    side = set()
-    for v in vs:
+    side: Set[VertexId] = set()
+    for v in inner:
         if v not in side:
-            side |= _reachable(g, v, edges, within=comp)
+            side |= _reachable(g, v, edges)
     return side
 
 
@@ -280,15 +285,16 @@ def enumerate_anchored_cuts(g: MultiGraph, anchors: Iterable[VertexId], c: int,
     return out
 
 
-def enumerate_cuts(ds1: GraphDS, ds2: GraphDS, t_prime: Iterable[VertexId],
-                   c: int, t: int) -> Set[VertexSet]:
-    """All (T', (T1 u T2) \\ T', t, c)-cut sides V' such that every connected
-    component of G[V'] contains a vertex of T'.  Empty if |T'| > t."""
+def enumerate_cuts(g: MultiGraph, terms: Iterable[VertexId],
+                   t_prime: Iterable[VertexId], c: int, t: int
+                   ) -> Set[VertexSet]:
+    """All (T', terms \\ T', t, c)-cut sides V' of g such that every
+    connected component of G[V'] contains a vertex of T'.  `terms` are the
+    terminals of DS1 and DS2 together.  Empty if |T'| > t."""
     tp = frozenset(t_prime)
     if len(tp) > t:
         return set()
-    g = ds1.g
-    terms = frozenset(ds1.terminals) | frozenset(ds2.terminals)
+    terms = frozenset(terms)
     if not tp <= terms:
         raise RejectedOp("enumerate-cuts", "T' not within the terminal sets")
     universe: Set[VertexSet] = \

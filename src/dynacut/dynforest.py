@@ -9,21 +9,20 @@ pruned Steiner forest).  contracted_diff() of two contractions read before
 and after a run of updates is the exact update sequence that transforms the
 one into the other.
 
-Updates only apply and journal; the component labels and the contraction are
-computed when first read after a change.  rollback_to() restores graph,
-terminals, and forest bit-exactly.
+Updates only apply; the component labels and the contraction are computed
+when first read after a change.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import RejectedOp
 from .multigraph import (
     DeleteEdge, DeleteVertex, EdgeKey, InsertEdge, InsertVertex, MultiGraph,
-    UpdateOp, UpdateSeq, VertexId, apply_update, edge_key, inverse_op,
+    UpdateSeq, VertexId, apply_update, edge_key,
 )
 
 
@@ -59,17 +58,11 @@ def contracted_diff(old: MultiGraph, new: MultiGraph) -> UpdateSeq:
     return seq
 
 
-@dataclass
-class _UndoRecord:
-    graph_undo: Optional[UpdateOp]
-    terminal_add: Optional[VertexId]      # re-add this terminal on rollback
-    terminal_remove: Optional[VertexId]   # remove this terminal on rollback
-    forest_added: Set[EdgeKey] = field(default_factory=set)
-    forest_removed: Set[EdgeKey] = field(default_factory=set)
-
-
 class GraphDS:
-    """Queryable dynamic graph with terminals, spanning forest, contraction."""
+    """Queryable dynamic graph with terminals, spanning forest, contraction.
+
+    It serves the layers of a cut-partition level and the copies of them,
+    restricted to the queried component, that a query updates."""
 
     def __init__(self, graph: MultiGraph, terminals=()):
         self.g = graph
@@ -79,10 +72,8 @@ class GraphDS:
                 raise RejectedOp("graphds-init", f"terminal {t} absent")
         self.forest: Set[EdgeKey] = set()
         self._build_forest()
-        self._journal: List[_UndoRecord] = []
         self._dirty = True
         self._comp: Dict[VertexId, VertexId] = {}
-        self._comp_stats: Dict[VertexId, Tuple[int, int, Optional[VertexId]]] = {}
         self._contracted: Optional[MultiGraph] = None
 
     # -- forest -----------------------------------------------------------
@@ -144,18 +135,7 @@ class GraphDS:
             label = min(members)
             for v in members:
                 comp[v] = label
-        stats: Dict[VertexId, List] = {}
-        for v, label in comp.items():
-            if label not in stats:
-                stats[label] = [0, 0, None]
-            stats[label][0] += 1
-        for t in sorted(self.terminals):
-            s = stats[comp[t]]
-            s[1] += 1
-            if s[2] is None:
-                s[2] = t
         self._comp = comp
-        self._comp_stats = {k: tuple(v) for k, v in stats.items()}
         self._dirty = False
 
     # -- queries (Figure-5 vocabulary) ------------------------------------
@@ -167,21 +147,6 @@ class GraphDS:
         self._check_vertex(x)
         self._refresh()
         return self._comp[x]
-
-    def vertex_number(self, x: VertexId) -> int:
-        self._check_vertex(x)
-        self._refresh()
-        return self._comp_stats[self._comp[x]][0]
-
-    def terminal_number(self, x: VertexId) -> int:
-        self._check_vertex(x)
-        self._refresh()
-        return self._comp_stats[self._comp[x]][1]
-
-    def one_terminal(self, x: VertexId) -> Optional[VertexId]:
-        self._check_vertex(x)
-        self._refresh()
-        return self._comp_stats[self._comp[x]][2]
 
     def component_vertices(self, x: VertexId) -> Set[VertexId]:
         label = self.comp_id(x)
@@ -245,77 +210,44 @@ class GraphDS:
 
     # -- updates ----------------------------------------------------------
     def ds_update(self, op: DsOp) -> None:
-        """Apply and journal one op; read contracted() around it for the
-        change to the contraction."""
-        self._journal.append(self._apply(op))
-        self._dirty = True
-        self._contracted = None
-
-    def _apply(self, op: DsOp) -> _UndoRecord:
-        rec = _UndoRecord(None, None, None)
+        """Apply one op; read contracted() around it for the change to the
+        contraction."""
         if isinstance(op, InsertTerminal):
             if not self.g.has_vertex(op.v):
                 raise RejectedOp("ds-update", f"vertex {op.v} absent")
-            if op.v not in self.terminals:
-                self.terminals.add(op.v)
-                rec.terminal_remove = op.v
-            return rec
-        if isinstance(op, DeleteTerminal):
-            if op.v in self.terminals:
-                self.terminals.discard(op.v)
-                rec.terminal_add = op.v
-            return rec
-        if isinstance(op, DeleteVertex) and op.v in self.terminals:
+            self.terminals.add(op.v)
+        elif isinstance(op, DeleteTerminal):
+            self.terminals.discard(op.v)
+        elif isinstance(op, DeleteVertex) and op.v in self.terminals:
             raise RejectedOp("ds-update", f"vertex {op.v} still a terminal")
-        rec.graph_undo = inverse_op(self.g, op)
-        apply_update(self.g, op)
-        if isinstance(op, InsertEdge):
-            if self.comp_or_none(op.u) != self.comp_or_none(op.v):
+        else:
+            apply_update(self.g, op)
+            # the forest lacks the new edge yet, so the labels comp_or_none
+            # reads are those from before the insert
+            if isinstance(op, InsertEdge):
+                if self.comp_or_none(op.u) != self.comp_or_none(op.v):
+                    self.forest.add(edge_key(op.u, op.v))
+            elif isinstance(op, DeleteEdge):
                 e = edge_key(op.u, op.v)
-                self.forest.add(e)
-                rec.forest_added.add(e)
-        elif isinstance(op, DeleteEdge):
-            e = edge_key(op.u, op.v)
-            if e in self.forest:
-                self.forest.discard(e)
-                rec.forest_removed.add(e)
-                side = self._forest_side(op.u, e)
-                repl = None
-                for a in sorted(side):
-                    for b in self.g.neighbors(a):
-                        if b not in side:
-                            k = edge_key(a, b)
-                            if repl is None or k < repl:
-                                repl = k
-                if repl is not None:
-                    self.forest.add(repl)
-                    rec.forest_added.add(repl)
-        return rec
+                if e in self.forest:
+                    self.forest.discard(e)
+                    side = self._forest_side(op.u, e)
+                    repl = None
+                    for a in sorted(side):
+                        for b in self.g.neighbors(a):
+                            if b not in side:
+                                k = edge_key(a, b)
+                                if repl is None or k < repl:
+                                    repl = k
+                    if repl is not None:
+                        self.forest.add(repl)
+        self._dirty = True
+        self._contracted = None
 
     def comp_or_none(self, x: VertexId) -> Optional[VertexId]:
         if not self.g.has_vertex(x):
             return None
         return self.comp_id(x)
-
-    # -- journal ----------------------------------------------------------
-    def mark(self) -> int:
-        return len(self._journal)
-
-    def rollback_to(self, mark: int) -> None:
-        while len(self._journal) > mark:
-            rec = self._journal.pop()
-            if rec.graph_undo is not None:
-                apply_update(self.g, rec.graph_undo)
-            if rec.terminal_add is not None:
-                self.terminals.add(rec.terminal_add)
-            if rec.terminal_remove is not None:
-                self.terminals.discard(rec.terminal_remove)
-            for e in rec.forest_added:
-                self.forest.discard(e)
-            for e in rec.forest_removed:
-                self.forest.add(e)
-            self._dirty = True
-            self._contracted = None
 
     @classmethod
     def from_forest(cls, graph: MultiGraph, terminals: Set[VertexId],
@@ -327,10 +259,8 @@ class GraphDS:
         ds.g = graph
         ds.terminals = terminals
         ds.forest = forest
-        ds._journal = []
         ds._dirty = True
         ds._comp = {}
-        ds._comp_stats = {}
         ds._contracted = None
         return ds
 

@@ -287,19 +287,6 @@ def apply_seq(g: MultiGraph, seq: UpdateSeq) -> MultiGraph:
     return g
 
 
-def inverse_op(g: MultiGraph, op: UpdateOp) -> UpdateOp:
-    """The op that undoes `op` relative to the pre-state graph g."""
-    if isinstance(op, InsertEdge):
-        return DeleteEdge(op.u, op.v)
-    if isinstance(op, DeleteEdge):
-        return InsertEdge(op.u, op.v, g.multiplicity(op.u, op.v))
-    if isinstance(op, InsertVertex):
-        return DeleteVertex(op.v)
-    if isinstance(op, DeleteVertex):
-        return InsertVertex(op.v)
-    raise RejectedOp("inverse-op", f"unknown op {op!r}")
-
-
 # -- degree reduction ------------------------------------------------------
 
 _GADGET_SHIFT = 32

@@ -391,8 +391,10 @@ def _stall(stall: int, cur: MultiGraph, sp: MultiGraph) -> int:
 
 def preprocess_multi_level(g: MultiGraph, sched: ParamSchedule
                            ) -> MultiLevelDS:
+    """The stack preprocessed from scratch on g.  Leaves g unchanged: each
+    level holds its own copy of its input graph."""
     levels: List[CutPartitionDS] = []
-    _build_levels(g.copy(), sched, 0, levels)
+    _build_levels(g, sched, 0, levels)
     return MultiLevelDS(levels, sched, 0)
 
 

@@ -31,8 +31,9 @@ class BatchableDS(Protocol):
 
     `steps` is a monotone primitive-step counter bumped by initialize and
     batch_update; the scheduler charges cost by reading its deltas.
-    batch_update may consume `inst` (the scheduler hands it a clone) but
-    must leave `g_before` unchanged: snapshots share their graphs.
+    initialize must leave `g` unchanged, and batch_update may consume
+    `inst` (the scheduler hands it a clone) but must leave `g_before`
+    unchanged: snapshots share their graphs.
     """
     steps: int
 
@@ -186,7 +187,7 @@ class Scheduler:
         self.updates: List[UpdateOp] = []
         self.now = 0
         before = impl.steps
-        base = impl.initialize(g.copy())
+        base = impl.initialize(g)
         self.preprocess_steps = impl.steps - before
         self._pinned = _State(g.copy(), base, ())
         # copy beta -> its level snapshots {level: state}

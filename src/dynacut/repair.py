@@ -7,6 +7,10 @@ When vertices are removed from the ambient graph, a small "repair set" of
 extra edges restores IA validity for the surviving terminals; the repair set
 is assembled from three sub-sets, one per class of terminal bipartition,
 via an elimination procedure over realizable pairs.
+
+The repair set reads plain graphs and terminal sets and mutates none of
+them: a step that deletes edges works on its own copy, and a probe of a
+graph minus a few edges is a BFS that skips them.
 """
 
 from __future__ import annotations
@@ -15,12 +19,14 @@ import itertools
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional, Set,
-                    Tuple)
+from typing import (AbstractSet, Dict, FrozenSet, Iterable, Iterator, List,
+                    Optional, Set, Tuple)
 
 from .cutprimitives import (
     RealizablePair,
+    _reachable,
     boundary,
+    component_labels,
     components,
     cut_size,
     enumerate_cuts,
@@ -29,11 +35,13 @@ from .cutprimitives import (
     induced_cut_side,
     induces_atomic_cut,
 )
-from .dynforest import DeleteTerminal, GraphDS, InsertTerminal
 from .errors import RejectedOp
-from .multigraph import DeleteEdge, EdgeKey, MultiGraph, VertexId, edge_key
+from .multigraph import EdgeKey, MultiGraph, VertexId, edge_key
 
 EdgeSet = FrozenSet[EdgeKey]
+Terminals = AbstractSet[VertexId]
+# vertex -> the least vertex of its component
+Labels = Dict[VertexId, VertexId]
 
 # The logs open under recording(), innermost last.
 _LOGS: List[List[Tuple[int, int, int]]] = []
@@ -107,59 +115,64 @@ def _separates(g: MultiGraph, e0: EdgeSet, side: Iterable[VertexId],
     return x not in induced_cut_side(g, e0, side)
 
 
+def _label_of(comp: Labels, ends: Iterable[VertexId]) -> Optional[VertexId]:
+    """The component label all of `ends` share; None if they have none or
+    several."""
+    ids = {comp[x] for x in ends}
+    return next(iter(ids)) if len(ids) == 1 else None
+
+
 # -- elimination procedure -------------------------------------------------
 
-def elimination(ds_t: GraphDS, ds_s: GraphDS, gamma) -> Set[EdgeKey]:
+def elimination(g: MultiGraph, terms: Terminals, gamma) -> Set[EdgeKey]:
     """Boundary edges of a maximal chain of pairs from `gamma`; the output
-    intercepts a small terminal-separating cut for every pair."""
+    intercepts a small terminal-separating cut for every pair.  `terms` are
+    the terminals of DS1 and DS2 together.  Each chosen pair's edges are
+    deleted, cumulatively, from a copy of g, and a pair leaves the pool once
+    some witness cut's ends fall in different components of that copy."""
     pool = [p if isinstance(p, RealizablePair) else RealizablePair.of(*p)
             for p in gamma]
     remaining = sorted({_canon(p): p for p in pool}.values(), key=_canon)
     if not remaining:
         return set()
-    g = ds_t.g
-    terms = frozenset(ds_t.terminals) | frozenset(ds_s.terminals)
+    terms = frozenset(terms)
     w: Set[EdgeKey] = set()
     # witness cuts per pair: boundary endpoint sets in the original graph
     witness: Dict[RealizablePair, List[Tuple[VertexId, ...]]] = {}
     for pair in remaining:
         b = boundary(g, pair.side)
-        h = enumerate_cuts(ds_t, ds_s, pair.side & terms,
-                           sum(g.multiplicity(u, v) for u, v in b),
-                           len(pair.side))
+        cuts = enumerate_cuts(g, terms, pair.side & terms,
+                              sum(g.multiplicity(u, v) for u, v in b),
+                              len(pair.side))
         witness[pair] = [tuple(sorted(_ends(boundary(g, v)))) for v in
-                         sorted(h, key=lambda s: tuple(sorted(s)))]
-    mark = ds_t.mark()
-    try:
-        while remaining:
-            chosen = None
-            for cand in remaining:
-                if not any(_ends(other.edges) <= cand.side
-                           for other in remaining if other is not cand):
-                    chosen = cand
-                    break
-            if chosen is None:
-                chosen = remaining[0]
-            w |= set(boundary(g, chosen.side))
-            for u, v in sorted(chosen.edges):
-                if ds_t.g.has_edge(u, v):
-                    ds_t.ds_update(DeleteEdge(u, v))
-            remaining.remove(chosen)
-            kept = []
-            for pair in remaining:
-                split = any(len({ds_t.comp_id(x) for x in ends}) > 1
-                            for ends in witness[pair])
-                if not split:
-                    kept.append(pair)
-            remaining = kept
-    finally:
-        ds_t.rollback_to(mark)
+                         sorted(cuts, key=lambda s: tuple(sorted(s)))]
+    cur = g.copy()
+    while remaining:
+        chosen = None
+        for cand in remaining:
+            if not any(_ends(other.edges) <= cand.side
+                       for other in remaining if other is not cand):
+                chosen = cand
+                break
+        if chosen is None:
+            chosen = remaining[0]
+        w |= set(boundary(cur, chosen.side))
+        for u, v in sorted(chosen.edges):
+            if cur.has_edge(u, v):
+                cur.remove_edge(u, v)
+        remaining.remove(chosen)
+        if remaining:
+            comp = component_labels(cur)
+            remaining = [pair for pair in remaining
+                         if not any(len({comp[x] for x in ends}) > 1
+                                    for ends in witness[pair])]
     return w
 
 
 # -- bipartition system ----------------------------------------------------
 
-def bipartition_system(ds: GraphDS, c: int, t: int) -> BipartitionSystem:
+def bipartition_system(g: MultiGraph, s: Terminals, c: int, t: int
+                       ) -> BipartitionSystem:
     """A maximal pairwise-laminar family of realizable pairs splitting the
     terminal set S nontrivially; at most 2(|S|-1) pairs.
 
@@ -175,9 +188,12 @@ def bipartition_system(ds: GraphDS, c: int, t: int) -> BipartitionSystem:
     pair within its component replaces its cut: the complement traces S-P,
     its cut is no larger, and it has at most 3t vertices, which fits every
     replacement budget q + t that repair_set serves (it requires q >= 2t).
+
+    The boundary of each held pair is deleted from a copy of g, and a later
+    pair is skipped when the ends of its boundary in that copy fall in
+    different components of it.
     """
-    g = ds.g
-    s = frozenset(ds.terminals)
+    s = frozenset(s)
     u: List[Tuple[RealizablePair, FrozenSet[VertexId], int]] = []
     seen = set()
     for _, side in enumerate_anchored_cuts(g, s, c, t):
@@ -206,58 +222,54 @@ def bipartition_system(ds: GraphDS, c: int, t: int) -> BipartitionSystem:
     traces: List[FrozenSet[VertexId]] = []
     sizes: List[int] = []
     partitions: List[FrozenSet[VertexId]] = []
-    mark = ds.mark()
-    try:
-        for i, (pair, trace, size) in enumerate(u):
-            if not alive[i]:
+    cur = g.copy()
+    comp: Optional[Labels] = None      # labels of cur, read when needed
+    for i, (pair, trace, size) in enumerate(u):
+        if not alive[i]:
+            continue
+        b = boundary(cur, pair.side)
+        comp = comp or component_labels(cur)
+        if len({comp[x] for x in _ends(b)}) > 1:
+            continue
+        if trace in traces:
+            continue
+        # laminarity rule: held traces nest or are disjoint
+        if any(trace & tr and not (trace < tr or tr < trace)
+               for tr in traces):
+            continue
+        if s - trace in traces:
+            j = traces.index(s - trace)
+            rest = comp_of[min(pairs[j].side)] - pairs[j].side
+            if (rest & s == trace and sizes[j] <= size
+                    and len(rest) <= 3 * t):
                 continue
-            ends = _ends(boundary(g, pair.side))
-            if len({ds.comp_id(x) for x in ends}) > 1:
-                continue
-            if trace in traces:
-                continue
-            # laminarity rule: held traces nest or are disjoint
-            if any(trace & tr and not (trace < tr or tr < trace)
-                   for tr in traces):
-                continue
-            if s - trace in traces:
-                j = traces.index(s - trace)
-                rest = comp_of[min(pairs[j].side)] - pairs[j].side
-                if (rest & s == trace and sizes[j] <= size
-                        and len(rest) <= 3 * t):
-                    continue
-            else:
-                partitions.append(trace)
-            pairs.append(pair)
-            traces.append(trace)
-            sizes.append(size)
-            for x, y in sorted(boundary(g, pair.side)):
-                if ds.g.has_edge(x, y):
-                    ds.ds_update(DeleteEdge(x, y))
-            for j in equivalent[i]:
-                alive[j] = False
-    finally:
-        ds.rollback_to(mark)
+        else:
+            partitions.append(trace)
+        pairs.append(pair)
+        traces.append(trace)
+        sizes.append(size)
+        for x, y in sorted(b):
+            cur.remove_edge(x, y)
+        comp = None
+        for j in equivalent[i]:
+            alive[j] = False
     return BipartitionSystem(pairs, traces, partitions)
 
 
 # -- type 1 / 2 / 3 repair sets -------------------------------------------
+#
+# Each reads g (the graph of DS1 and DS2), S (DS1's terminals), T (DS2's
+# terminals, disjoint from S) and the component labels of DS3's graph.
 
-def _same_comp_with_terminal(ds3: GraphDS, ends: Set[VertexId]) -> bool:
-    ids = {ds3.comp_id(x) for x in ends}
-    if len(ids) != 1:
-        return False
-    return ds3.terminal_number(next(iter(ends))) > 0
-
-
-def type_one_repair_set(ds1: GraphDS, ds2: GraphDS, ds3: GraphDS,
-                        c: int, t: int) -> Set[EdgeKey]:
+def type_one_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
+                        comp3: Labels, c: int, t: int) -> Set[EdgeKey]:
     """Repair edges for terminal bipartitions that split S nontrivially."""
-    g = ds1.g
-    s = frozenset(ds1.terminals)
+    s = frozenset(s)
     if not s:
         return set()
-    system = bipartition_system(ds1, c, t)
+    terms = s | frozenset(t_set)
+    held = {comp3[x] for x in s}
+    system = bipartition_system(g, s, c, t)
     w1: Set[EdgeKey] = set()
     for pair, trace in zip(system.pairs, system.traces):
         buckets: Dict[VertexId, List[RealizablePair]] = defaultdict(list)
@@ -266,7 +278,8 @@ def type_one_repair_set(ds1: GraphDS, ds2: GraphDS, ds3: GraphDS,
             if not (side & s):
                 continue
             b = boundary(g, side)
-            if not _same_comp_with_terminal(ds3, _ends(b)):
+            cid = _label_of(comp3, _ends(b))
+            if cid not in held:
                 continue
             for e_sub in _edge_subsets(b):
                 if not induces_atomic_cut(g, e_sub):
@@ -279,20 +292,20 @@ def type_one_repair_set(ds1: GraphDS, ds2: GraphDS, ds3: GraphDS,
                 if key in seen:
                     continue
                 seen.add(key)
-                cid = ds3.comp_id(next(iter(_ends(e_sub))))
                 buckets[cid].append(cand)
         w1 |= set(boundary(g, pair.side))
         for cid in sorted(buckets):
-            w1 |= elimination(ds2, ds1, buckets[cid])
+            w1 |= elimination(g, terms, buckets[cid])
     return w1
 
 
-def type_two_repair_set(ds1: GraphDS, ds2: GraphDS, ds3: GraphDS,
-                        c: int, t: int, q: int) -> Set[EdgeKey]:
+def type_two_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
+                        comp3: Labels, c: int, t: int, q: int
+                        ) -> Set[EdgeKey]:
     """Repair edges for terminal bipartitions avoiding S entirely."""
-    g = ds1.g
-    s = frozenset(ds1.terminals)
-    t_set = frozenset(ds2.terminals)
+    s = frozenset(s)
+    t_set = frozenset(t_set)
+    terms = s | t_set
     w2: Set[EdgeKey] = set()
     for s_v in sorted(s):
         reach: Set[VertexId] = set()
@@ -304,19 +317,12 @@ def type_two_repair_set(ds1: GraphDS, ds2: GraphDS, ds3: GraphDS,
             if side & s:
                 continue
             b = boundary(g, side)
-            ends = _ends(b)
-            ids = {ds3.comp_id(y) for y in ends}
-            if len(ids) != 1 or next(iter(ids)) != ds3.comp_id(s_v):
+            if _label_of(comp3, _ends(b)) != comp3[s_v]:
                 continue
-            ok = True
-            for alt in enumerate_cuts(ds1, ds2, side & t_set,
-                                      sum(g.multiplicity(u, v)
-                                          for u, v in b), q):
-                alt_ends = _ends(boundary(g, alt))
-                if len({ds3.comp_id(y) for y in alt_ends}) > 1:
-                    ok = False
-                    break
-            if not ok:
+            alts = enumerate_cuts(g, terms, side & t_set,
+                                  sum(g.multiplicity(u, v) for u, v in b), q)
+            if any(len({comp3[y] for y in _ends(boundary(g, alt))}) > 1
+                   for alt in alts):
                 continue
             for e_sub in _edge_subsets(b):
                 if (induces_atomic_cut(g, e_sub)
@@ -326,35 +332,34 @@ def type_two_repair_set(ds1: GraphDS, ds2: GraphDS, ds3: GraphDS,
                     if key not in seen:
                         seen.add(key)
                         gamma.append(cand)
-        w2 |= elimination(ds2, ds1, gamma)
+        w2 |= elimination(g, terms, gamma)
     return w2
 
 
-def type_three_repair_set(ds1: GraphDS, ds2: GraphDS, ds3: GraphDS,
-                          c: int, t: int) -> Set[EdgeKey]:
+def type_three_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
+                          comp3: Labels, c: int, t: int) -> Set[EdgeKey]:
     """Repair edges for terminal bipartitions containing all of S."""
-    g = ds1.g
-    s = frozenset(ds1.terminals)
-    t_set = frozenset(ds2.terminals)
+    s = frozenset(s)
+    t_set = frozenset(t_set)
+    terms = s | t_set
     w3: Set[EdgeKey] = set()
-    if 0 < len(s | t_set) <= t:
-        h = enumerate_cuts(ds1, ds2, s | t_set, c, t)
+    if 0 < len(terms) <= t:
+        h = enumerate_cuts(g, terms, terms, c, t)
         if h:
             best = min(h, key=lambda v: (cut_size(g, v), tuple(sorted(v))))
             w3 |= set(boundary(g, best))
     if not s:
         return w3
-    cc = {ds3.comp_id(x) for x in s}
+    held = {comp3[x] for x in s}
     buckets: Dict[VertexId, List[FrozenSet[VertexId]]] = defaultdict(list)
     s0 = min(s)
     for side in sorted(enumerate_simple_cuts(g, s0, c, t),
                        key=lambda v: tuple(sorted(v))):
         if (side & s) != s or (side & t_set) == t_set:
             continue
-        ends = _ends(boundary(g, side))
-        ids = {ds3.comp_id(y) for y in ends}
-        if len(ids) == 1 and next(iter(ids)) in cc:
-            buckets[next(iter(ids))].append(frozenset(side))
+        cid = _label_of(comp3, _ends(boundary(g, side)))
+        if cid in held:
+            buckets[cid].append(frozenset(side))
     for cid in sorted(buckets):
         best_e: EdgeSet = frozenset()
         best_size = None
@@ -368,19 +373,14 @@ def type_three_repair_set(ds1: GraphDS, ds2: GraphDS, ds3: GraphDS,
                 if not outside:
                     continue
                 x = outside[0]
-                mark = ds2.mark()
-                try:
-                    for u, v in sorted(e_sub):
-                        if ds2.g.has_edge(u, v):
-                            ds2.ds_update(DeleteEdge(u, v))
-                    if ds2.terminal_number(x) > 0:
-                        vn = ds2.vertex_number(x)
-                        if t < vn and (best_size is None or vn < best_size):
-                            best_size = vn
-                            best_e = e_sub
-                            root = ds2.one_terminal(x)
-                finally:
-                    ds2.rollback_to(mark)
+                # x's component of g minus e_sub, probed without a copy
+                piece = _reachable(g, x, banned_edges=e_sub)
+                found = piece & t_set
+                vn = len(piece)
+                if found and t < vn and (best_size is None or vn < best_size):
+                    best_size = vn
+                    best_e = e_sub
+                    root = min(found)
         gamma: List[RealizablePair] = []
         if root is not None:
             seen = set()
@@ -396,52 +396,45 @@ def type_three_repair_set(ds1: GraphDS, ds2: GraphDS, ds3: GraphDS,
                             seen.add(key)
                             gamma.append(cand)
         w3 |= set(best_e)
-        w3 |= elimination(ds2, ds1, gamma)
+        w3 |= elimination(g, terms, gamma)
     return w3
 
 
 # -- full repair set and initial construction ------------------------------
 
-def repair_set(ds1: GraphDS, ds2: GraphDS, ds3: GraphDS,
+def repair_set(g: MultiGraph, t2: Terminals, g3: MultiGraph,
                s: Iterable[VertexId], c: int, t: int, q: int
                ) -> Set[EdgeKey]:
-    """Union of the three typed repair sets; terminal mutations on the three
-    data structures are rolled back before returning.  Replacements are
-    budgeted q + t vertices; q >= 2t is required (see bipartition_system)."""
+    """Union of the three typed repair sets.  DS1 is g with terminals S, DS2
+    is g with terminals t2 minus S, and DS3 is g3, on g's vertices, with
+    terminals S.  Nothing is mutated.  Replacements are budgeted q + t
+    vertices; q >= 2t is required (see bipartition_system)."""
     if q < 2 * t:
         raise RejectedOp("repair-set", f"need q >= 2t, got q={q} t={t}")
-    s_set = sorted(set(s))
-    marks = (ds1.mark(), ds2.mark(), ds3.mark())
-    try:
-        for x in s_set:
-            ds1.ds_update(InsertTerminal(x))
-            ds3.ds_update(InsertTerminal(x))
-            ds2.ds_update(DeleteTerminal(x))
-        w = type_one_repair_set(ds1, ds2, ds3, c, t)
-        w |= type_two_repair_set(ds1, ds2, ds3, c, t, q)
-        w |= type_three_repair_set(ds1, ds2, ds3, c, t)
-    finally:
-        ds1.rollback_to(marks[0])
-        ds2.rollback_to(marks[1])
-        ds3.rollback_to(marks[2])
+    s_set = frozenset(s)
+    for x in sorted(s_set):
+        if not (g.has_vertex(x) and g3.has_vertex(x)):
+            raise RejectedOp("repair-set", f"vertex {x} absent")
+    t_set = frozenset(t2) - s_set
+    comp3 = component_labels(g3)
+    w = type_one_repair_set(g, s_set, t_set, comp3, c, t)
+    w |= type_two_repair_set(g, s_set, t_set, comp3, c, t, q)
+    w |= type_three_repair_set(g, s_set, t_set, comp3, c, t)
     for log in _LOGS:
         log.append((len(s_set), len(w), c))
     return w
 
 
-def initial_ia(ds: GraphDS, t_verts: Iterable[VertexId], t: int, q: int,
+def initial_ia(g: MultiGraph, t_verts: Iterable[VertexId], t: int, q: int,
                d: int) -> Set[EdgeKey]:
     """An IA(T, t, q, d, 1) set built as a repair set against an empty prior
-    IA set (all of T treated as boundary terminals)."""
+    IA set (all of T treated as boundary terminals, and g as DS3's graph)."""
     t_verts = sorted(set(t_verts))
     if len(t_verts) <= 1:
         return set()
     if q < 3 * t:
         raise RejectedOp("initial-ia", f"need q >= 3t, got q={q} t={t}")
-    g = ds.g
-    ds2 = GraphDS(g.copy(), set(t_verts))
-    ds3 = GraphDS(g.copy(), set())
-    return repair_set(ds, ds2, ds3, t_verts, d, t, q - t)
+    return repair_set(g, t_verts, g, t_verts, d, t, q - t)
 
 
 def layered_ia(g: MultiGraph, t_verts: Iterable[VertexId],
@@ -461,8 +454,7 @@ def layered_ia(g: MultiGraph, t_verts: Iterable[VertexId],
     derivation = []
     h = g.copy()
     for i, (t_i, q_i) in enumerate(layers):
-        ds = GraphDS(h.copy(), set())
-        layer = initial_ia(ds, terms, t_i, q_i, max(d - i, 1))
+        layer = initial_ia(h, terms, t_i, q_i, max(d - i, 1))
         derivation.append((frozenset(layer), t_i, q_i))
         edges |= layer
         terms |= _ends(layer)

