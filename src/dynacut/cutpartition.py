@@ -163,7 +163,12 @@ def cut_partition_preprocess(g: MultiGraph, phi: Fraction, c: int, t: int,
                              params: Optional[LayerParams] = None,
                              gamma: Optional[int] = None) -> CutPartitionDS:
     """Build the structure from scratch: expander decomposition, then one
-    witness layer per composition step."""
+    witness layer per composition step.
+
+    A layer with no witness edges has the same graph as the layer before,
+    and the BFS forest is a function of the graph, so that layer copies the
+    forest before it instead of running the BFS again.  On the flat
+    schedule no layer has witness edges, so each preprocess runs one BFS."""
     if params is None:
         params = default_params(t, c)
     if params.c != c or params.t != t:
@@ -181,7 +186,8 @@ def cut_partition_preprocess(g: MultiGraph, phi: Fraction, c: int, t: int,
         ia = _layer_ia(cur, terms, t_i, q_i, n - i + 1)
         cur = _remove_edges(cur, ia)
         terms = terms | _ends(ia)
-        layers.append(GraphDS(cur, terms))
+        layers.append(GraphDS(cur, terms) if ia else GraphDS.from_forest(
+            cur, terms, set(layers[-1].forest)))
     return CutPartitionDS(g.copy(), layers, params,
                           gamma if gamma is not None else c + 1,
                           deco.phi_certified)

@@ -39,13 +39,12 @@ def cut_size(g: MultiGraph, side: Iterable[VertexId]) -> int:
 
 
 def _reachable(g: MultiGraph, start: VertexId, banned_edges: Set[EdgeKey],
-               within: Optional[Set[VertexId]] = None,
-               limit: Optional[int] = None) -> Set[VertexId]:
+               within: Optional[Set[VertexId]] = None) -> Set[VertexId]:
     seen = {start}
     queue = deque([start])
     while queue:
         u = queue.popleft()
-        for v in g.neighbors(u):
+        for v in g.adjacent(u):
             if v in seen:
                 continue
             if within is not None and v not in within:
@@ -54,8 +53,6 @@ def _reachable(g: MultiGraph, start: VertexId, banned_edges: Set[EdgeKey],
                 continue
             seen.add(v)
             queue.append(v)
-            if limit is not None and len(seen) > limit:
-                return seen
     return seen
 
 

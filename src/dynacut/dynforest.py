@@ -62,7 +62,9 @@ class GraphDS:
     """Queryable dynamic graph with terminals, spanning forest, contraction.
 
     It serves the layers of a cut-partition level and the copies of them,
-    restricted to the queried component, that a query updates."""
+    restricted to the queried component, that a query updates.  A witness
+    layer with no witness edges copies the forest of the layer before
+    instead of running the BFS (see cut_partition_preprocess)."""
 
     def __init__(self, graph: MultiGraph, terminals=()):
         self.g = graph
@@ -100,14 +102,18 @@ class GraphDS:
         return adj
 
     def _forest_side(self, x: VertexId, banned: EdgeKey) -> Set[VertexId]:
-        """Vertices reachable from x in the forest avoiding `banned`."""
-        adj = self._forest_adj()
+        """Vertices reachable from x in the forest avoiding `banned`: a walk
+        over g's adjacency that follows forest edges only, so it stays in
+        x's tree."""
         side = {x}
         queue = deque([x])
         while queue:
             u = queue.popleft()
-            for v in adj[u]:
-                if edge_key(u, v) == banned or v in side:
+            for v in self.g.adjacent(u):
+                if v in side:
+                    continue
+                e = edge_key(u, v)
+                if e == banned or e not in self.forest:
                     continue
                 side.add(v)
                 queue.append(v)
@@ -232,13 +238,9 @@ class GraphDS:
                 if e in self.forest:
                     self.forest.discard(e)
                     side = self._forest_side(op.u, e)
-                    repl = None
-                    for a in sorted(side):
-                        for b in self.g.neighbors(a):
-                            if b not in side:
-                                k = edge_key(a, b)
-                                if repl is None or k < repl:
-                                    repl = k
+                    repl = min((edge_key(a, b) for a in side
+                                for b in self.g.adjacent(a) if b not in side),
+                               default=None)
                     if repl is not None:
                         self.forest.add(repl)
         self._dirty = True

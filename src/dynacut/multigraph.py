@@ -9,7 +9,7 @@ of its multiplicity at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterator, KeysView, List, Optional, Set, Tuple, Union
 
 from .errors import RejectedOp
 
@@ -51,6 +51,11 @@ class MultiGraph:
 
     def neighbors(self, v: VertexId) -> List[VertexId]:
         return sorted(self._adj[v])
+
+    def adjacent(self, v: VertexId) -> KeysView[VertexId]:
+        """The distinct neighbors of v, in no fixed order; a live view, so
+        the graph must not change while it is read."""
+        return self._adj[v].keys()
 
     def degree(self, v: VertexId) -> int:
         """Number of distinct neighbors."""

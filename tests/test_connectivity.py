@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dynacut import connectivity, cutpartition, repair
+from dynacut import connectivity, cutpartition, multilevel, repair
 from dynacut.connectivity import (
     StackDS, edge_connectivity, engine_preprocess, engine_query,
     engine_update, offline_oracle,
@@ -122,17 +122,40 @@ def test_engine_barbell():
 
 def test_preprocess_builds_a_graphds_per_layer_only(monkeypatch):
     """Each level holds its input graph as a plain MultiGraph, so the
-    layers are the only GraphDS objects a preprocess builds."""
+    layers are the only GraphDS objects a preprocess builds.  A GraphDS is
+    made by __init__ or by from_forest, which clone and restrict go
+    through, so counting both counts every one.  On the flat schedule no
+    layer has witness edges, so each level runs the forest BFS once, for
+    its layer 0."""
     built = []
+    bfs = []
     init = GraphDS.__init__
+    from_forest = GraphDS.from_forest.__func__
+    build_forest = GraphDS._build_forest
 
     def counting_init(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
+    def counting_from_forest(cls, *args, **kwargs):
+        ds = from_forest(cls, *args, **kwargs)
+        built.append(ds)
+        return ds
+
+    def counting_build_forest(self, *args, **kwargs):
+        bfs.append(self)
+        build_forest(self, *args, **kwargs)
+
     monkeypatch.setattr(GraphDS, "__init__", counting_init)
+    monkeypatch.setattr(GraphDS, "from_forest",
+                        classmethod(counting_from_forest))
+    monkeypatch.setattr(GraphDS, "_build_forest", counting_build_forest)
     e = engine_preprocess(barbell(), 2)
-    assert len(built) == sum(len(ods.layers) for ods in e.current.levels)
+    levels = e.current.levels
+    assert len(built) == sum(len(ods.layers) for ods in levels)
+    assert {id(ds) for ds in built} == \
+        {id(ds) for ods in levels for ds in ods.layers}
+    assert bfs == [ods.layers[0] for ods in levels]
 
 
 def test_repair_and_queries_build_no_graphds(monkeypatch):
@@ -350,6 +373,71 @@ def test_stack_splice_on_a_two_level_schedule(monkeypatch):
     with pytest.raises(RejectedOp):
         impl.batch_update(inst, g, [op])
     assert calls == {**before, "full": before["full"] + 1}
+
+
+def _check_forests_are_fresh(ods, seen):
+    """Every layer's forest is the one a fresh GraphDS builds on its graph.
+    Tallies the layers with witness edges, those where a component splits,
+    and those where a component losing no edge keeps its tree."""
+    for i, ds in enumerate(ods.layers):
+        assert ds.forest == GraphDS(ds.g.copy(), ds.terminals).forest
+        if i == 0:
+            continue
+        prev = ods.layers[i - 1]
+        removed = set(prev.g.pairs()) - set(ds.g.pairs())
+        if not removed:
+            assert ds.forest == prev.forest
+            continue
+        seen["witness"] += 1
+        seen["split"] += len(components(ds.g)) > len(components(prev.g))
+        for comp in components(prev.g):
+            tree = {e for e in prev.forest if e[0] in comp}
+            if tree and not any(u in comp for u, _ in removed):
+                assert tree <= ds.forest
+                seen["kept"] += 1
+                break
+
+
+def test_derived_forests_equal_a_fresh_bfs(monkeypatch):
+    """A witness layer with no witness edges copies the forest of the layer
+    before; on the flat schedule (no witness edges) and on a two-level desk
+    schedule (with them) every layer of every preprocess has the forest a
+    BFS of its graph gives, also in a stack that is then refused for
+    failing to shrink."""
+    seen = {"witness": 0, "split": 0, "kept": 0}
+    checked = []
+    preprocess = multilevel.cut_partition_preprocess
+
+    def checking_preprocess(*args, **kwargs):
+        ods = preprocess(*args, **kwargs)
+        _check_forests_are_fresh(ods, seen)
+        checked.append(ods)
+        return ods
+
+    monkeypatch.setattr(multilevel, "cut_partition_preprocess",
+                        checking_preprocess)
+    rng = random.Random(41)
+    for c in (1, 2, 3):
+        for _ in range(3):
+            g = _components_graph(rng, [rng.randint(2, 6) for _ in range(3)])
+            engine_preprocess(g, c)
+    assert len(checked) == 9
+    assert seen == {"witness": 0, "split": 0, "kept": 0}
+    sched = make_schedule(1, 12, "desk", {"rounds": 1, "t": 20, "n_max": 20,
+                                          "phi": Fraction(2, 5)})
+    assert preprocess_multi_level(_two_barbells(), sched).level_count() == 2
+    rng = random.Random(42)
+    for phi in (Fraction(2, 5), Fraction(1, 3)):
+        sched = make_schedule(1, 40, "desk", {"rounds": 1, "t": 40,
+                                              "n_max": 40, "phi": phi})
+        for _ in range(12):
+            g = _components_graph(rng, [rng.randint(4, 12) for _ in range(2)])
+            try:
+                preprocess_multi_level(g, sched)
+            except RejectedOp:
+                pass              # non-shrink diagnostic at this phi
+    assert len(checked) >= 9 + 2 + 24
+    assert min(seen.values()) > 0
 
 
 def test_engine_update_refuses_vertices_beyond_n_cap():
