@@ -92,6 +92,13 @@ def default_params(t: int, c: int, strict: bool = False) -> LayerParams:
 
 @dataclass
 class CutPartitionDS:
+    """The input graph and its layer chain.
+
+    Equal consecutive layers may be one shared GraphDS object, as
+    cut_partition_preprocess and splice_partition build them, so a
+    structure they return is read-only.  An in-place consumer
+    (update_partition, and so cut_partition_update) takes clone() or
+    restrict() first: both give every index its own copy."""
     g: MultiGraph                 # the input graph
     layers: List[GraphDS]         # layer graphs, each with its terminals
     params: LayerParams
@@ -165,10 +172,11 @@ def cut_partition_preprocess(g: MultiGraph, phi: Fraction, c: int, t: int,
     """Build the structure from scratch: expander decomposition, then one
     witness layer per composition step.
 
-    A layer with no witness edges has the same graph as the layer before,
-    and the BFS forest is a function of the graph, so that layer copies the
-    forest before it instead of running the BFS again.  On the flat
-    schedule no layer has witness edges, so each preprocess runs one BFS."""
+    A layer with no witness edges equals the layer before it, so it is the
+    same GraphDS object: it gets no graph copy and no forest of its own.
+    On the flat schedule no layer has witness edges, so each level holds
+    one distinct layer and runs one BFS.  The result is read-only (see
+    CutPartitionDS)."""
     if params is None:
         params = default_params(t, c)
     if params.c != c or params.t != t:
@@ -184,10 +192,12 @@ def cut_partition_preprocess(g: MultiGraph, phi: Fraction, c: int, t: int,
     for i in range(1, n + 1):
         t_i, q_i = params.pairs[i - 1]
         ia = _layer_ia(cur, terms, t_i, q_i, n - i + 1)
-        cur = _remove_edges(cur, ia)
-        terms = terms | _ends(ia)
-        layers.append(GraphDS(cur, terms) if ia else GraphDS.from_forest(
-            cur, terms, set(layers[-1].forest)))
+        if ia:
+            cur = _remove_edges(cur, ia)
+            terms = terms | _ends(ia)
+            layers.append(GraphDS(cur, terms))
+        else:
+            layers.append(layers[-1])
     return CutPartitionDS(g.copy(), layers, params,
                           gamma if gamma is not None else c + 1,
                           deco.phi_certified)
@@ -204,16 +214,25 @@ def splice_partition(parent: CutPartitionDS, drop: Set[VertexId],
     vertex and walks sorted neighbours.  So when parent and part were both
     preprocessed, the result is what cut_partition_preprocess builds on the
     spliced graph.  The kept components' adjacency and forest edges are
-    shared with parent, so neither may be mutated afterwards."""
+    shared with parent, so neither may be mutated afterwards.
+
+    Each distinct (old, new) layer pair is spliced once, and every index
+    that holds that pair shares the result.  So the result shares a layer
+    only where both inputs do, where no component of either has witness
+    edges, and a preprocess of the spliced graph shares it too."""
     gone = [v for v in drop if parent.g.has_vertex(v)]
     # every layer has parent.g's vertices and a subset of its edges
     cut = {edge_key(u, v) for u in gone for v in parent.g.neighbors(u)}
+    spliced: Dict[Tuple[int, int], GraphDS] = {}
     layers = []
     for old, new in zip(parent.layers, part.layers):
-        layers.append(GraphDS.from_forest(
-            splice_graph(old.g, gone, new.g),
-            (old.terminals - drop) | new.terminals,
-            (old.forest - cut) | new.forest))
+        key = (id(old), id(new))
+        if key not in spliced:
+            spliced[key] = GraphDS.from_forest(
+                splice_graph(old.g, gone, new.g),
+                (old.terminals - drop) | new.terminals,
+                (old.forest - cut) | new.forest)
+        layers.append(spliced[key])
     return CutPartitionDS(splice_graph(parent.g, gone, part.g), layers,
                           parent.params, parent.gamma, parent.phi)
 
@@ -246,18 +265,23 @@ def build_sparsifier(ods: CutPartitionDS, gamma: Optional[int] = None
 
 
 def _sparsifier_graph(g: MultiGraph, ds_q: GraphDS, gamma: int) -> MultiGraph:
+    """A layer with no terminals contracts to the empty graph, and every
+    layer is a subgraph of g, so one with as many distinct edges as g
+    leaves no edge of g outside it."""
     out = MultiGraph()
-    cg = ds_q.contracted()
-    for v in cg.vertex_list():
-        out.add_vertex(v)
-    for (u, v), _ in cg.edge_items():
-        out.add_edge(u, v, gamma)
-    for (u, v), m in g.edge_items():
-        if not ds_q.g.has_edge(u, v):
-            for w in (u, v):
-                if not out.has_vertex(w):
-                    out.add_vertex(w)
-            out.add_edge(u, v, m)
+    if ds_q.terminals:
+        cg = ds_q.contracted()
+        for v in cg.vertex_list():
+            out.add_vertex(v)
+        for (u, v), _ in cg.edge_items():
+            out.add_edge(u, v, gamma)
+    if ds_q.g.distinct_edge_count() != g.distinct_edge_count():
+        for (u, v), m in g.edge_items():
+            if not ds_q.g.has_edge(u, v):
+                for w in (u, v):
+                    if not out.has_vertex(w):
+                        out.add_vertex(w)
+                out.add_edge(u, v, m)
     return out
 
 
@@ -281,7 +305,11 @@ def update_partition(ods: CutPartitionDS, r_edges, t: int, c: int,
                      ) -> Tuple[CutPartitionDS, UpdateSeq]:
     """Consume a strict (c^2+2c)-layer structure and a set R of newly
     intercluster edges; emit a plain c-layer structure for the refined
-    partition plus the update sequence for its sparsifier."""
+    partition plus the update sequence for its sparsifier.
+
+    The layers of ods are updated in place, so a non-empty R is refused
+    unless every index holds its own layer object, as clone() and
+    restrict() give.  An empty R updates no layer."""
     params = ods.params if params is None else params
     if not params.strict or params.c != c or params.t != t:
         raise RejectedOp("update-partition",
@@ -303,6 +331,10 @@ def update_partition(ods: CutPartitionDS, r_edges, t: int, c: int,
                 raise RejectedOp("update-partition",
                                  f"edge ({u},{v}) does not refine the "
                                  f"partition")
+    if r_cur and len({id(ds) for ds in ods.layers}) < len(ods.layers):
+        # an update of one index would show at every index sharing it
+        raise RejectedOp("update-partition",
+                         "layers are shared: update a clone() or restrict()")
     h = 0
     selected = [0]
     for i in range(c, 0, -1):

@@ -63,8 +63,8 @@ class GraphDS:
 
     It serves the layers of a cut-partition level and the copies of them,
     restricted to the queried component, that a query updates.  A witness
-    layer with no witness edges copies the forest of the layer before
-    instead of running the BFS (see cut_partition_preprocess)."""
+    layer with no witness edges is the same object as the layer before
+    (see cut_partition_preprocess)."""
 
     def __init__(self, graph: MultiGraph, terminals=()):
         self.g = graph

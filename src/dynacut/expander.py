@@ -136,14 +136,15 @@ def _sweep_split(g: MultiGraph) -> FrozenSet[VertexId]:
 
 def _cluster_ok(g: MultiGraph, cluster: FrozenSet[VertexId],
                 phi: Fraction, backend: str) -> bool:
-    if len(cluster) <= 1:
-        return True
-    sub = induced_subgraph(g, cluster)
-    vol = volume(sub, cluster)
-    if vol > 0 and phi <= Fraction(2, vol) and len(components(sub)) == 1:
+    """Whether a cluster of two vertices or more, which comes from a
+    components call and so is connected, has conductance >= phi."""
+    # the volume of the cluster's induced subgraph, read off g
+    vol = sum(1 for v in cluster for w in g.adjacent(v) if w in cluster)
+    if phi <= Fraction(2, vol):
         # any cut of a connected graph has >= 1 edge against a side of
         # volume <= vol/2, so conductance >= 2/vol without enumeration
         return True
+    sub = induced_subgraph(g, cluster)
     if len(cluster) <= EXACT_LIMIT or backend == "exact-small":
         return conductance(sub) >= phi
     # large sweep cluster: accept when its own best sweep cut is no better

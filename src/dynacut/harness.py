@@ -288,8 +288,9 @@ def run_trace(path: Optional[str], c: int, profile: str = "desk",
               lines: Optional[List[TraceLine]] = None) -> int:
     """Replay a trace through the engine.  Returns 0 on success, 1 on an
     oracle mismatch (after printing a minimized reproduction), 2 on a parse
-    or replay error.  `lines` may be passed instead of a file path.  The
-    expander backend applies for this call only."""
+    or replay error or when the engine refuses an op.  `lines` may be
+    passed instead of a file path.  The expander backend applies for this
+    call only."""
     previous = expander.DEFAULT_BACKEND
     try:
         expander.set_default_backend(expander_backend)
@@ -320,6 +321,10 @@ def _run_trace(path: Optional[str], c: int, profile: str, oracle_check: bool,
     except TraceError as exc:
         log.error("trace replay failed: %s", exc)
         print(f"replay error: {exc}")
+        return 2
+    except RejectedOp as exc:
+        log.error("engine refused the trace: %s", exc)
+        print(f"engine refused: {exc}")
         return 2
     metrics = _build_metrics(lines, c, profile, e, mismatch, repair_log)
     if metrics_path:

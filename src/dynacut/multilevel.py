@@ -408,8 +408,8 @@ def splice_multi_level(parent: MultiLevelDS, drop: Set[VertexId],
     level's graph is the sparsifier of the level below, built per
     component.  So splicing level by level gives preprocess_multi_level on
     the spliced graph, including the raise when the spliced levels fail to
-    shrink.  Shares the kept components with parent (see
-    splice_partition)."""
+    shrink.  Shares the kept components with parent and the equal layers
+    of each level (see splice_partition), so the result is read-only."""
     if part.level_count() != parent.level_count():
         raise RejectedOp("multi-level splice", "level counts differ")
     levels = [splice_partition(old, drop, new)
@@ -424,8 +424,9 @@ def update_multi_level(mds: MultiLevelDS, seq: UpdateSeq, k: int
                        ) -> MultiLevelDS:
     """Absorb one update batch as round k.  Small batches propagate level by
     level; once a level's sequence exceeds its threshold, that level and
-    everything above it are rebuilt from scratch.  Consumes its input (the
-    level structures are updated in place).
+    everything above it are rebuilt from scratch.  Leaves its input
+    unchanged: a preprocessed level shares its equal layers (see
+    CutPartitionDS), so each level is updated on a clone().
 
     This is the paper's batch update, kept off the engine path: the engine's
     desk schedule has no spare rounds (rounds = 0), so StackDS preprocesses
@@ -449,7 +450,8 @@ def update_multi_level(mds: MultiLevelDS, seq: UpdateSeq, k: int
             rebuild_from = i
             break
         new_ods, cur_seq = cut_partition_update(
-            ods, cur_seq, phi, target, sched.t, sched.gamma, ods.params)
+            ods.clone(), cur_seq, phi, target, sched.t, sched.gamma,
+            ods.params)
         new_levels.append(_reframe(new_ods, c_next))
     if rebuild_from is not None:
         g_cur = apply_seq(mds.levels[rebuild_from].g.copy(), cur_seq)

@@ -11,7 +11,7 @@ from dynacut.connectivity import (
     StackDS, edge_connectivity, engine_preprocess, engine_query,
     engine_update, offline_oracle,
 )
-from dynacut.cutprimitives import components
+from dynacut.cutprimitives import component_of, components
 from dynacut.dynforest import GraphDS, InsertTerminal
 from dynacut.errors import RejectedOp
 from dynacut.multigraph import (DeleteEdge, InsertEdge, InsertVertex,
@@ -122,11 +122,12 @@ def test_engine_barbell():
 
 def test_preprocess_builds_a_graphds_per_layer_only(monkeypatch):
     """Each level holds its input graph as a plain MultiGraph, so the
-    layers are the only GraphDS objects a preprocess builds.  A GraphDS is
-    made by __init__ or by from_forest, which clone and restrict go
-    through, so counting both counts every one.  On the flat schedule no
-    layer has witness edges, so each level runs the forest BFS once, for
-    its layer 0."""
+    distinct layers are the only GraphDS objects a preprocess builds: a
+    layer with no witness edges is the layer before it.  A GraphDS is made
+    by __init__ or by from_forest, which clone and restrict go through, so
+    counting both counts every one.  On the flat schedule no layer has
+    witness edges, so each level runs the forest BFS once, for its
+    layer 0."""
     built = []
     bfs = []
     init = GraphDS.__init__
@@ -152,10 +153,85 @@ def test_preprocess_builds_a_graphds_per_layer_only(monkeypatch):
     monkeypatch.setattr(GraphDS, "_build_forest", counting_build_forest)
     e = engine_preprocess(barbell(), 2)
     levels = e.current.levels
-    assert len(built) == sum(len(ods.layers) for ods in levels)
-    assert {id(ds) for ds in built} == \
-        {id(ds) for ods in levels for ds in ods.layers}
+    distinct = {id(ds) for ods in levels for ds in ods.layers}
+    assert len(built) == len(distinct)
+    assert {id(ds) for ds in built} == distinct
     assert bfs == [ods.layers[0] for ods in levels]
+
+
+def _triangle_chains(*bases):
+    """A chain of 3 triangles on the 9 ids from each base, each triangle
+    joined to the next by one edge.  On the two-level desk schedule the
+    middle triangle holds two terminals, so the first level has witness
+    layers."""
+    edges = []
+    for base in bases:
+        for t in range(base, base + 9, 3):
+            edges += [(t, t + 1), (t, t + 2), (t + 1, t + 2)]
+            if t > base:
+                edges.append((t - 1, t))
+    return MultiGraph.from_edges(sorted({v for e in edges for v in e}), edges)
+
+
+def _distinct_layers(mds):
+    return [len({id(ds) for ds in ods.layers}) for ods in mds.levels]
+
+
+def _check_sharing_is_equality(mds):
+    """Consecutive layers are one object exactly when they are equal."""
+    for ods in mds.levels:
+        for prev, ds in zip(ods.layers, ods.layers[1:]):
+            assert (ds is prev) == (ds.fingerprint() == prev.fingerprint())
+
+
+def test_equal_layers_are_one_shared_object(monkeypatch):
+    """On the flat schedule a preprocess and a splice leave each level one
+    distinct layer object, shared by its 9 indices at c = 2.  Layers with
+    witness edges stay separate objects, also after a splice.  A clone or
+    a restrict gives every index its own layer, so updating one leaves its
+    siblings and the served stack unchanged."""
+    calls = _spy_stack(monkeypatch)
+    rng = random.Random(33)
+    g = _components_graph(rng, [4, 3, 5])
+    e = engine_preprocess(g, 2)
+    impl = StackDS(e.schedule)
+    for inst in (e.current, impl.initialize(g.copy())):
+        assert [len(ods.layers) for ods in inst.levels] == \
+            [9] * inst.level_count()
+        assert _distinct_layers(inst) == [1] * inst.level_count()
+    inst = impl.initialize(g.copy())
+    spliced = impl.batch_update(inst, g, [DeleteEdge(*g.edge_keys()[0])])
+    assert calls == {"splice": 1, "full": 0}
+    assert _distinct_layers(spliced) == [1] * spliced.level_count()
+
+    sched = make_schedule(1, 12, "desk", {"rounds": 1, "t": 20, "n_max": 20,
+                                          "phi": Fraction(2, 5)})
+    two = _triangle_chains(0, 10)
+    impl = StackDS(sched)
+    inst = impl.initialize(two.copy())
+    assert _distinct_layers(inst)[0] == 3
+    _check_sharing_is_equality(inst)
+    op = DeleteEdge(10, 11)
+    spliced = impl.batch_update(inst, two, [op])
+    assert calls == {"splice": 2, "full": 0}
+    assert spliced.fingerprint() == \
+        preprocess_multi_level(apply_update(two.copy(), op), sched
+                               ).fingerprint()
+    _check_sharing_is_equality(spliced)
+
+    served = e.current
+    before = served.fingerprint()
+    x = min(g.vertex_list())
+    for ods in served.levels:
+        for copy in (ods.clone(), ods.restrict(component_of(ods.g, x))):
+            layers = copy.layers
+            assert len({id(ds) for ds in layers}) == len(layers)
+            rest = [ds.fingerprint() for ds in layers[1:]]
+            first = layers[0]
+            first.ds_update(InsertTerminal(min(first.g.vertex_list())))
+            first.ds_update(DeleteEdge(*first.g.edge_keys()[0]))
+            assert [ds.fingerprint() for ds in layers[1:]] == rest
+    assert served.fingerprint() == before
 
 
 def test_repair_and_queries_build_no_graphds(monkeypatch):

@@ -188,6 +188,22 @@ def test_update_partition_rejects_non_refining_r():
             update_partition(ods, {(0, 2)}, 4, 1, 2)
 
 
+def test_update_partition_refuses_shared_layers():
+    """A preprocess shares its equal layers, so update_partition refuses
+    to update them in place and leaves them as they were; on a clone,
+    where every index holds its own layer, the same update runs."""
+    ods = _strict_ods(barbell(), 1, 4, Fraction(2, 5))
+    assert ods.layers[1] is ods.layers[0]
+    before = ods.fingerprint()
+    r = {(0, 1), (0, 2)}
+    with pytest.raises(RejectedOp, match="shared"):
+        update_partition(ods, r, 4, 1, 2)
+    assert ods.fingerprint() == before
+    new_ods, seq = update_partition(ods.clone(), r, 4, 1, 2)
+    assert build_sparsifier(new_ods) == apply_seq(build_sparsifier(ods), seq)
+    assert ods.fingerprint() == before
+
+
 def _random_refining_r(rng, ods):
     g0 = ods.layers[0].g
     parts = [p for p in components(g0) if len(p) >= 2]

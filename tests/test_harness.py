@@ -231,6 +231,25 @@ def test_cli_usage_errors(tmp_path):
     assert res.exit_code == 2
 
 
+def test_cli_engine_refusal_exits_2(tmp_path):
+    """A RejectedOp from the engine during the replay is a refusal, not a
+    mismatch: `dynacut run` prints one line and exits 2, not 1.  On this
+    trace an image component reaches 19 vertices, past the exact
+    backend's limit."""
+    runner = CliRunner()
+    res = runner.invoke(cli_main, ["gen", "--n", "24", "--ops", "300",
+                                   "--seed", "5"])
+    assert res.exit_code == 0
+    trace = tmp_path / "t.txt"
+    trace.write_text(res.output)
+    res = runner.invoke(cli_main, ["run", "--trace", str(trace), "--c", "2",
+                                   "--expander-backend", "exact-small"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "engine refused: expander-decomposition" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_fuzz_traces_script_runs_from_the_repository_root():
     """scripts/fuzz_traces.py puts the repository's src/ on sys.path, so it
     runs as its usage line says without an installed package."""

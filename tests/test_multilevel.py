@@ -298,6 +298,18 @@ class TestUpdate:
         assert frozen.fingerprint() == fp
         assert frozen.graph == barbell()
 
+    def test_update_leaves_its_input_unchanged(self):
+        """A preprocessed level shares its equal layers, so the update
+        works on clones of the levels and the input stays as it was."""
+        s = desk(1, 12, rounds=1, t=20, n_max=20, phi=Fraction(2, 5))
+        mds = preprocess_multi_level(barbell(), s)
+        layers = mds.levels[0].layers
+        assert len({id(ds) for ds in layers}) < len(layers)
+        fp = mds.fingerprint()
+        m2 = update_multi_level(mds, [DeleteEdge(2, 3)], 1)
+        assert mds.fingerprint() == fp
+        check_mds(m2, apply_seq(barbell(), [DeleteEdge(2, 3)]))
+
     def test_update_fuzz_both_branches(self):
         rng = random.Random(31)
         fast = rebuild = 0
