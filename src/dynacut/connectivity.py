@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
-from .cutpartition import build_sparsifier, cut_partition_update
+from .cutpartition import (build_sparsifier, cut_partition_update,
+                           update_layer_indices)
 from .cutprimitives import component_of
 from .errors import RejectedOp
 from .multigraph import (CompositeOp, DeleteEdge, InsertEdge, InsertVertex,
@@ -198,7 +199,8 @@ def engine_query(e: Engine, u: VertexId, w: VertexId) -> bool:
 
     Anchors in different components of the image are not even 1-edge
     connected, so the answer is then False at once.  Otherwise the query
-    copies every level restricted to the anchors' component C, attaches one
+    copies every level restricted to the anchors' component C (only the
+    layers the update reads, see update_layer_indices), attaches one
     pendant vertex to each anchor with multiplicity c+1, pushes the four-op
     sequence through the copies, applies the final emitted sequence to the
     top sparsifier of C and answers by brute force on that small graph.
@@ -226,7 +228,8 @@ def engine_query(e: Engine, u: VertexId, w: VertexId) -> bool:
     target = sched.chain[mds.round + 1]
     phi = sched.phi_at(mds.round + 1)
     expansion = [len(seq)]
-    levels = [ods.restrict(comp) for ods in mds.levels]
+    levels = [ods.restrict(comp, update_layer_indices(ods.params.c))
+              for ods in mds.levels]
     top = build_sparsifier(levels[-1], sched.gamma)
     for ods in levels:
         _, seq = cut_partition_update(ods, seq, phi, target, sched.t,

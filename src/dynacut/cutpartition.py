@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .cutprimitives import component_of, components
 from .dynforest import DeleteTerminal, GraphDS, InsertTerminal, contracted_diff
@@ -26,7 +26,7 @@ from .expander import decremental_single_expander, expander_decomposition
 from .multigraph import (
     DeleteEdge, DeleteVertex, EdgeKey, InsertEdge, InsertVertex, MultiGraph,
     UpdateOp, UpdateSeq, VertexId, apply_update, edge_key, induced_subgraph,
-    named_vertices, simple_view, splice_graph,
+    named_vertices, splice_graph,
 )
 from .repair import _ends, initial_ia, repair_set
 
@@ -118,7 +118,9 @@ class CutPartitionDS:
                               [ds.clone() for ds in self.layers],
                               self.params, self.gamma, self.phi)
 
-    def restrict(self, verts: Set[VertexId]) -> "CutPartitionDS":
+    def restrict(self, verts: Set[VertexId],
+                 indices: Optional[Iterable[int]] = None
+                 ) -> "CutPartitionDS":
         """A copy on the vertices of `verts` that g has, where verts is a
         union of components of g.  Every layer is a subgraph of g on g's
         vertices, so those vertices are closed under adjacency in every
@@ -127,9 +129,16 @@ class CutPartitionDS:
         splice_partition), so the copy is what cut_partition_preprocess
         builds on those components, and an update whose ops name only
         vertices of verts or new ones emits the same sequence on it as on
-        the whole structure."""
+        the whole structure.
+
+        With `indices`, only the layers at those indices are copied; every
+        other index keeps this structure's own layer, which nothing may
+        then read through the copy.  update_partition reads only the
+        indices update_layer_indices names."""
+        keep = range(len(self.layers)) if indices is None else set(indices)
         return CutPartitionDS(self.g.restrict(verts),
-                              [ds.restrict(verts) for ds in self.layers],
+                              [ds.restrict(verts) if j in keep else ds
+                               for j, ds in enumerate(self.layers)],
                               self.params, self.gamma, self.phi)
 
     def fingerprint(self) -> Tuple:
@@ -182,8 +191,9 @@ def cut_partition_preprocess(g: MultiGraph, phi: Fraction, c: int, t: int,
     if params.c != c or params.t != t:
         raise RejectedOp("cut-partition", "params disagree with (t, c)")
     phi = Fraction(phi)
-    deco = expander_decomposition(simple_view(g), phi)
-    inter = {e for e in deco.intercluster if g.has_edge(*e)}
+    # the decomposition reads distinct adjacency only, never a multiplicity
+    deco = expander_decomposition(g, phi)
+    inter = deco.intercluster
     n = params.layer_count()
     # _remove_edges returns a fresh graph that only the layer then holds
     cur = _remove_edges(g, inter)
@@ -300,6 +310,18 @@ def transformed_params(params: LayerParams, t: int, c: int) -> LayerParams:
     return LayerParams(t, c, tuple(pairs), strict=False)
 
 
+def update_layer_indices(c: int) -> List[int]:
+    """The layer indices update_partition reads, and updates in place, at
+    strength c: h and h + 2i for i = c down to 1, where h starts at 0 and
+    moves to h + 2i + 1 after each i, then the final h."""
+    out: List[int] = []
+    h = 0
+    for i in range(c, 0, -1):
+        out += [h, h + 2 * i]
+        h += 2 * i + 1
+    return out + [h]
+
+
 def update_partition(ods: CutPartitionDS, r_edges, t: int, c: int,
                      gamma: int, params: Optional[LayerParams] = None
                      ) -> Tuple[CutPartitionDS, UpdateSeq]:
@@ -307,9 +329,10 @@ def update_partition(ods: CutPartitionDS, r_edges, t: int, c: int,
     intercluster edges; emit a plain c-layer structure for the refined
     partition plus the update sequence for its sparsifier.
 
-    The layers of ods are updated in place, so a non-empty R is refused
-    unless every index holds its own layer object, as clone() and
-    restrict() give.  An empty R updates no layer."""
+    The layers at update_layer_indices(c) are read and updated in place,
+    and no other index is read, so a non-empty R is refused unless each of
+    those layers is held at no other index, as clone() and restrict() give.
+    An empty R updates no layer."""
     params = ods.params if params is None else params
     if not params.strict or params.c != c or params.t != t:
         raise RejectedOp("update-partition",
@@ -331,7 +354,9 @@ def update_partition(ods: CutPartitionDS, r_edges, t: int, c: int,
                 raise RejectedOp("update-partition",
                                  f"edge ({u},{v}) does not refine the "
                                  f"partition")
-    if r_cur and len({id(ds) for ds in ods.layers}) < len(ods.layers):
+    read = [ods.layers[j] for j in update_layer_indices(c)]
+    if r_cur and any(sum(ds is other for other in ods.layers) > 1
+                     for ds in read):
         # an update of one index would show at every index sharing it
         raise RejectedOp("update-partition",
                          "layers are shared: update a clone() or restrict()")

@@ -5,13 +5,20 @@ Conventions: a cut is named by one vertex side V'.  The cut-set is the set of
 distinct boundary edges; the cut *size* counts multiplicities.  A cut is
 "simple" when its named side induces a connected subgraph, "atomic" when both
 sides do.  A (t, c)-cut has size <= c and named side of <= t vertices.
+
+A CutSearch holds what repeated searches on one unchanging graph share: the
+heavy-class quotient per threshold c, each simple-cut search result, the
+pieces of the graph minus each edge set, and each side's boundary.
+repair_set builds one for the length of one call; the enumeration and
+atomic-cut functions read it when it is passed and build a throwaway one
+when it is not.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Set, Tuple)
 
 from .errors import RejectedOp
 from .multigraph import EdgeKey, MultiGraph, VertexId, edge_key
@@ -27,29 +34,32 @@ def boundary(g: MultiGraph, side: Iterable[VertexId]) -> EdgeSet:
     for v in s:
         if not g.has_vertex(v):
             raise RejectedOp("boundary", f"vertex {v} absent")
-        for w in g.neighbors(v):
+        for w in g.adjacent(v):
             if w not in s:
                 out.add(edge_key(v, w))
     return frozenset(out)
 
 
 def cut_size(g: MultiGraph, side: Iterable[VertexId]) -> int:
-    """Multiplicity-weighted size of the cut named by `side`."""
+    """Test oracle: multiplicity-weighted size of the cut named by `side`
+    (the engine reads CutSearch.cut_size)."""
     return sum(g.multiplicity(u, v) for u, v in boundary(g, side))
 
 
 def _reachable(g: MultiGraph, start: VertexId, banned_edges: Set[EdgeKey],
                within: Optional[Set[VertexId]] = None) -> Set[VertexId]:
+    skip: Dict[VertexId, Set[VertexId]] = {}
+    for u, v in banned_edges:
+        skip.setdefault(u, set()).add(v)
+        skip.setdefault(v, set()).add(u)
     seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
+    queue = [start]
+    for u in queue:
+        banned = skip.get(u, ())
         for v in g.adjacent(u):
-            if v in seen:
+            if v in seen or v in banned:
                 continue
             if within is not None and v not in within:
-                continue
-            if edge_key(u, v) in banned_edges:
                 continue
             seen.add(v)
             queue.append(v)
@@ -137,27 +147,119 @@ def intercepts(g: MultiGraph, f: Iterable[EdgeKey],
     return False
 
 
+# -- one graph's shared cut searches ---------------------------------------
+
+class _Quotient(NamedTuple):
+    """g modulo its edges heavier than c: the class of each vertex, the
+    vertices of each class, and each class's neighbour classes, each with
+    the multiplicity of the edges to it."""
+    owner: Dict[VertexId, int]
+    members: List[List[VertexId]]
+    adj: List[List[Tuple[int, int]]]
+
+
+def _heavy_quotient(g: MultiGraph, c: int) -> _Quotient:
+    owner: Dict[VertexId, int] = {}
+    members: List[List[VertexId]] = []
+    for v in g.vertex_list():
+        if v in owner:
+            continue
+        owner[v] = len(members)
+        group = [v]
+        for u in group:
+            for w in g.adjacent(u):
+                if w not in owner and g.multiplicity(u, w) > c:
+                    owner[w] = owner[v]
+                    group.append(w)
+        members.append(group)
+    adj: List[List[Tuple[int, int]]] = []
+    for k, group in enumerate(members):
+        mult: Dict[int, int] = {}
+        for u in group:
+            for w in g.adjacent(u):
+                j = owner[w]
+                if j != k:
+                    mult[j] = mult.get(j, 0) + g.multiplicity(u, w)
+        adj.append(list(mult.items()))
+    return _Quotient(owner, members, adj)
+
+
+class CutSearch:
+    """What the cut searches on one graph g share, each built once: the
+    heavy-class quotient per threshold c, the result of each simple-cut
+    search per (x, c, t, excluded), the pieces of g minus each edge set e0,
+    and the boundary of each side.
+
+    g must not change while the object is in use.  repair_set builds one
+    per call, passes it to every helper, and drops it when it returns, so
+    nothing is kept between calls or shared between engines.  The functions
+    below that take a `search` read it instead of redoing the work; without
+    one they build their own, which lives for that call only.  Every result
+    it keeps is a frozenset, since each caller that asks gets the same one."""
+
+    def __init__(self, g: MultiGraph):
+        self.g = g
+        self._quotients: Dict[int, _Quotient] = {}
+        self._simple: Dict[Tuple[VertexId, int, int, VertexSet],
+                           FrozenSet[VertexSet]] = {}
+        self._pieces: Dict[EdgeSet, List[VertexSet]] = {}
+        self._boundary: Dict[VertexSet, EdgeSet] = {}
+
+    def quotient(self, c: int) -> _Quotient:
+        if c not in self._quotients:
+            self._quotients[c] = _heavy_quotient(self.g, c)
+        return self._quotients[c]
+
+    def simple_cuts(self, x: VertexId, c: int, t: int,
+                    excluded: Iterable[VertexId] = ()) -> FrozenSet[VertexSet]:
+        """enumerate_simple_cuts(g, x, c, t, excluded), searched once."""
+        key = (x, c, t, frozenset(excluded) - {x})
+        if key not in self._simple:
+            self._simple[key] = frozenset(enumerate_simple_cuts(
+                self.g, x, c, t, key[3], search=self))
+        return self._simple[key]
+
+    def piece(self, e0: EdgeSet, x: VertexId) -> VertexSet:
+        """x's component of g minus the edges e0, given as edge keys; the
+        same object for every vertex of the piece."""
+        found = self._pieces.setdefault(e0, [])
+        for p in found:
+            if x in p:
+                return p
+        found.append(frozenset(_reachable(self.g, x, e0)))
+        return found[-1]
+
+    def boundary(self, side: Iterable[VertexId]) -> EdgeSet:
+        key = frozenset(side)
+        if key not in self._boundary:
+            self._boundary[key] = boundary(self.g, key)
+        return self._boundary[key]
+
+    def cut_size(self, side: Iterable[VertexId]) -> int:
+        return sum(self.g.multiplicity(u, v) for u, v in self.boundary(side))
+
+
 # -- atomic cuts -----------------------------------------------------------
 
-def induces_atomic_cut(g: MultiGraph, e0: Iterable[EdgeKey]) -> bool:
+def induces_atomic_cut(g: MultiGraph, e0: Iterable[EdgeKey],
+                       search: Optional[CutSearch] = None) -> bool:
     """True iff e0 is the cut-set of an atomic cut of some connected
     component: removing e0 from that component leaves exactly two pieces,
     and every edge of e0 joins them."""
-    edges = {edge_key(u, v) for u, v in e0}
+    edges = frozenset(edge_key(u, v) for u, v in e0)
     if not edges or not all(g.has_vertex(x) for e in edges for x in e):
         return False
+    piece = (search or CutSearch(g)).piece
     # the pieces of g minus e0 met so far; a BFS stays in its component
-    sides: List[Set[VertexId]] = []
-
-    def side_of(x: VertexId) -> Set[VertexId]:
-        for side in sides:
-            if x in side:
-                return side
-        sides.append(_reachable(g, x, edges))
-        return sides[-1]
-
+    sides: List[VertexSet] = []
     for u, v in edges:
-        if side_of(u) is side_of(v) or len(sides) > 2:
+        pu, pv = piece(edges, u), piece(edges, v)
+        if pu is pv:
+            return False
+        for p in (pu, pv):
+            if all(p is not q for q in sides):
+                sides.append(p)
+        if len(sides) > 2:
             return False
     # every pair of e0 joins the same two pieces; they lie in one component
     # exactly when some pair is an edge of g
@@ -165,23 +267,26 @@ def induces_atomic_cut(g: MultiGraph, e0: Iterable[EdgeKey]) -> bool:
 
 
 def induced_cut_side(g: MultiGraph, e0: Iterable[EdgeKey],
-                     inner: Iterable[VertexId]) -> Set[VertexId]:
+                     inner: Iterable[VertexId],
+                     search: Optional[CutSearch] = None) -> Set[VertexId]:
     """The side L of the cut induced by e0 that contains `inner`: the union
     of the pieces of g minus e0 that hold a vertex of `inner`.  `inner` lies
     in one component of g (every caller passes a connected side), and a BFS
     stays in its component, so L does too."""
-    edges = {edge_key(u, v) for u, v in e0}
+    edges = frozenset(edge_key(u, v) for u, v in e0)
+    piece = (search or CutSearch(g)).piece
     side: Set[VertexId] = set()
     for v in inner:
         if v not in side:
-            side |= _reachable(g, v, edges)
+            side |= piece(edges, v)
     return side
 
 
 # -- bounded cut enumeration ----------------------------------------------
 
 def enumerate_simple_cuts(g: MultiGraph, x: VertexId, c: int, t: int,
-                          excluded: Iterable[VertexId] = ()
+                          excluded: Iterable[VertexId] = (),
+                          search: Optional[CutSearch] = None
                           ) -> Set[VertexSet]:
     """All V' with x in V', |V'| <= t, G[V'] connected, cut size <= c,
     and V' disjoint from `excluded` (x itself may be listed there).
@@ -189,55 +294,26 @@ def enumerate_simple_cuts(g: MultiGraph, x: VertexId, c: int, t: int,
     No cut of size <= c crosses an edge of multiplicity above c, so every
     such V' is a union of heavy classes: the components of the edges heavier
     than c, such as the gadget's path edges and the query pendants.  The
-    search therefore runs on the quotient by those edges.  A class is found
-    by a BFS over heavy edges when the search first touches it; it weighs
-    its vertex count towards t, and it is shut when it holds a vertex of
-    `excluded`.  Include/exclude branching on the next undecided neighbor
-    class of the grown side, with the remaining multiplicity budget tracked
-    incrementally: every valid side is one leaf, and any branch whose
-    committed boundary already exceeds c dies immediately.
+    search therefore runs on the quotient by those edges, the one `search`
+    keeps for c when given.  A class weighs its vertex count towards t, and
+    it is shut when it holds a vertex of `excluded`.  Include/exclude
+    branching on the next undecided neighbor class of the grown side, with
+    the remaining multiplicity budget tracked incrementally: every valid
+    side is one leaf, and any branch whose committed boundary already
+    exceeds c dies immediately.
     """
     if not g.has_vertex(x):
         raise RejectedOp("enumerate-simple-cuts", f"vertex {x} absent")
-    banned = set(excluded) - {x}
-    owner: Dict[VertexId, int] = {}
-    members: List[List[VertexId]] = []
-    adj: Dict[int, List[Tuple[int, int]]] = {}
-    shut: Set[int] = set()
-
-    def cls(v: VertexId) -> int:
-        if v not in owner:
-            k = len(members)
-            owner[v] = k
-            group = [v]
-            for u in group:
-                for w in g.neighbors(u):
-                    if w not in owner and g.multiplicity(u, w) > c:
-                        owner[w] = k
-                        group.append(w)
-            members.append(group)
-            if not banned.isdisjoint(group):
-                shut.add(k)
-        return owner[v]
-
-    def nbrs(k: int) -> List[Tuple[int, int]]:
-        if k not in adj:
-            mult: Dict[int, int] = {}
-            for u in members[k]:
-                for w in g.neighbors(u):
-                    j = cls(w)
-                    if j != k:
-                        mult[j] = mult.get(j, 0) + g.multiplicity(u, w)
-            adj[k] = list(mult.items())
-        return adj[k]
+    owner, members, nbrs = (search or CutSearch(g)).quotient(c)
+    shut: Set[int] = {owner[v] for v in excluded if v != x and v in owner}
 
     out: Set[VertexSet] = set()
-    kx = cls(x)
+    kx = owner[x]
     # every side holds x's whole class; the side {x} is kept for any t
     if kx in shut or len(members[kx]) > max(t, 1):
         return out
     side: Set[int] = {kx}
-    queue: List[int] = [k for k, _ in nbrs(kx)]
+    queue: List[int] = [k for k, _ in nbrs[kx]]
 
     def rec(budget: int, i: int, weight: int) -> None:
         while i < len(queue) and (queue[i] in side or queue[i] in shut):
@@ -246,36 +322,38 @@ def enumerate_simple_cuts(g: MultiGraph, x: VertexId, c: int, t: int,
             out.add(frozenset(v for k in side for v in members[k]))
             return
         k = queue[i]
-        cost_in = sum(m for j, m in nbrs(k) if j in shut)
+        cost_in = sum(m for j, m in nbrs[k] if j in shut)
         if weight + len(members[k]) <= t and budget >= cost_in:
             side.add(k)
             mark = len(queue)
-            queue.extend(j for j, _ in nbrs(k)
+            queue.extend(j for j, _ in nbrs[k]
                          if j not in side and j not in shut)
             rec(budget - cost_in, i + 1, weight + len(members[k]))
             del queue[mark:]
             side.remove(k)
-        cost_out = sum(m for j, m in nbrs(k) if j in side)
+        cost_out = sum(m for j, m in nbrs[k] if j in side)
         if budget >= cost_out:
             shut.add(k)
             rec(budget - cost_out, i + 1, weight)
             shut.remove(k)
 
-    start = c - sum(m for k, m in nbrs(kx) if k in shut)
+    start = c - sum(m for k, m in nbrs[kx] if k in shut)
     if start >= 0:
         rec(start, 0, len(members[kx]))
     return out
 
 
 def enumerate_anchored_cuts(g: MultiGraph, anchors: Iterable[VertexId], c: int,
-                            t: int) -> List[Tuple[VertexId, VertexSet]]:
+                            t: int, search: Optional[CutSearch] = None
+                            ) -> List[Tuple[VertexId, VertexSet]]:
     """Every side meeting `anchors` exactly once, tagged with the smallest
     anchor it contains and ordered by (anchor, side).  Matches the union of
     per-anchor enumerations processed with first-hit deduplication."""
+    cs = search or CutSearch(g)
     out: List[Tuple[VertexId, VertexSet]] = []
     done: List[VertexId] = []
     for x in sorted(set(anchors)):
-        sides = enumerate_simple_cuts(g, x, c, t, excluded=done)
+        sides = cs.simple_cuts(x, c, t, excluded=done)
         out.extend((x, side) for side in
                    sorted(sides, key=lambda v: tuple(sorted(v))))
         done.append(x)
@@ -283,8 +361,8 @@ def enumerate_anchored_cuts(g: MultiGraph, anchors: Iterable[VertexId], c: int,
 
 
 def enumerate_cuts(g: MultiGraph, terms: Iterable[VertexId],
-                   t_prime: Iterable[VertexId], c: int, t: int
-                   ) -> Set[VertexSet]:
+                   t_prime: Iterable[VertexId], c: int, t: int,
+                   search: Optional[CutSearch] = None) -> Set[VertexSet]:
     """All (T', terms \\ T', t, c)-cut sides V' of g such that every
     connected component of G[V'] contains a vertex of T'.  `terms` are the
     terminals of DS1 and DS2 together.  Empty if |T'| > t."""
@@ -294,8 +372,8 @@ def enumerate_cuts(g: MultiGraph, terms: Iterable[VertexId],
     terms = frozenset(terms)
     if not tp <= terms:
         raise RejectedOp("enumerate-cuts", "T' not within the terminal sets")
-    universe: Set[VertexSet] = \
-        {side for _, side in enumerate_anchored_cuts(g, tp, c, t)}
+    universe: Set[VertexSet] = {
+        side for _, side in enumerate_anchored_cuts(g, tp, c, t, search)}
     # keep only pieces whose terminal trace stays within T'
     pieces = sorted((v for v in universe if (v & terms) <= tp),
                     key=lambda s: tuple(sorted(s)))

@@ -184,7 +184,10 @@ class Scheduler:
         self.w = w
         self.s = _scale(xi, w)
         self.d = [self.s ** (xi - i) for i in range(xi + 1)]
+        # the updates a future window or serve may still read; the first
+        # `dropped` updates are gone (see _trim)
         self.updates: List[UpdateOp] = []
+        self.dropped = 0
         self.now = 0
         before = impl.steps
         base = impl.initialize(g)
@@ -209,6 +212,24 @@ class Scheduler:
     def _t(self, i: int, j: int) -> int:
         return max(j, 0) * self.d[i]
 
+    def _updates(self, a: int, b: int) -> List[UpdateOp]:
+        """Updates a+1 .. b, the slice [a:b] of every update so far."""
+        if a < self.dropped:
+            raise RejectedOp("scheduler", f"update {a + 1} already dropped")
+        return self.updates[a - self.dropped:b - self.dropped]
+
+    def _trim(self) -> None:
+        """Drop the updates no later window or serve reads.  A read at time
+        tau > now starts at or after tau - lookback: a level-i window opens
+        at tau = j d_i + d_i/2 + 1 and reads from (ceil(j/s) - 2) d_{i-1}
+        >= j d_i - 2 d_{i-1} (level 0 from (j - 2) d_0), and a serve reads
+        from (ceil(tau/s) - 2) s >= tau - 2s; d_{i-1} <= d_0 and s <= d_0."""
+        lookback = 2 * self.d[0] + self.d[0] // 2 + 1
+        drop = self.now + 1 - lookback - self.dropped
+        if drop > 0:
+            del self.updates[:drop]
+            self.dropped += drop
+
     def _parent_state(self, i: int, j: int) -> _State:
         """The level-(i-1) snapshot feeding state (i, j); j' <= 0 is pinned
         to the preprocessing state."""
@@ -232,7 +253,7 @@ class Scheduler:
         if i == 0:
             parity = j % 2
             targets = tuple(sorted(b for b in self.copies if b[0] == parity))
-            seq = self.updates[self._t(0, j - 2):self._t(0, j)]
+            seq = self._updates(self._t(0, j - 2), self._t(0, j))
             base = self.copies[targets[0]].get(0, self._pinned)
             g_new = apply_seq(base.g.copy(), seq)
             (inst, cost) = self._measure(
@@ -246,7 +267,7 @@ class Scheduler:
                 if len(b) >= i + 1 and b[:i + 1] == prefix))
             parent = self._parent_state(i, j)
             jp = lattice_parent(j, self.s)
-            seq = self.updates[self._t(i - 1, jp):self._t(i, j)]
+            seq = self._updates(self._t(i - 1, jp), self._t(i, j))
             inst = self.impl.clone(parent.inst)
             (inst, cost) = self._measure(
                 lambda: self.impl.batch_update(inst, parent.g, seq))
@@ -283,7 +304,7 @@ class Scheduler:
         # serve level xi: revert to the parent snapshot and apply the tail
         parent = self._parent_state(self.xi, tau)
         jp = lattice_parent(tau, self.s)
-        seq = self.updates[self._t(self.xi - 1, jp):tau]
+        seq = self._updates(self._t(self.xi - 1, jp), tau)
         inst = self.impl.clone(parent.inst)
         (inst, cost) = self._measure(
             lambda: self.impl.batch_update(inst, parent.g, seq))
@@ -291,6 +312,7 @@ class Scheduler:
         batches = parent.batches + (len(seq),)
         self.steps_per_update.append(charged)
         self.serve_audit.append((len(batches), batches))
+        self._trim()
         return inst
 
     # -- statistics --------------------------------------------------------

@@ -11,6 +11,12 @@ via an elimination procedure over realizable pairs.
 The repair set reads plain graphs and terminal sets and mutates none of
 them: a step that deletes edges works on its own copy, and a probe of a
 graph minus a few edges is a BFS that skips them.
+
+Every helper of one repair_set call reads its graph g through one
+CutSearch (see cutprimitives), built when the call starts and dropped when
+it returns: each heavy-class quotient, simple-cut search, piece of g minus
+an edge set and boundary of a side is then computed once per call, however
+many helpers ask for it.  A helper called on its own builds its own.
 """
 
 from __future__ import annotations
@@ -23,15 +29,13 @@ from typing import (AbstractSet, Dict, FrozenSet, Iterable, Iterator, List,
                     Optional, Set, Tuple)
 
 from .cutprimitives import (
+    CutSearch,
     RealizablePair,
-    _reachable,
     boundary,
     component_labels,
     components,
-    cut_size,
     enumerate_cuts,
     enumerate_anchored_cuts,
-    enumerate_simple_cuts,
     induced_cut_side,
     induces_atomic_cut,
 )
@@ -109,10 +113,12 @@ def _canon(pair: RealizablePair):
     return (tuple(sorted(pair.side)), tuple(sorted(pair.edges)))
 
 
-def _separates(g: MultiGraph, e0: EdgeSet, side: Iterable[VertexId],
+def _separates(cs: CutSearch, e0: EdgeSet, side: Iterable[VertexId],
                x: VertexId) -> bool:
-    """The atomic cut induced by e0 puts x opposite `side`."""
-    return x not in induced_cut_side(g, e0, side)
+    """The atomic cut induced by e0 puts x opposite `side`: x's piece of g
+    minus e0 holds no vertex of `side`, so it is not in the union of their
+    pieces, the side induced_cut_side gives."""
+    return cs.piece(e0, x).isdisjoint(side)
 
 
 def _label_of(comp: Labels, ends: Iterable[VertexId]) -> Optional[VertexId]:
@@ -124,7 +130,8 @@ def _label_of(comp: Labels, ends: Iterable[VertexId]) -> Optional[VertexId]:
 
 # -- elimination procedure -------------------------------------------------
 
-def elimination(g: MultiGraph, terms: Terminals, gamma) -> Set[EdgeKey]:
+def elimination(g: MultiGraph, terms: Terminals, gamma,
+                search: Optional[CutSearch] = None) -> Set[EdgeKey]:
     """Boundary edges of a maximal chain of pairs from `gamma`; the output
     intercepts a small terminal-separating cut for every pair.  `terms` are
     the terminals of DS1 and DS2 together.  Each chosen pair's edges are
@@ -136,15 +143,14 @@ def elimination(g: MultiGraph, terms: Terminals, gamma) -> Set[EdgeKey]:
     if not remaining:
         return set()
     terms = frozenset(terms)
+    cs = search or CutSearch(g)
     w: Set[EdgeKey] = set()
     # witness cuts per pair: boundary endpoint sets in the original graph
     witness: Dict[RealizablePair, List[Tuple[VertexId, ...]]] = {}
     for pair in remaining:
-        b = boundary(g, pair.side)
         cuts = enumerate_cuts(g, terms, pair.side & terms,
-                              sum(g.multiplicity(u, v) for u, v in b),
-                              len(pair.side))
-        witness[pair] = [tuple(sorted(_ends(boundary(g, v)))) for v in
+                              cs.cut_size(pair.side), len(pair.side), cs)
+        witness[pair] = [tuple(sorted(_ends(cs.boundary(v)))) for v in
                          sorted(cuts, key=lambda s: tuple(sorted(s)))]
     cur = g.copy()
     while remaining:
@@ -171,7 +177,8 @@ def elimination(g: MultiGraph, terms: Terminals, gamma) -> Set[EdgeKey]:
 
 # -- bipartition system ----------------------------------------------------
 
-def bipartition_system(g: MultiGraph, s: Terminals, c: int, t: int
+def bipartition_system(g: MultiGraph, s: Terminals, c: int, t: int,
+                       search: Optional[CutSearch] = None
                        ) -> BipartitionSystem:
     """A maximal pairwise-laminar family of realizable pairs splitting the
     terminal set S nontrivially; at most 2(|S|-1) pairs.
@@ -194,14 +201,14 @@ def bipartition_system(g: MultiGraph, s: Terminals, c: int, t: int
     different components of it.
     """
     s = frozenset(s)
+    cs = search or CutSearch(g)
     u: List[Tuple[RealizablePair, FrozenSet[VertexId], int]] = []
     seen = set()
-    for _, side in enumerate_anchored_cuts(g, s, c, t):
-        b = boundary(g, side)
-        for e_sub in _edge_subsets(b):
-            if not induces_atomic_cut(g, e_sub):
+    for _, side in enumerate_anchored_cuts(g, s, c, t, cs):
+        for e_sub in _edge_subsets(cs.boundary(side)):
+            if not induces_atomic_cut(g, e_sub, cs):
                 continue
-            l_side = frozenset(induced_cut_side(g, e_sub, side))
+            l_side = frozenset(induced_cut_side(g, e_sub, side, cs))
             trace = l_side & s
             if not trace or trace == s:
                 continue
@@ -209,7 +216,7 @@ def bipartition_system(g: MultiGraph, s: Terminals, c: int, t: int
             key = _canon(pair)
             if key not in seen:
                 seen.add(key)
-                u.append((pair, trace, cut_size(g, side)))
+                u.append((pair, trace, cs.cut_size(side)))
     u.sort(key=lambda item: _canon(item[0]))
     comp_of = {v: comp for comp in components(g) for v in comp}
     equivalent: Dict[int, List[int]] = defaultdict(list)
@@ -262,29 +269,31 @@ def bipartition_system(g: MultiGraph, s: Terminals, c: int, t: int
 # terminals, disjoint from S) and the component labels of DS3's graph.
 
 def type_one_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
-                        comp3: Labels, c: int, t: int) -> Set[EdgeKey]:
+                        comp3: Labels, c: int, t: int,
+                        search: Optional[CutSearch] = None) -> Set[EdgeKey]:
     """Repair edges for terminal bipartitions that split S nontrivially."""
     s = frozenset(s)
     if not s:
         return set()
+    cs = search or CutSearch(g)
     terms = s | frozenset(t_set)
     held = {comp3[x] for x in s}
-    system = bipartition_system(g, s, c, t)
+    system = bipartition_system(g, s, c, t, cs)
     w1: Set[EdgeKey] = set()
     for pair, trace in zip(system.pairs, system.traces):
         buckets: Dict[VertexId, List[RealizablePair]] = defaultdict(list)
         seen = set()
-        for _, side in enumerate_anchored_cuts(g, pair.side, c, t):
+        for _, side in enumerate_anchored_cuts(g, pair.side, c, t, cs):
             if not (side & s):
                 continue
-            b = boundary(g, side)
+            b = cs.boundary(side)
             cid = _label_of(comp3, _ends(b))
             if cid not in held:
                 continue
             for e_sub in _edge_subsets(b):
-                if not induces_atomic_cut(g, e_sub):
+                if not induces_atomic_cut(g, e_sub, cs):
                     continue
-                l_side = frozenset(induced_cut_side(g, e_sub, side))
+                l_side = frozenset(induced_cut_side(g, e_sub, side, cs))
                 if (l_side & s) != trace:
                     continue
                 cand = RealizablePair(e_sub, frozenset(side))
@@ -293,71 +302,75 @@ def type_one_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
                     continue
                 seen.add(key)
                 buckets[cid].append(cand)
-        w1 |= set(boundary(g, pair.side))
+        w1 |= set(cs.boundary(pair.side))
         for cid in sorted(buckets):
-            w1 |= elimination(g, terms, buckets[cid])
+            w1 |= elimination(g, terms, buckets[cid], cs)
     return w1
 
 
 def type_two_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
-                        comp3: Labels, c: int, t: int, q: int
-                        ) -> Set[EdgeKey]:
+                        comp3: Labels, c: int, t: int, q: int,
+                        search: Optional[CutSearch] = None) -> Set[EdgeKey]:
     """Repair edges for terminal bipartitions avoiding S entirely."""
     s = frozenset(s)
     t_set = frozenset(t_set)
     terms = s | t_set
+    cs = search or CutSearch(g)
     w2: Set[EdgeKey] = set()
     for s_v in sorted(s):
         reach: Set[VertexId] = set()
-        for side in enumerate_simple_cuts(g, s_v, c, q):
+        for side in cs.simple_cuts(s_v, c, q):
             reach |= (side & t_set)
         gamma: List[RealizablePair] = []
         seen = set()
-        for _, side in enumerate_anchored_cuts(g, reach, c, t):
+        for _, side in enumerate_anchored_cuts(g, reach, c, t, cs):
             if side & s:
                 continue
-            b = boundary(g, side)
+            b = cs.boundary(side)
             if _label_of(comp3, _ends(b)) != comp3[s_v]:
                 continue
-            alts = enumerate_cuts(g, terms, side & t_set,
-                                  sum(g.multiplicity(u, v) for u, v in b), q)
-            if any(len({comp3[y] for y in _ends(boundary(g, alt))}) > 1
+            alts = enumerate_cuts(g, terms, side & t_set, cs.cut_size(side),
+                                  q, cs)
+            if any(len({comp3[y] for y in _ends(cs.boundary(alt))}) > 1
                    for alt in alts):
                 continue
             for e_sub in _edge_subsets(b):
-                if (induces_atomic_cut(g, e_sub)
-                        and _separates(g, e_sub, side, s_v)):
+                if (induces_atomic_cut(g, e_sub, cs)
+                        and _separates(cs, e_sub, side, s_v)):
                     cand = RealizablePair(e_sub, frozenset(side))
                     key = _canon(cand)
                     if key not in seen:
                         seen.add(key)
                         gamma.append(cand)
-        w2 |= elimination(g, terms, gamma)
+        w2 |= elimination(g, terms, gamma, cs)
     return w2
 
 
 def type_three_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
-                          comp3: Labels, c: int, t: int) -> Set[EdgeKey]:
+                          comp3: Labels, c: int, t: int,
+                          search: Optional[CutSearch] = None
+                          ) -> Set[EdgeKey]:
     """Repair edges for terminal bipartitions containing all of S."""
     s = frozenset(s)
     t_set = frozenset(t_set)
     terms = s | t_set
+    cs = search or CutSearch(g)
     w3: Set[EdgeKey] = set()
     if 0 < len(terms) <= t:
-        h = enumerate_cuts(g, terms, terms, c, t)
+        h = enumerate_cuts(g, terms, terms, c, t, cs)
         if h:
-            best = min(h, key=lambda v: (cut_size(g, v), tuple(sorted(v))))
-            w3 |= set(boundary(g, best))
+            best = min(h, key=lambda v: (cs.cut_size(v), tuple(sorted(v))))
+            w3 |= set(cs.boundary(best))
     if not s:
         return w3
     held = {comp3[x] for x in s}
     buckets: Dict[VertexId, List[FrozenSet[VertexId]]] = defaultdict(list)
     s0 = min(s)
-    for side in sorted(enumerate_simple_cuts(g, s0, c, t),
+    for side in sorted(cs.simple_cuts(s0, c, t),
                        key=lambda v: tuple(sorted(v))):
         if (side & s) != s or (side & t_set) == t_set:
             continue
-        cid = _label_of(comp3, _ends(boundary(g, side)))
+        cid = _label_of(comp3, _ends(cs.boundary(side)))
         if cid in held:
             buckets[cid].append(frozenset(side))
     for cid in sorted(buckets):
@@ -365,16 +378,15 @@ def type_three_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
         best_size = None
         root: Optional[VertexId] = None
         for side in buckets[cid]:
-            b = boundary(g, side)
-            for e_sub in _edge_subsets(b):
-                if not induces_atomic_cut(g, e_sub):
+            for e_sub in _edge_subsets(cs.boundary(side)):
+                if not induces_atomic_cut(g, e_sub, cs):
                     continue
                 outside = sorted(_ends(e_sub) - side)
                 if not outside:
                     continue
                 x = outside[0]
                 # x's component of g minus e_sub, probed without a copy
-                piece = _reachable(g, x, banned_edges=e_sub)
+                piece = cs.piece(e_sub, x)
                 found = piece & t_set
                 vn = len(piece)
                 if found and t < vn and (best_size is None or vn < best_size):
@@ -387,16 +399,16 @@ def type_three_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
             for side in buckets[cid]:
                 if root in side:
                     continue
-                for e_sub in _edge_subsets(boundary(g, side)):
-                    if (induces_atomic_cut(g, e_sub)
-                            and _separates(g, e_sub, side, root)):
+                for e_sub in _edge_subsets(cs.boundary(side)):
+                    if (induces_atomic_cut(g, e_sub, cs)
+                            and _separates(cs, e_sub, side, root)):
                         cand = RealizablePair(e_sub, frozenset(side))
                         key = _canon(cand)
                         if key not in seen:
                             seen.add(key)
                             gamma.append(cand)
         w3 |= set(best_e)
-        w3 |= elimination(g, terms, gamma)
+        w3 |= elimination(g, terms, gamma, cs)
     return w3
 
 
@@ -408,7 +420,8 @@ def repair_set(g: MultiGraph, t2: Terminals, g3: MultiGraph,
     """Union of the three typed repair sets.  DS1 is g with terminals S, DS2
     is g with terminals t2 minus S, and DS3 is g3, on g's vertices, with
     terminals S.  Nothing is mutated.  Replacements are budgeted q + t
-    vertices; q >= 2t is required (see bipartition_system)."""
+    vertices; q >= 2t is required (see bipartition_system).  The helpers
+    share one CutSearch over g, which is dropped when the call returns."""
     if q < 2 * t:
         raise RejectedOp("repair-set", f"need q >= 2t, got q={q} t={t}")
     s_set = frozenset(s)
@@ -417,9 +430,10 @@ def repair_set(g: MultiGraph, t2: Terminals, g3: MultiGraph,
             raise RejectedOp("repair-set", f"vertex {x} absent")
     t_set = frozenset(t2) - s_set
     comp3 = component_labels(g3)
-    w = type_one_repair_set(g, s_set, t_set, comp3, c, t)
-    w |= type_two_repair_set(g, s_set, t_set, comp3, c, t, q)
-    w |= type_three_repair_set(g, s_set, t_set, comp3, c, t)
+    cs = CutSearch(g)
+    w = type_one_repair_set(g, s_set, t_set, comp3, c, t, cs)
+    w |= type_two_repair_set(g, s_set, t_set, comp3, c, t, q, cs)
+    w |= type_three_repair_set(g, s_set, t_set, comp3, c, t, cs)
     for log in _LOGS:
         log.append((len(s_set), len(w), c))
     return w

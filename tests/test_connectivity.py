@@ -475,8 +475,8 @@ def _check_forests_are_fresh(ods, seen):
 
 
 def test_derived_forests_equal_a_fresh_bfs(monkeypatch):
-    """A witness layer with no witness edges copies the forest of the layer
-    before; on the flat schedule (no witness edges) and on a two-level desk
+    """A witness layer with no witness edges is the layer before, forest
+    included; on the flat schedule (no witness edges) and on a two-level desk
     schedule (with them) every layer of every preprocess has the forest a
     BFS of its graph gives, also in a stack that is then refused for
     failing to shrink."""

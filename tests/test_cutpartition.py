@@ -8,7 +8,7 @@ from dynacut.connectivity import edge_connectivity
 from dynacut.cutpartition import (CutPartitionDS, LayerParams,
                                   build_sparsifier, cut_partition_preprocess,
                                   cut_partition_update, default_params,
-                                  update_partition)
+                                  update_layer_indices, update_partition)
 from dynacut.cutprimitives import boundary, components, cut_size, \
     is_connected_subset
 from dynacut.errors import RejectedOp
@@ -238,6 +238,51 @@ def test_update_partition_fuzz():
         inter = _intercluster_edges(new_ods)
         assert r <= inter
     assert done >= 5
+
+
+class _Unread:
+    """A stand-in layer that fails the test on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"update_partition read a layer: .{name}")
+
+
+def test_update_partition_reads_only_its_layer_indices():
+    """update_partition reads only the layers update_layer_indices names:
+    with a stand-in that fails on any use at every other index, it gives
+    what it gives on a clone.  restrict with those indices copies only
+    them, keeps the source's own layers at the others, and the update on
+    it leaves the source unchanged."""
+    assert update_layer_indices(1) == [0, 2, 3]
+    assert update_layer_indices(2) == [0, 4, 5, 7, 8]
+    rng = random.Random(74)
+    done = 0
+    for _ in range(8):
+        g = random_connected_graph(rng, rng.randrange(5, 10),
+                                   rng.randrange(6))
+        for c in (1, 2):
+            ods = _strict_ods(g, c, 3)
+            r = _random_refining_r(rng, ods)
+            if not r:
+                continue
+            reads = update_layer_indices(c)
+            want_ods, want_seq = update_partition(ods.clone(), r, 3, c, c + 1)
+            part = ods.clone()
+            part.layers = [ds if j in reads else _Unread()
+                           for j, ds in enumerate(part.layers)]
+            got_ods, got_seq = update_partition(part, r, 3, c, c + 1)
+            assert got_seq == want_seq
+            assert got_ods.fingerprint() == want_ods.fingerprint()
+            before = ods.fingerprint()
+            cut = ods.restrict(set(g.vertex_list()), reads)
+            assert [cut.layers[j] is ds for j, ds in enumerate(ods.layers)] \
+                == [j not in reads for j in range(len(ods.layers))]
+            got_ods, got_seq = update_partition(cut, r, 3, c, c + 1)
+            assert got_seq == want_seq
+            assert got_ods.fingerprint() == want_ods.fingerprint()
+            assert ods.fingerprint() == before
+            done += 1
+    assert done >= 8
 
 
 # -- cut_partition_update ----------------------------------------------------

@@ -3,6 +3,7 @@ import random
 
 from dynacut.cutprimitives import (
     Cut,
+    CutSearch,
     boundary,
     component_of,
     components,
@@ -10,6 +11,7 @@ from dynacut.cutprimitives import (
     enumerate_anchored_cuts,
     enumerate_cuts,
     enumerate_simple_cuts,
+    induced_cut_side,
     induces_atomic_cut,
     intercepts,
     is_atomic_cut,
@@ -418,3 +420,83 @@ def test_swapping_lemma():
         s1p, s2p = cut_size(g, v1p), cut_size(g, v2p)
         assert s1p < s1 or s2p < s2 or (s1p == s1 and s2p == s2)
         hits += 1
+
+
+# -- one shared search per graph --------------------------------------------
+
+def _heavy_graph(rng):
+    """A connected multigraph whose multiplicities reach above every c
+    tried, sometimes with a second component."""
+    base = _rand_graph(rng, 4, 11)
+    edges = [(u, v, rng.choice((1, 1, 1, 2, 3, 4)))
+             for u, v in base.edge_keys()]
+    if rng.random() < 0.3:
+        n = base.vertex_count()
+        edges += [(n, n + 1, 1), (n + 1, n + 2, rng.randrange(1, 5))]
+    return _mg(edges)
+
+
+def _random_e0(rng, g):
+    """The boundary of a random ball half the time, else 1-3 random edges;
+    either may be listed with endpoints reversed."""
+    verts = g.vertex_list()
+    if rng.random() < 0.5:
+        ball = {rng.choice(verts)}
+        for _ in range(rng.randrange(0, 4)):
+            ball.add(rng.choice([w for v in ball for w in g.neighbors(v)]
+                                or verts))
+        e0 = list(boundary(g, ball)) or g.edge_keys()[:1]
+    else:
+        e0 = rng.sample(g.edge_keys(), min(rng.randrange(1, 4),
+                                          g.distinct_edge_count()))
+    return [(v, u) if rng.random() < 0.3 else (u, v) for u, v in e0]
+
+
+def test_shared_search_matches_fresh_calls_fuzz():
+    """On one CutSearch per graph, every call, made in random order and
+    some twice, equals the same call without the search: the simple-cut,
+    anchored and T'-cut enumerations, the atomic-cut tests and boundaries,
+    on multigraphs with edges heavier than c, terminals and `excluded`
+    sets."""
+    rng = random.Random(67)
+    seen = {"sides": 0, "atomic": 0, "not_atomic": 0}
+    for _ in range(40):
+        g = _heavy_graph(rng)
+        verts = g.vertex_list()
+        calls = []
+        for _ in range(30):
+            c, t = rng.randrange(1, 4), rng.randrange(1, len(verts) + 1)
+            kind = rng.randrange(6)
+            if kind == 0:
+                x = rng.choice(verts)
+                excluded = rng.sample(verts, rng.randrange(0, 4))
+                calls.append((enumerate_simple_cuts, (x, c, t, excluded)))
+            elif kind == 1:
+                anchors = rng.sample(verts, rng.randrange(1, 4))
+                calls.append((enumerate_anchored_cuts, (anchors, c, t)))
+            elif kind == 2:
+                terms = rng.sample(verts, rng.randrange(1, 5))
+                tp = rng.sample(terms, rng.randrange(1, len(terms) + 1))
+                calls.append((enumerate_cuts, (terms, tp, c, t)))
+            elif kind == 3:
+                calls.append((induces_atomic_cut, (_random_e0(rng, g),)))
+            elif kind == 4:
+                inner = rng.sample(verts, rng.randrange(1, 4))
+                calls.append((induced_cut_side, (_random_e0(rng, g), inner)))
+            else:
+                calls.append((boundary, (rng.sample(verts, 3),)))
+        calls += rng.sample(calls, 10)
+        rng.shuffle(calls)
+        cs = CutSearch(g)
+        for fn, args in calls:
+            want = fn(g, *args)
+            if fn is boundary:
+                assert cs.boundary(*args) == want
+                continue
+            assert fn(g, *args, search=cs) == want, (fn.__name__, args)
+            if fn is enumerate_simple_cuts:
+                assert cs.simple_cuts(*args) == want
+                seen["sides"] += len(want)
+            elif fn is induces_atomic_cut:
+                seen["atomic" if want else "not_atomic"] += 1
+    assert all(n > 20 for n in seen.values()), seen

@@ -7,11 +7,11 @@ from dynacut.cutprimitives import boundary, components, is_connected_subset
 from dynacut.errors import RejectedOp
 from dynacut.expander import (conductance, decremental_single_expander,
                               expander_decomposition, pruning, volume)
-from dynacut.multigraph import MultiGraph, edge_key, induced_subgraph, \
-    simple_view
+from dynacut.multigraph import MultiGraph, degree_reduce, edge_key, \
+    induced_subgraph, simple_view
 
 from util import barbell, complete_graph, cycle_graph, path_graph, \
-    random_connected_graph
+    random_connected_graph, random_multigraph
 
 
 def _k2():
@@ -128,6 +128,29 @@ def test_decomposition_sweep_backend_agrees_on_contract():
         g = simple_view(random_connected_graph(rng, 12, 8))
         deco = expander_decomposition(g, Fraction(1, 4), backend="sweep")
         _check_decomposition(g, deco)
+
+
+def test_decomposition_ignores_multiplicities_fuzz():
+    """The decomposition reads distinct adjacency only, so a multigraph and
+    its simple view decompose alike: random multigraphs on both backends,
+    larger ones on the sweep, and gadget images with their heavy path
+    edges."""
+    rng = random.Random(65)
+    cases = [(random_multigraph(rng, rng.randrange(2, 11), 0.35, 5), b)
+             for _ in range(16) for b in ("auto", "sweep")]
+    cases += [(random_multigraph(rng, rng.randrange(19, 23), 0.2, 5),
+               "sweep") for _ in range(3)]
+    cases += [(degree_reduce(random_connected_graph(rng, n, n), c).multigraph,
+               "sweep") for n, c in ((5, 2), (6, 3))]
+    heavy = splits = 0
+    for g, backend in cases:
+        heavy += any(m > 1 for _, m in g.edge_items())
+        for phi in (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2)):
+            deco = expander_decomposition(g, phi, backend)
+            assert deco == expander_decomposition(simple_view(g), phi,
+                                                  backend)
+            splits += len(deco.partition) > len(components(g))
+    assert heavy > len(cases) // 2 and splits > len(cases) // 2
 
 
 def test_decomposition_exact_backend_rejects_large():

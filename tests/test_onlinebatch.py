@@ -232,6 +232,34 @@ class TestAgainstReference:
             assert tuple(sorted(mirror.edge_items())) == tuple(inst)
 
 
+    @pytest.mark.parametrize("xi,w", [(1, 12), (2, 72)])
+    def test_long_trace_keeps_a_bounded_update_window(self, xi, w):
+        """Over 20,000 updates the scheduler keeps only a window of recent
+        updates whose length does not grow with the trace, and what it
+        serves still equals the lattice state: early on, at checkpoints
+        spread over the trace, and on every update of its tail."""
+        n_ops = 20000
+        rng = random.Random(600 + xi)
+        g0 = random_connected_graph(rng, 5, 3)
+        ops = op_stream(rng, g0.copy(), n_ops)
+        sched = Scheduler(CounterDS(), g0, xi, w)
+        ref = ReferenceExecutor(CounterDS(), g0, xi, w)
+        checks = (set(range(1, 120)) | set(range(997, n_ops, 997))
+                  | set(range(n_ops - 120, n_ops + 1)))
+        longest = 0
+        for j, op in enumerate(ops, start=1):
+            inst = sched.step(op)
+            ref.push(op)
+            longest = max(longest, len(sched.updates))
+            assert sched.dropped + len(sched.updates) == j
+            if j in checks:
+                want = ref.impl.fingerprint(ref.served(j))
+                assert sched.impl.fingerprint(inst) == want, \
+                    f"diverged at update {j}"
+        assert sched.dropped > n_ops - 3 * sched.d[0]
+        assert longest <= 3 * sched.d[0]
+
+
 class TestWorkSmoothing:
     @pytest.mark.parametrize("xi,w", PAIRS)
     def test_per_update_bound(self, xi, w):

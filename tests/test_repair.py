@@ -1,8 +1,11 @@
+import hashlib
 import itertools
 import random
+import weakref
 
 import pytest
 
+from dynacut import cutprimitives
 from dynacut.cutprimitives import (
     RealizablePair,
     boundary,
@@ -247,6 +250,120 @@ def test_repair_set_union_is_valid_ia():
         assert verify_ia(g, set(s) | set(t_set), union,
                          IAParams(t, q + t, c, 1))
         done += 1
+
+
+def _scenarios(seed, count):
+    """`count` repair scenarios (c = 1), each with DS3's graph: g minus the
+    strength-2c prior IA set."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        scen = _repair_scenario(rng, c=1)
+        if scen is None:
+            continue
+        g, s, t_set, ia2, ia3, layers, d = scen
+        g3 = g.copy()
+        for u, v in ia2:
+            g3.remove_edge(u, v)
+        out.append((g, s, t_set, ia2, ia3, g3))
+    return out
+
+
+# (c, t, q) for each repair_set call on a scenario
+_REPAIR_ARGS = ((1, 2, 8), (2, 2, 8), (1, 3, 6), (2, 4, 12))
+
+
+def _random_repair_inputs(seed, count):
+    """`count` repair_set inputs on small random graphs g: DS2's terminals,
+    DS3's graph (g minus up to two edges), S, and (c, t, q)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        g = _rand_graph(rng, 5, 10, rng.randrange(0, 4))
+        verts = g.vertex_list()
+        s = set(rng.sample(verts, rng.randrange(1, 4)))
+        t2 = set(rng.sample(verts, rng.randrange(1, 5)))
+        g3 = g.copy()
+        for u, v in rng.sample(g.edge_keys(), rng.randrange(0, 3)):
+            g3.remove_edge(u, v)
+        c, t = rng.randrange(1, 3), rng.randrange(2, 5)
+        out.append((g, t2, g3, s, c, t, 2 * t + rng.randrange(0, 3)))
+    return out
+
+
+def test_repair_set_output_is_unchanged():
+    """repair_set gives what it gave when every helper searched afresh,
+    before the helpers of one call shared a CutSearch.  The digests were
+    recorded from that implementation: 30 scenarios (their layered_ia
+    prior sets, which are repair sets too, and four repair_set calls on
+    each; 217 repair edges in all), and 60 random inputs (137 edges)."""
+    digest = hashlib.sha256()
+    found = 0
+    for g, s, t_set, ia2, ia3, g3 in _scenarios(43, 30):
+        digest.update(repr((sorted(g.edge_items()), sorted(s),
+                            sorted(t_set), sorted(ia2), sorted(ia3))
+                           ).encode())
+        for c, t, q in _REPAIR_ARGS:
+            w = repair_set(g, set(s) | set(t_set), g3, s, c, t, q)
+            found += len(w)
+            digest.update(repr(sorted(w)).encode())
+    assert found == 217
+    assert digest.hexdigest()[:16] == "95eda4f1ec35e6c3"
+    digest = hashlib.sha256()
+    found = 0
+    for g, t2, g3, s, c, t, q in _random_repair_inputs(59, 60):
+        w = repair_set(g, t2, g3, s, c, t, q)
+        found += len(w)
+        digest.update(repr((sorted(g.edge_items()), sorted(t2),
+                            sorted(g3.edge_items()), sorted(s), c, t, q,
+                            sorted(w))).encode())
+    assert found == 137
+    assert digest.hexdigest()[:16] == "e62c4806c97b4375"
+
+
+def test_repair_set_runs_each_search_once(monkeypatch):
+    """Within one repair_set call each distinct (x, c, t, excluded)
+    simple-cut search runs once and each c gets one heavy-class quotient,
+    though the helpers ask for some searches several times; the call's
+    CutSearch is gone when it returns."""
+    searches, quotients, made = [], [], []
+    asked = [0]
+    run_search = cutprimitives.enumerate_simple_cuts
+    quotient = cutprimitives._heavy_quotient
+    ask = cutprimitives.CutSearch.simple_cuts
+    init = cutprimitives.CutSearch.__init__
+
+    def spy_search(g, x, c, t, excluded=(), search=None):
+        searches.append((x, c, t, frozenset(excluded) - {x}))
+        return run_search(g, x, c, t, excluded, search)
+
+    def spy_quotient(g, c):
+        quotients.append(c)
+        return quotient(g, c)
+
+    def spy_ask(self, *args, **kwargs):
+        asked[0] += 1
+        return ask(self, *args, **kwargs)
+
+    def spy_init(self, g):
+        made.append(weakref.ref(self))
+        init(self, g)
+
+    monkeypatch.setattr(cutprimitives, "enumerate_simple_cuts", spy_search)
+    monkeypatch.setattr(cutprimitives, "_heavy_quotient", spy_quotient)
+    monkeypatch.setattr(cutprimitives.CutSearch, "simple_cuts", spy_ask)
+    monkeypatch.setattr(cutprimitives.CutSearch, "__init__", spy_init)
+    repeats = 0
+    for g, s, t_set, _, _, g3 in _scenarios(47, 12):
+        for c, t, q in _REPAIR_ARGS:
+            del searches[:], quotients[:], made[:]
+            asked[0] = 0
+            repair_set(g, set(s) | set(t_set), g3, s, c, t, q)
+            assert len(set(searches)) == len(searches)
+            assert sorted(quotients) == sorted({k[1] for k in searches})
+            assert len(made) == 1 and made[0]() is None
+            repeats += asked[0] - len(searches)
+    assert repeats > 0
 
 
 # -- initial IA and verifier ----------------------------------------------
