@@ -10,10 +10,6 @@ import click
 
 from .harness import gen_workload, render_trace, run_trace
 
-EXIT_OK = 0
-EXIT_MISMATCH = 1
-EXIT_USAGE = 2
-
 
 def _setup_logging() -> None:
     level = os.environ.get("DYNACUT_LOG", "WARNING").upper()
@@ -35,18 +31,15 @@ def main() -> None:
               help="Connectivity threshold for queries.")
 @click.option("--profile", type=click.Choice(["desk", "paper-validate"]),
               default="desk", show_default=True)
-@click.option("--expander-backend", "backend",
-              type=click.Choice(["auto", "exact-small", "sweep"]),
-              default="auto", show_default=True)
 @click.option("--oracle-check", is_flag=True,
               help="Diff every query against the max-flow oracle.")
 @click.option("--metrics", "metrics_path", type=click.Path(dir_okay=False),
               default=None, help="Write a metrics JSON report here.")
-def run_cmd(trace_path: str, c: int, profile: str, backend: str,
-            oracle_check: bool, metrics_path: str) -> None:
+def run_cmd(trace_path: str, c: int, profile: str, oracle_check: bool,
+            metrics_path: str) -> None:
     """Replay a trace through the engine."""
     status = run_trace(trace_path, c, profile, oracle_check=oracle_check,
-                       metrics_path=metrics_path, expander_backend=backend)
+                       metrics_path=metrics_path)
     sys.exit(status)
 
 

@@ -104,12 +104,14 @@ def components(g: MultiGraph, banned_edges: Set[EdgeKey] = frozenset()
     return out
 
 
-def component_labels(g: MultiGraph) -> Dict[VertexId, VertexId]:
-    """Each vertex mapped to the least vertex of its component."""
+def component_labels(g: MultiGraph, banned_edges: Set[EdgeKey] = frozenset()
+                     ) -> Dict[VertexId, VertexId]:
+    """Each vertex mapped to the least vertex of its component of g minus
+    the banned edges."""
     label: Dict[VertexId, VertexId] = {}
     for v in g.vertex_list():
         if v not in label:
-            label.update(dict.fromkeys(_reachable(g, v, set()), v))
+            label.update(dict.fromkeys(_reachable(g, v, banned_edges), v))
     return label
 
 

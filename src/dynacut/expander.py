@@ -1,12 +1,24 @@
 """Conductance, expander decomposition, pruning, and the decremental
 single-expander routine.
 
-The decomposition and pruning algorithms from the literature are black boxes
-here; what matters downstream is their output contract (per-cluster
-conductance, intercluster edge fraction, pruned-volume bounds).  Two
-backends: "exact-small" splits on exhaustively computed sparsest cuts and is
-valid up to ~18-vertex components; "sweep" uses a spectral sweep cut and
-verifies each produced cluster, re-splitting on failure.
+The decomposition and pruning algorithms from the literature (Saranurak and
+Wang, SODA 2019) are black boxes here; what matters downstream is their
+output contract (per-cluster conductance, intercluster edge fraction,
+pruned-volume bounds).
+
+There is one decomposition, and every cluster it returns is certified to
+have conductance >= phi: by the 2/vol bound, which every connected cluster
+of volume vol meets, or by exact conductance when the cluster has at most
+EXACT_LIMIT vertices.  A cluster that fails the bound and is larger than
+that is refused with RejectedOp("expander-decomposition", ...), never
+accepted or split on an uncertified cut.  A failed cluster is split on its
+exact sparsest cut.
+
+The engine's flat schedule puts phi below 2/vol for every cluster it can
+hold, so the engine certifies every cluster by the bound alone.  The
+exhaustive searches run on desk schedules with a larger phi, such as the
+two-barbell schedule of the connectivity tests; pruning around a nonempty
+deletion set runs in its own tests only.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 from .cutprimitives import boundary, components
 from .errors import RejectedOp
 from .multigraph import EdgeKey, MultiGraph, VertexId, edge_key, \
-    induced_subgraph, simple_view
+    induced_subgraph
 
 EXACT_LIMIT = 18
 CONDUCTANCE_LIMIT = 20
@@ -31,7 +43,10 @@ def volume(g: MultiGraph, verts: Iterable[VertexId]) -> int:
 
 
 def conductance(g: MultiGraph) -> Fraction:
-    """Exact conductance of a connected simple graph by exhaustive search."""
+    """Exact conductance of a connected graph by exhaustive search, on
+    distinct edges.  The engine's flat schedule never needs it (its phi is
+    below the 2/vol bound); it is tested on desk schedules with a larger
+    phi, such as the two-barbell one."""
     n = g.vertex_count()
     if n < 2:
         raise RejectedOp("conductance", "need at least 2 vertices")
@@ -49,7 +64,8 @@ def _sparsest_cut(g: MultiGraph
                   ) -> Tuple[Optional[Fraction], FrozenSet[VertexId]]:
     """Exhaustive conductance search: the least cut/volume ratio and its
     side (lowest bitmask on ties); (None, empty side) when no side has
-    volume on both sides."""
+    volume on both sides.  Not reached on the engine's flat schedule; tested
+    on desk schedules with a larger phi, such as the two-barbell one."""
     n = g.vertex_count()
     verts = g.vertex_list()
     index = {v: i for i, v in enumerate(verts)}
@@ -94,100 +110,38 @@ class Decomposition:
     epsilon: Fraction = Fraction(0)  # reported intercluster edge fraction
 
 
-def _sweep_split(g: MultiGraph) -> FrozenSet[VertexId]:
-    """Best sweep cut along the Fiedler vector of the normalized Laplacian."""
-    import numpy as np
-
-    verts = g.vertex_list()
-    n = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
-    a = np.zeros((n, n))
-    for (u, v), _ in g.edge_items():
-        a[index[u], index[v]] = 1.0
-        a[index[v], index[u]] = 1.0
-    deg = a.sum(axis=1)
-    d_inv = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-12)), 0.0)
-    lap = np.eye(n) - (a * d_inv).T * d_inv
-    vals, vecs = np.linalg.eigh(lap)
-    fiedler = vecs[:, 1]
-    order = sorted(range(n), key=lambda i: (fiedler[i], verts[i]))
-    total_vol = int(deg.sum())
-    best_val = None
-    best_k = 1
-    vol_s = 0
-    in_s = [False] * n
-    cut = 0
-    for k in range(1, n):
-        i = order[k - 1]
-        in_s[i] = True
-        vol_s += int(deg[i])
-        for j in range(n):
-            if a[i, j]:
-                cut += -1 if in_s[j] else 1
-        denom = min(vol_s, total_vol - vol_s)
-        if denom == 0:
-            continue
-        val = Fraction(cut, denom)
-        if best_val is None or val < best_val:
-            best_val = val
-            best_k = k
-    return frozenset(verts[order[i]] for i in range(best_k))
-
-
 def _cluster_ok(g: MultiGraph, cluster: FrozenSet[VertexId],
-                phi: Fraction, backend: str) -> bool:
+                phi: Fraction) -> bool:
     """Whether a cluster of two vertices or more, which comes from a
-    components call and so is connected, has conductance >= phi."""
+    components call and so is connected, has conductance >= phi.  Refuses a
+    cluster that fails the 2/vol bound and has more than EXACT_LIMIT
+    vertices, since nothing cheaper certifies it."""
     # the volume of the cluster's induced subgraph, read off g
     vol = sum(1 for v in cluster for w in g.adjacent(v) if w in cluster)
     if phi <= Fraction(2, vol):
         # any cut of a connected graph has >= 1 edge against a side of
         # volume <= vol/2, so conductance >= 2/vol without enumeration
         return True
-    sub = induced_subgraph(g, cluster)
-    if len(cluster) <= EXACT_LIMIT or backend == "exact-small":
-        return conductance(sub) >= phi
-    # large sweep cluster: accept when its own best sweep cut is no better
-    side = _sweep_split(sub)
-    b = len(boundary(sub, side))
-    denom = min(volume(sub, side), volume(sub, set(cluster) - side))
-    return denom == 0 or Fraction(b, denom) >= phi
+    if len(cluster) > EXACT_LIMIT:
+        raise RejectedOp("expander-decomposition",
+                         f"cluster of {len(cluster)} vertices fails the "
+                         f"2/vol bound and is too large for an exact check")
+    return conductance(induced_subgraph(g, cluster)) >= phi
 
 
-DEFAULT_BACKEND = "auto"
-
-
-def set_default_backend(name: str) -> None:
-    """What backend="auto" resolves to; the harness CLI sets this."""
-    global DEFAULT_BACKEND
-    if name not in ("auto", "exact-small", "sweep"):
-        raise RejectedOp("expander-decomposition", f"unknown backend {name!r}")
-    DEFAULT_BACKEND = name
-
-
-def expander_decomposition(g: MultiGraph, phi: Fraction,
-                           backend: str = "auto") -> Decomposition:
-    """Partition every component into clusters of conductance >= phi."""
-    if backend == "auto":
-        backend = DEFAULT_BACKEND
+def expander_decomposition(g: MultiGraph, phi: Fraction) -> Decomposition:
+    """Partition every component into clusters of conductance >= phi,
+    splitting each cluster that fails on its exact sparsest cut."""
     phi = Fraction(phi)
     work: List[FrozenSet[VertexId]] = [frozenset(c) for c in components(g)]
     done: List[FrozenSet[VertexId]] = []
     while work:
         cluster = work.pop()
-        if backend == "exact-small" and len(cluster) > EXACT_LIMIT:
-            raise RejectedOp("expander-decomposition",
-                             f"component too large for exact backend "
-                             f"({len(cluster)})")
-        if len(cluster) <= 1 or _cluster_ok(g, cluster, phi, backend):
+        if len(cluster) <= 1 or _cluster_ok(g, cluster, phi):
             done.append(cluster)
             continue
-        sub = induced_subgraph(g, cluster)
-        use_exact = backend == "exact-small" or (
-            backend == "auto" and len(cluster) <= EXACT_LIMIT)
-        side = _sparsest_cut(sub)[1] if use_exact else _sweep_split(sub)
-        other = cluster - side
-        for part in (side, other):
+        side = _sparsest_cut(induced_subgraph(g, cluster))[1]
+        for part in (side, cluster - side):
             work.extend(frozenset(c) for c in
                         components(induced_subgraph(g, part)))
     done.sort(key=lambda s: tuple(sorted(s)))
@@ -210,7 +164,12 @@ def pruning(g: MultiGraph, d_edges: Iterable[EdgeKey], phi: Fraction
             ) -> Set[VertexId]:
     """A vertex set P around the deleted edges such that every component of
     (g minus d_edges)[V - P] has conductance >= phi/6; vol(P) <= 8|D|/phi,
-    overflowing to the whole vertex set."""
+    overflowing to the whole vertex set.
+
+    On the engine's flat schedule the decremental update calls it with an
+    empty D only, which returns at once, and no desk schedule of the tests
+    reaches a nonempty D either: that is tested on direct calls against
+    this contract."""
     phi = Fraction(phi)
     d_set = {edge_key(u, v) for u, v in d_edges}
     k = len(d_set)
@@ -271,7 +230,6 @@ def decremental_single_expander(g: MultiGraph, phi: Fraction,
     """Intercluster edges of an expander decomposition of G minus d_edges,
     built by pruning around the deletions and re-decomposing only the pruned
     part; O(|D|) edges when G was a phi-expander."""
-    g = simple_view(g)
     d_set = {edge_key(u, v) for u, v in d_edges}
     phi = Fraction(phi)
     m = g.distinct_edge_count()

@@ -20,7 +20,7 @@ from .multilevel import dump_schedule, make_schedule
 
 log = logging.getLogger("dynacut")
 
-METRICS_SCHEMA_VERSION = 1
+METRICS_SCHEMA_VERSION = 2
 
 
 # -- trace format ------------------------------------------------------------
@@ -215,8 +215,7 @@ def _build_metrics(lines, c, profile, e, mismatch, repair_log) -> Dict:
         "c": c,
         "profile": profile,
         "ops": counts,
-        "expander_backend": {
-            "name": expander.DEFAULT_BACKEND,
+        "expander": {
             "exact_limit": expander.EXACT_LIMIT,
             "conductance_limit": expander.CONDUCTANCE_LIMIT,
         },
@@ -284,28 +283,11 @@ def _build_metrics(lines, c, profile, e, mismatch, repair_log) -> Dict:
 def run_trace(path: Optional[str], c: int, profile: str = "desk",
               oracle_check: bool = False,
               metrics_path: Optional[str] = None,
-              expander_backend: str = "auto",
               lines: Optional[List[TraceLine]] = None) -> int:
     """Replay a trace through the engine.  Returns 0 on success, 1 on an
     oracle mismatch (after printing a minimized reproduction), 2 on a parse
     or replay error or when the engine refuses an op.  `lines` may be
-    passed instead of a file path.  The expander backend applies for this
-    call only."""
-    previous = expander.DEFAULT_BACKEND
-    try:
-        expander.set_default_backend(expander_backend)
-    except RejectedOp as exc:
-        log.error("%s", exc)
-        return 2
-    try:
-        return _run_trace(path, c, profile, oracle_check, metrics_path, lines)
-    finally:
-        expander.set_default_backend(previous)
-
-
-def _run_trace(path: Optional[str], c: int, profile: str, oracle_check: bool,
-               metrics_path: Optional[str],
-               lines: Optional[List[TraceLine]]) -> int:
+    passed instead of a file path."""
     if lines is None:
         assert path is not None
         try:

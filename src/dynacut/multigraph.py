@@ -207,7 +207,8 @@ def splice_graph(base: MultiGraph, drop, part: MultiGraph) -> MultiGraph:
 
 
 def simple_view(g: MultiGraph) -> MultiGraph:
-    """Same vertices and distinct edges, all multiplicities 1."""
+    """Test oracle: same vertices and distinct edges, all multiplicities
+    1 (the engine's expander steps read distinct adjacency only)."""
     s = MultiGraph()
     for v in g.vertex_list():
         s.add_vertex(v)

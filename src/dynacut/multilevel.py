@@ -431,7 +431,8 @@ def update_multi_level(mds: MultiLevelDS, seq: UpdateSeq, k: int
     This is the paper's batch update, kept off the engine path: the engine's
     desk schedule has no spare rounds (rounds = 0), so StackDS preprocesses
     the components a batch touches and splices them in with
-    splice_multi_level instead of calling this."""
+    splice_multi_level instead of calling this.  It is tested on a
+    barbell under desk schedules with a spare round."""
     sched = mds.schedule
     if k > sched.rounds:
         raise RejectedOp("multi-level update",

@@ -9,8 +9,8 @@ is assembled from three sub-sets, one per class of terminal bipartition,
 via an elimination procedure over realizable pairs.
 
 The repair set reads plain graphs and terminal sets and mutates none of
-them: a step that deletes edges works on its own copy, and a probe of a
-graph minus a few edges is a BFS that skips them.
+them: a step that deletes edges from g keeps them in a set, and a probe
+of g minus those edges is a BFS that skips them.
 
 Every helper of one repair_set call reads its graph g through one
 CutSearch (see cutprimitives), built when the call starts and dropped when
@@ -135,8 +135,8 @@ def elimination(g: MultiGraph, terms: Terminals, gamma,
     """Boundary edges of a maximal chain of pairs from `gamma`; the output
     intercepts a small terminal-separating cut for every pair.  `terms` are
     the terminals of DS1 and DS2 together.  Each chosen pair's edges are
-    deleted, cumulatively, from a copy of g, and a pair leaves the pool once
-    some witness cut's ends fall in different components of that copy."""
+    deleted, cumulatively, from g, and a pair leaves the pool once some
+    witness cut's ends fall in different components of what is left."""
     pool = [p if isinstance(p, RealizablePair) else RealizablePair.of(*p)
             for p in gamma]
     remaining = sorted({_canon(p): p for p in pool}.values(), key=_canon)
@@ -152,7 +152,7 @@ def elimination(g: MultiGraph, terms: Terminals, gamma,
                               cs.cut_size(pair.side), len(pair.side), cs)
         witness[pair] = [tuple(sorted(_ends(cs.boundary(v)))) for v in
                          sorted(cuts, key=lambda s: tuple(sorted(s)))]
-    cur = g.copy()
+    removed: Set[EdgeKey] = set()      # the chosen pairs' edges
     while remaining:
         chosen = None
         for cand in remaining:
@@ -162,13 +162,11 @@ def elimination(g: MultiGraph, terms: Terminals, gamma,
                 break
         if chosen is None:
             chosen = remaining[0]
-        w |= set(boundary(cur, chosen.side))
-        for u, v in sorted(chosen.edges):
-            if cur.has_edge(u, v):
-                cur.remove_edge(u, v)
+        w |= cs.boundary(chosen.side) - removed
+        removed |= chosen.edges
         remaining.remove(chosen)
         if remaining:
-            comp = component_labels(cur)
+            comp = component_labels(g, removed)
             remaining = [pair for pair in remaining
                          if not any(len({comp[x] for x in ends}) > 1
                                     for ends in witness[pair])]
@@ -196,9 +194,9 @@ def bipartition_system(g: MultiGraph, s: Terminals, c: int, t: int,
     its cut is no larger, and it has at most 3t vertices, which fits every
     replacement budget q + t that repair_set serves (it requires q >= 2t).
 
-    The boundary of each held pair is deleted from a copy of g, and a later
-    pair is skipped when the ends of its boundary in that copy fall in
-    different components of it.
+    The boundary of each held pair is deleted from g, and a later pair is
+    skipped when the ends of its boundary in what is left fall in different
+    components of it.
     """
     s = frozenset(s)
     cs = search or CutSearch(g)
@@ -218,7 +216,6 @@ def bipartition_system(g: MultiGraph, s: Terminals, c: int, t: int,
                 seen.add(key)
                 u.append((pair, trace, cs.cut_size(side)))
     u.sort(key=lambda item: _canon(item[0]))
-    comp_of = {v: comp for comp in components(g) for v in comp}
     equivalent: Dict[int, List[int]] = defaultdict(list)
     for i, (p1, tr1, _) in enumerate(u):
         for j, (p2, tr2, _) in enumerate(u):
@@ -229,13 +226,13 @@ def bipartition_system(g: MultiGraph, s: Terminals, c: int, t: int,
     traces: List[FrozenSet[VertexId]] = []
     sizes: List[int] = []
     partitions: List[FrozenSet[VertexId]] = []
-    cur = g.copy()
-    comp: Optional[Labels] = None      # labels of cur, read when needed
+    removed: Set[EdgeKey] = set()      # the held pairs' boundaries
+    comp: Optional[Labels] = None      # labels of g - removed, when needed
     for i, (pair, trace, size) in enumerate(u):
         if not alive[i]:
             continue
-        b = boundary(cur, pair.side)
-        comp = comp or component_labels(cur)
+        b = cs.boundary(pair.side) - removed
+        comp = comp or component_labels(g, removed)
         if len({comp[x] for x in _ends(b)}) > 1:
             continue
         if trace in traces:
@@ -246,7 +243,7 @@ def bipartition_system(g: MultiGraph, s: Terminals, c: int, t: int,
             continue
         if s - trace in traces:
             j = traces.index(s - trace)
-            rest = comp_of[min(pairs[j].side)] - pairs[j].side
+            rest = cs.piece(frozenset(), min(pairs[j].side)) - pairs[j].side
             if (rest & s == trace and sizes[j] <= size
                     and len(rest) <= 3 * t):
                 continue
@@ -255,8 +252,7 @@ def bipartition_system(g: MultiGraph, s: Terminals, c: int, t: int,
         pairs.append(pair)
         traces.append(trace)
         sizes.append(size)
-        for x, y in sorted(b):
-            cur.remove_edge(x, y)
+        removed |= b
         comp = None
         for j in equivalent[i]:
             alive[j] = False

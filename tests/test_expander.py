@@ -7,8 +7,8 @@ from dynacut.cutprimitives import boundary, components, is_connected_subset
 from dynacut.errors import RejectedOp
 from dynacut.expander import (conductance, decremental_single_expander,
                               expander_decomposition, pruning, volume)
-from dynacut.multigraph import MultiGraph, degree_reduce, edge_key, \
-    induced_subgraph, simple_view
+from dynacut.multigraph import MultiGraph, edge_key, induced_subgraph, \
+    simple_view
 
 from util import barbell, complete_graph, cycle_graph, path_graph, \
     random_connected_graph, random_multigraph
@@ -122,41 +122,41 @@ def test_decomposition_deterministic():
         assert a.intercluster == b.intercluster
 
 
-def test_decomposition_sweep_backend_agrees_on_contract():
-    rng = random.Random(64)
-    for _ in range(10):
-        g = simple_view(random_connected_graph(rng, 12, 8))
-        deco = expander_decomposition(g, Fraction(1, 4), backend="sweep")
-        _check_decomposition(g, deco)
-
-
 def test_decomposition_ignores_multiplicities_fuzz():
     """The decomposition reads distinct adjacency only, so a multigraph and
-    its simple view decompose alike: random multigraphs on both backends,
-    larger ones on the sweep, and gadget images with their heavy path
-    edges."""
+    its simple view decompose alike.  So does the decremental routine,
+    which hands its graph to pruning and the decomposition as it is: both
+    give the same intercluster edges, through pruning too."""
     rng = random.Random(65)
-    cases = [(random_multigraph(rng, rng.randrange(2, 11), 0.35, 5), b)
-             for _ in range(16) for b in ("auto", "sweep")]
-    cases += [(random_multigraph(rng, rng.randrange(19, 23), 0.2, 5),
-               "sweep") for _ in range(3)]
-    cases += [(degree_reduce(random_connected_graph(rng, n, n), c).multigraph,
-               "sweep") for n, c in ((5, 2), (6, 3))]
-    heavy = splits = 0
-    for g, backend in cases:
+    cases = [random_multigraph(rng, rng.randrange(2, 11), 0.35, 5)
+             for _ in range(32)]
+    cases += [random_multigraph(rng, rng.randrange(9, 13), 0.6, 5)
+              for _ in range(16)]
+    heavy = splits = pruned = 0
+    for g in cases:
         heavy += any(m > 1 for _, m in g.edge_items())
+        simple = simple_view(g)
+        edges = g.edge_keys()
         for phi in (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2)):
-            deco = expander_decomposition(g, phi, backend)
-            assert deco == expander_decomposition(simple_view(g), phi,
-                                                  backend)
+            deco = expander_decomposition(g, phi)
+            assert deco == expander_decomposition(simple, phi)
             splits += len(deco.partition) > len(components(g))
+            if not edges:
+                continue
+            d = rng.sample(edges, min(len(edges), rng.randint(1, 2)))
+            assert decremental_single_expander(g, phi, d) == \
+                decremental_single_expander(simple, phi, d)
+            pruned += len(d) <= len(edges) * phi / 10
     assert heavy > len(cases) // 2 and splits > len(cases) // 2
+    assert pruned > len(cases) // 4
 
 
 def test_decomposition_exact_backend_rejects_large():
-    with pytest.raises(RejectedOp):
-        expander_decomposition(path_graph(25), Fraction(1, 2),
-                               backend="exact-small")
+    """A cluster that fails the 2/vol bound and has more than EXACT_LIMIT
+    vertices is refused: nothing cheaper than exact conductance certifies
+    it, and exact conductance is too slow there."""
+    with pytest.raises(RejectedOp, match="expander-decomposition"):
+        expander_decomposition(path_graph(25), Fraction(1, 2))
 
 
 # -- pruning -----------------------------------------------------------------

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-import dynacut.expander as expander
 import dynacut.harness as harness
 from dynacut.cli import main as cli_main
 from dynacut.harness import (
@@ -108,7 +107,8 @@ def test_empty_trace(tmp_path):
     m = tmp_path / "m.json"
     assert run_trace(str(p), 2, metrics_path=str(m)) == 0
     doc = json.loads(m.read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
+    assert set(doc["expander"]) == {"exact_limit", "conductance_limit"}
     assert doc["ops"] == {"insert": 0, "delete": 0, "query": 0}
 
 
@@ -138,16 +138,6 @@ def test_replay_error_exit_code():
     assert run_trace(None, 2, lines=[TraceLine("insert", 0, 1),
                                      TraceLine("insert", 1, 0)]) == 2
     assert run_trace(None, 2, lines=[TraceLine("query", 0, 1)]) == 2
-
-
-def test_bad_backend_exit_code():
-    assert run_trace(None, 2, lines=[], expander_backend="nope") == 2
-
-
-def test_backend_restored_after_run():
-    assert expander.DEFAULT_BACKEND == "auto"
-    assert run_trace(None, 2, lines=[], expander_backend="exact-small") == 0
-    assert expander.DEFAULT_BACKEND == "auto"
 
 
 def test_injected_bug_detected(tmp_path, capsys, monkeypatch):
@@ -207,10 +197,9 @@ def test_cli_gen_and_run(tmp_path):
     trace.write_text(res.output)
     m = tmp_path / "m.json"
     res = runner.invoke(cli_main, ["run", "--trace", str(trace), "--c", "2",
-                                   "--oracle-check", "--metrics", str(m),
-                                   "--expander-backend", "auto"])
+                                   "--oracle-check", "--metrics", str(m)])
     assert res.exit_code == 0, res.output
-    assert json.loads(m.read_text())["schema_version"] == 1
+    assert json.loads(m.read_text())["schema_version"] == 2
 
 
 def test_cli_gen_deterministic():
@@ -233,20 +222,15 @@ def test_cli_usage_errors(tmp_path):
 
 def test_cli_engine_refusal_exits_2(tmp_path):
     """A RejectedOp from the engine during the replay is a refusal, not a
-    mismatch: `dynacut run` prints one line and exits 2, not 1.  On this
-    trace an image component reaches 19 vertices, past the exact
-    backend's limit."""
+    mismatch: `dynacut run` prints one line and exits 2, not 1.  Here the
+    vertex id is past the 32-bit range the gadget's ids are built from."""
     runner = CliRunner()
-    res = runner.invoke(cli_main, ["gen", "--n", "24", "--ops", "300",
-                                   "--seed", "5"])
-    assert res.exit_code == 0
     trace = tmp_path / "t.txt"
-    trace.write_text(res.output)
-    res = runner.invoke(cli_main, ["run", "--trace", str(trace), "--c", "2",
-                                   "--expander-backend", "exact-small"])
+    trace.write_text("insert 0 1\ninsert 1 4294967296\nquery 0 1\n")
+    res = runner.invoke(cli_main, ["run", "--trace", str(trace), "--c", "2"])
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
-    assert "engine refused: expander-decomposition" in res.output
+    assert "engine refused: gadget-id" in res.output
     assert "Traceback" not in res.output
 
 

@@ -1,4 +1,5 @@
-"""Every name a `dynacut` module imports is used in that module."""
+"""Source checks of the `dynacut` modules: every name a module imports is
+used in it, and no module has a `global` statement."""
 
 import ast
 from pathlib import Path
@@ -25,3 +26,14 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(_imported(tree)) - used)
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_global_statements(path):
+    """No module rebinds a module-level name at run time, so no mutable
+    setting is shared between engines or runs through one."""
+    tree = ast.parse(path.read_text())
+    names = sorted(name for node in ast.walk(tree)
+                   if isinstance(node, ast.Global) for name in node.names)
+    assert not names, f"{path.name} declares global: {names}"
