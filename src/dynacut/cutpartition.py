@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .cutprimitives import component_of, components
+from .cutprimitives import (component_labels, components,
+                            touched_components)
 from .dynforest import DeleteTerminal, GraphDS, InsertTerminal, contracted_diff
 from .errors import RejectedOp
 from .expander import decremental_single_expander, expander_decomposition
@@ -103,7 +104,6 @@ class CutPartitionDS:
     layers: List[GraphDS]         # layer graphs, each with its terminals
     params: LayerParams
     gamma: int
-    phi: Fraction
 
     def partition(self) -> List[Set[VertexId]]:
         """The expander clusters: components of the layer-0 graph."""
@@ -116,7 +116,7 @@ class CutPartitionDS:
     def clone(self) -> "CutPartitionDS":
         return CutPartitionDS(self.g.copy(),
                               [ds.clone() for ds in self.layers],
-                              self.params, self.gamma, self.phi)
+                              self.params, self.gamma)
 
     def restrict(self, verts: Set[VertexId],
                  indices: Optional[Iterable[int]] = None
@@ -139,7 +139,7 @@ class CutPartitionDS:
         return CutPartitionDS(self.g.restrict(verts),
                               [ds.restrict(verts) if j in keep else ds
                                for j, ds in enumerate(self.layers)],
-                              self.params, self.gamma, self.phi)
+                              self.params, self.gamma)
 
     def fingerprint(self) -> Tuple:
         graph = (tuple(sorted(self.g.edge_items())),
@@ -162,16 +162,10 @@ def _layer_ia(g: MultiGraph, terms: Set[VertexId], t_i: int, q_i: int,
     ia: Set[EdgeKey] = set()
     if len(terms) < 2:
         return ia
-    seen: Set[VertexId] = set()
-    for x in sorted(terms):
-        if x in seen:
-            continue
-        comp = component_of(g, x)
-        seen |= comp
-        local = terms & comp
-        if len(local) < 2:
-            continue
-        ia |= initial_ia(induced_subgraph(g, comp), local, t_i, q_i, depth)
+    for comp, local in touched_components(g, terms):
+        if len(local) >= 2:
+            ia |= initial_ia(induced_subgraph(g, comp), local, t_i, q_i,
+                             depth)
     return ia
 
 
@@ -209,8 +203,7 @@ def cut_partition_preprocess(g: MultiGraph, phi: Fraction, c: int, t: int,
         else:
             layers.append(layers[-1])
     return CutPartitionDS(g.copy(), layers, params,
-                          gamma if gamma is not None else c + 1,
-                          deco.phi_certified)
+                          gamma if gamma is not None else c + 1)
 
 
 def splice_partition(parent: CutPartitionDS, drop: Set[VertexId],
@@ -244,7 +237,7 @@ def splice_partition(parent: CutPartitionDS, drop: Set[VertexId],
                 (old.forest - cut) | new.forest)
         layers.append(spliced[key])
     return CutPartitionDS(splice_graph(parent.g, gone, part.g), layers,
-                          parent.params, parent.gamma, parent.phi)
+                          parent.params, parent.gamma)
 
 
 def build_sparsifier(ods: CutPartitionDS, gamma: Optional[int] = None
@@ -344,13 +337,9 @@ def update_partition(ods: CutPartitionDS, r_edges, t: int, c: int,
     g0 = ods.layers[0].g
     present = {e for e in r_cur if g0.has_edge(*e)}
     if present:
-        rest = _remove_edges(g0, present)
-        comp_of = {}
-        for i, comp in enumerate(components(rest)):
-            for v in comp:
-                comp_of[v] = i
+        label = component_labels(g0, present)
         for u, v in present:
-            if comp_of[u] == comp_of[v]:
+            if label[u] == label[v]:
                 raise RejectedOp("update-partition",
                                  f"edge ({u},{v}) does not refine the "
                                  f"partition")
@@ -370,18 +359,13 @@ def update_partition(ods: CutPartitionDS, r_edges, t: int, c: int,
             ds_h.ds_update(DeleteEdge(*e))
             if ds_h2i.g.has_edge(*e):
                 ds_h2i.ds_update(DeleteEdge(*e))
-        buckets: Dict[VertexId, Set[VertexId]] = {}
-        for e in r_next:
-            for x in e:
-                buckets.setdefault(ds_h.comp_id(x), set()).add(x)
-        for cid in sorted(buckets):
-            # a component of layer h, so a union of components of its
-            # subgraph h + 2i as well
-            comp = ds_h.component_vertices(cid)
-            w = repair_set(ds_h.g.restrict(comp), ds_h.terminals & comp,
-                           ds_h2i.g.restrict(comp), buckets[cid], i,
-                           params.t_at(h), params.q_at(h + 2 * i) * (c + 1))
-            r_next |= w
+        # each comp is a component of layer h, so a union of components of
+        # its subgraph h + 2i as well
+        for comp, xs in touched_components(ds_h.g, _ends(r_next)):
+            r_next |= repair_set(ds_h.g.restrict(comp), ds_h.terminals & comp,
+                                 ds_h2i.g.restrict(comp), xs, i,
+                                 params.t_at(h),
+                                 params.q_at(h + 2 * i) * (c + 1))
         for e in sorted(r_cur):
             for x in e:
                 if ds_h.g.has_vertex(x):
@@ -390,7 +374,7 @@ def update_partition(ods: CutPartitionDS, r_edges, t: int, c: int,
         selected.append(h)
         r_cur = r_next
     ds_h = ods.layers[h]
-    # shadow copy of the current sparsifier: the contraction diffs below are
+    # shadow copy of the current sparsifier: the contraction diff below is
     # merged into it so vertex ops that are absorbed by the intercluster part
     # (shared endpoints) are dropped from the emitted sequence
     shadow = _sparsifier_graph(ods.g, ds_h, gamma)
@@ -405,26 +389,27 @@ def update_partition(ods: CutPartitionDS, r_edges, t: int, c: int,
         apply_update(shadow, op)
         new_seq.append(op)
 
-    r_final = []
-    for e in sorted(r_cur):
-        if ds_h.g.has_edge(*e):
-            for ds_op in (InsertTerminal(e[0]), InsertTerminal(e[1]),
-                          DeleteEdge(*e)):
-                before = ds_h.contracted()
+    r_final = [e for e in sorted(r_cur) if ds_h.g.has_edge(*e)]
+    if r_final:
+        # one diff over all the ops: it turns the old contraction into the
+        # new one, and names nothing that no single op's diff would
+        before = ds_h.contracted()
+        for u, v in r_final:
+            for ds_op in (InsertTerminal(u), InsertTerminal(v),
+                          DeleteEdge(u, v)):
                 ds_h.ds_update(ds_op)
-                for op in contracted_diff(before, ds_h.contracted()):
-                    if isinstance(op, InsertEdge):
-                        emit(InsertEdge(op.u, op.v, gamma))
-                    else:
-                        emit(op)
-            r_final.append(e)
+        for op in contracted_diff(before, ds_h.contracted()):
+            if isinstance(op, InsertEdge):
+                emit(InsertEdge(op.u, op.v, gamma))
+            else:
+                emit(op)
     for u, v in r_final:
         for w in (u, v):
             emit(InsertVertex(w))
         emit(InsertEdge(u, v, ods.g.multiplicity(u, v)))
     new_params = transformed_params(params, t, c)
     new_layers = [ods.layers[j] for j in selected]
-    return (CutPartitionDS(ods.g, new_layers, new_params, gamma, ods.phi),
+    return (CutPartitionDS(ods.g, new_layers, new_params, gamma),
             new_seq)
 
 
@@ -442,14 +427,9 @@ def cut_partition_update(ods: CutPartitionDS, seq: UpdateSeq, phi: Fraction,
     touched = named_vertices(seq)
     ds0 = ods.layers[0]
     r: Set[EdgeKey] = set()
-    buckets: Dict[VertexId, List[VertexId]] = {}
-    for x in touched:
-        if ds0.g.has_vertex(x):
-            buckets.setdefault(ds0.comp_id(x), []).append(x)
-    for cid in sorted(buckets):
-        w_id = buckets[cid]
-        d_id = {edge_key(u, v) for u in w_id for v in ds0.g.neighbors(u)}
-        comp = ds0.component_vertices(cid)
+    for comp, w_id in touched_components(
+            ds0.g, [x for x in touched if ds0.g.has_vertex(x)]):
+        d_id = {edge_key(u, v) for u in w_id for v in ds0.g.adjacent(u)}
         r_id = decremental_single_expander(induced_subgraph(ds0.g, comp),
                                            phi, d_id)
         r |= r_id | d_id

@@ -115,6 +115,21 @@ def component_labels(g: MultiGraph, banned_edges: Set[EdgeKey] = frozenset()
     return label
 
 
+def touched_components(g: MultiGraph, xs: Iterable[VertexId]
+                       ) -> List[Tuple[Set[VertexId], Set[VertexId]]]:
+    """Each component of g that holds a vertex of xs, which must all be
+    vertices of g, with the vertices of xs it holds, in the order of the
+    components' least vertices.  Only those components are searched."""
+    left = set(xs)
+    out = []
+    while left:
+        comp = component_of(g, min(left))
+        out.append((comp, left & comp))
+        left -= comp
+    out.sort(key=lambda item: min(item[0]))
+    return out
+
+
 @dataclass(frozen=True)
 class Cut:
     """Test oracle: a cut named by one side, with cached cut-set and size."""

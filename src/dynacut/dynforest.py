@@ -9,8 +9,9 @@ pruned Steiner forest).  contracted_diff() of two contractions read before
 and after a run of updates is the exact update sequence that transforms the
 one into the other.
 
-Updates only apply; the component labels and the contraction are computed
-when first read after a change.
+It keeps the graph, the terminals and the forest, and nothing derived from
+them but the contraction, which is built when first read after a change.
+A caller that needs components searches the graph (cutprimitives).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from .cutprimitives import components
 from .errors import RejectedOp
 from .multigraph import (
     DeleteEdge, DeleteVertex, EdgeKey, InsertEdge, InsertVertex, MultiGraph,
@@ -59,7 +61,8 @@ def contracted_diff(old: MultiGraph, new: MultiGraph) -> UpdateSeq:
 
 
 class GraphDS:
-    """Queryable dynamic graph with terminals, spanning forest, contraction.
+    """Dynamic graph with terminals, a spanning forest, and the forest's
+    terminal contraction.
 
     It serves the layers of a cut-partition level and the copies of them,
     restricted to the queried component, that a query updates.  A witness
@@ -74,8 +77,6 @@ class GraphDS:
                 raise RejectedOp("graphds-init", f"terminal {t} absent")
         self.forest: Set[EdgeKey] = set()
         self._build_forest()
-        self._dirty = True
-        self._comp: Dict[VertexId, VertexId] = {}
         self._contracted: Optional[MultiGraph] = None
 
     # -- forest -----------------------------------------------------------
@@ -94,17 +95,11 @@ class GraphDS:
                         self.forest.add(edge_key(u, v))
                         queue.append(v)
 
-    def _forest_adj(self) -> Dict[VertexId, List[VertexId]]:
-        adj: Dict[VertexId, List[VertexId]] = {v: [] for v in self.g.vertices}
-        for u, v in self.forest:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
-    def _forest_side(self, x: VertexId, banned: EdgeKey) -> Set[VertexId]:
-        """Vertices reachable from x in the forest avoiding `banned`: a walk
-        over g's adjacency that follows forest edges only, so it stays in
-        x's tree."""
+    def _forest_side(self, x: VertexId, banned: Optional[EdgeKey]
+                     ) -> Set[VertexId]:
+        """Vertices reachable from x in the forest avoiding `banned` (x's
+        whole tree when it is None): a walk over g's adjacency that follows
+        forest edges only, so it stays in x's tree."""
         side = {x}
         queue = deque([x])
         while queue:
@@ -119,45 +114,6 @@ class GraphDS:
                 queue.append(v)
         return side
 
-    # -- component caches -------------------------------------------------
-    def _refresh(self) -> None:
-        if not self._dirty:
-            return
-        comp: Dict[VertexId, VertexId] = {}
-        adj = self._forest_adj()
-        for root in self.g.vertex_list():
-            if root in comp:
-                continue
-            members = [root]
-            comp[root] = root
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for v in adj[u]:
-                    if v not in comp:
-                        comp[v] = root
-                        members.append(v)
-                        queue.append(v)
-            label = min(members)
-            for v in members:
-                comp[v] = label
-        self._comp = comp
-        self._dirty = False
-
-    # -- queries (Figure-5 vocabulary) ------------------------------------
-    def _check_vertex(self, x: VertexId) -> None:
-        if not self.g.has_vertex(x):
-            raise RejectedOp("ds-query", f"vertex {x} absent")
-
-    def comp_id(self, x: VertexId) -> VertexId:
-        self._check_vertex(x)
-        self._refresh()
-        return self._comp[x]
-
-    def component_vertices(self, x: VertexId) -> Set[VertexId]:
-        label = self.comp_id(x)
-        return {v for v, c in self._comp.items() if c == label}
-
     # -- contraction ------------------------------------------------------
     def contracted(self) -> MultiGraph:
         """The superedge graph; built on first read after a change, and
@@ -168,7 +124,10 @@ class GraphDS:
         return self._contracted
 
     def _compute_contraction(self) -> MultiGraph:
-        adj = self._forest_adj()
+        adj: Dict[VertexId, List[VertexId]] = {v: [] for v in self.g.vertices}
+        for u, v in self.forest:
+            adj[u].append(v)
+            adj[v].append(u)
         sdeg = {v: len(nbrs) for v, nbrs in adj.items()}
         alive = set(self.g.vertices)
         # prune non-terminal leaves (and isolated non-terminals)
@@ -216,8 +175,8 @@ class GraphDS:
 
     # -- updates ----------------------------------------------------------
     def ds_update(self, op: DsOp) -> None:
-        """Apply one op; read contracted() around it for the change to the
-        contraction."""
+        """Apply one op; contracted() read before and after a run of ops
+        gives the change to the contraction (contracted_diff)."""
         if isinstance(op, InsertTerminal):
             if not self.g.has_vertex(op.v):
                 raise RejectedOp("ds-update", f"vertex {op.v} absent")
@@ -228,10 +187,10 @@ class GraphDS:
             raise RejectedOp("ds-update", f"vertex {op.v} still a terminal")
         else:
             apply_update(self.g, op)
-            # the forest lacks the new edge yet, so the labels comp_or_none
-            # reads are those from before the insert
+            # the forest lacks the new edge yet, so the walk sees the trees
+            # from before the insert
             if isinstance(op, InsertEdge):
-                if self.comp_or_none(op.u) != self.comp_or_none(op.v):
+                if op.v not in self._forest_side(op.u, None):
                     self.forest.add(edge_key(op.u, op.v))
             elif isinstance(op, DeleteEdge):
                 e = edge_key(op.u, op.v)
@@ -243,13 +202,7 @@ class GraphDS:
                                default=None)
                     if repl is not None:
                         self.forest.add(repl)
-        self._dirty = True
         self._contracted = None
-
-    def comp_or_none(self, x: VertexId) -> Optional[VertexId]:
-        if not self.g.has_vertex(x):
-            return None
-        return self.comp_id(x)
 
     @classmethod
     def from_forest(cls, graph: MultiGraph, terminals: Set[VertexId],
@@ -261,8 +214,6 @@ class GraphDS:
         ds.g = graph
         ds.terminals = terminals
         ds.forest = forest
-        ds._dirty = True
-        ds._comp = {}
         ds._contracted = None
         return ds
 
@@ -291,30 +242,9 @@ class GraphDS:
         acyclic."""
         for u, v in self.forest:
             assert self.g.has_edge(u, v), "forest edge missing from graph"
-        # acyclic and spanning: per component, forest edges = vertices - 1
-        self._dirty = True
-        self._refresh()
-        per_comp_edges: Dict[VertexId, int] = {}
-        for u, v in self.forest:
-            assert self._comp[u] == self._comp[v]
-            per_comp_edges[self._comp[u]] = per_comp_edges.get(self._comp[u], 0) + 1
-        # graph connectivity must match forest connectivity
-        seen: Set[VertexId] = set()
-        for root in self.g.vertex_list():
-            if root in seen:
-                continue
-            comp_vertices = set()
-            queue = deque([root])
-            seen.add(root)
-            comp_vertices.add(root)
-            while queue:
-                u = queue.popleft()
-                for v in self.g.neighbors(u):
-                    if v not in seen:
-                        seen.add(v)
-                        comp_vertices.add(v)
-                        queue.append(v)
-            labels = {self._comp[v] for v in comp_vertices}
-            assert len(labels) == 1, "forest does not span a component"
-            label = labels.pop()
-            assert per_comp_edges.get(label, 0) == len(comp_vertices) - 1
+        # a tree of the forest spans each component, with one edge fewer
+        # than it has vertices, so no edge closes a cycle
+        for comp in components(self.g):
+            assert self._forest_side(min(comp), None) == comp, \
+                "forest does not span a component"
+            assert sum(u in comp for u, _ in self.forest) == len(comp) - 1

@@ -12,7 +12,7 @@ of volume vol meets, or by exact conductance when the cluster has at most
 EXACT_LIMIT vertices.  A cluster that fails the bound and is larger than
 that is refused with RejectedOp("expander-decomposition", ...), never
 accepted or split on an uncertified cut.  A failed cluster is split on its
-exact sparsest cut.
+exact sparsest cut, the one the search that failed it found.
 
 The engine's flat schedule puts phi below 2/vol for every cluster it can
 hold, so the engine certifies every cluster by the bound alone.  The
@@ -44,9 +44,9 @@ def volume(g: MultiGraph, verts: Iterable[VertexId]) -> int:
 
 def conductance(g: MultiGraph) -> Fraction:
     """Exact conductance of a connected graph by exhaustive search, on
-    distinct edges.  The engine's flat schedule never needs it (its phi is
-    below the 2/vol bound); it is tested on desk schedules with a larger
-    phi, such as the two-barbell one."""
+    distinct edges.  Only pruning calls it, around a nonempty deletion set,
+    which the engine does not reach; the decomposition reads the sparsest
+    cut itself (_failed_side)."""
     n = g.vertex_count()
     if n < 2:
         raise RejectedOp("conductance", "need at least 2 vertices")
@@ -110,23 +110,26 @@ class Decomposition:
     epsilon: Fraction = Fraction(0)  # reported intercluster edge fraction
 
 
-def _cluster_ok(g: MultiGraph, cluster: FrozenSet[VertexId],
-                phi: Fraction) -> bool:
-    """Whether a cluster of two vertices or more, which comes from a
-    components call and so is connected, has conductance >= phi.  Refuses a
-    cluster that fails the 2/vol bound and has more than EXACT_LIMIT
-    vertices, since nothing cheaper certifies it."""
+def _failed_side(g: MultiGraph, cluster: FrozenSet[VertexId],
+                 phi: Fraction) -> Optional[FrozenSet[VertexId]]:
+    """None when a cluster of two vertices or more, which comes from a
+    components call and so is connected, has conductance >= phi; otherwise
+    the side of its sparsest cut.  Refuses a cluster that fails the 2/vol
+    bound and has more than EXACT_LIMIT vertices, since nothing cheaper
+    certifies it."""
     # the volume of the cluster's induced subgraph, read off g
     vol = sum(1 for v in cluster for w in g.adjacent(v) if w in cluster)
     if phi <= Fraction(2, vol):
         # any cut of a connected graph has >= 1 edge against a side of
         # volume <= vol/2, so conductance >= 2/vol without enumeration
-        return True
+        return None
     if len(cluster) > EXACT_LIMIT:
         raise RejectedOp("expander-decomposition",
                          f"cluster of {len(cluster)} vertices fails the "
                          f"2/vol bound and is too large for an exact check")
-    return conductance(induced_subgraph(g, cluster)) >= phi
+    # every side of a connected graph has volume, so a cut is found
+    best, side = _sparsest_cut(induced_subgraph(g, cluster))
+    return None if best >= phi else side
 
 
 def expander_decomposition(g: MultiGraph, phi: Fraction) -> Decomposition:
@@ -137,10 +140,10 @@ def expander_decomposition(g: MultiGraph, phi: Fraction) -> Decomposition:
     done: List[FrozenSet[VertexId]] = []
     while work:
         cluster = work.pop()
-        if len(cluster) <= 1 or _cluster_ok(g, cluster, phi):
+        side = _failed_side(g, cluster, phi) if len(cluster) > 1 else None
+        if side is None:
             done.append(cluster)
             continue
-        side = _sparsest_cut(induced_subgraph(g, cluster))[1]
         for part in (side, cluster - side):
             work.extend(frozenset(c) for c in
                         components(induced_subgraph(g, part)))

@@ -202,7 +202,10 @@ class Scheduler:
                 self.copies[beta] = {}
         self.tasks: List[_Task] = []
         self.steps_per_update: List[int] = []
-        self.serve_audit: List[Tuple[int, Tuple[int, ...]]] = []
+        # batch_count_audit's running values, over every serve so far
+        self.serves = 0
+        self.max_batches = 0
+        self.max_batch_size = 0
 
     def copy_count(self) -> int:
         return len(self.copies)
@@ -311,7 +314,9 @@ class Scheduler:
         charged += cost + len(seq)
         batches = parent.batches + (len(seq),)
         self.steps_per_update.append(charged)
-        self.serve_audit.append((len(batches), batches))
+        self.serves += 1
+        self.max_batches = max(self.max_batches, len(batches))
+        self.max_batch_size = max(self.max_batch_size, *batches)
         self._trim()
         return inst
 
@@ -319,14 +324,9 @@ class Scheduler:
 
     def batch_count_audit(self) -> Dict[str, int]:
         """Batches absorbed by each served instance (Lemma 1.2 bounds)."""
-        if not self.serve_audit:
-            return {"max_batches": 0, "max_batch_size": 0, "serves": 0}
-        return {
-            "max_batches": max(n for n, _ in self.serve_audit),
-            "max_batch_size": max((max(sizes) if sizes else 0)
-                                  for _, sizes in self.serve_audit),
-            "serves": len(self.serve_audit),
-        }
+        return {"max_batches": self.max_batches,
+                "max_batch_size": self.max_batch_size,
+                "serves": self.serves}
 
     def work_stats(self) -> Dict[str, int]:
         spu = self.steps_per_update

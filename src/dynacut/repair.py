@@ -87,12 +87,11 @@ class IASet:
 
 @dataclass
 class BipartitionSystem:
-    """Realizable pairs with the S-trace of each (parallel lists), and one
-    trace per distinct S-partition {P, S-P}; a partition holds at most one
-    pair per side."""
+    """Realizable pairs with the S-trace of each (parallel lists); the
+    traces are distinct, so an S-partition {P, S-P} holds at most one pair
+    per side."""
     pairs: List[RealizablePair]
     traces: List[FrozenSet[VertexId]]
-    s_partitions: List[FrozenSet[VertexId]]
 
 
 def _edge_subsets(edges: Iterable[EdgeKey]) -> List[EdgeSet]:
@@ -225,7 +224,6 @@ def bipartition_system(g: MultiGraph, s: Terminals, c: int, t: int,
     pairs: List[RealizablePair] = []
     traces: List[FrozenSet[VertexId]] = []
     sizes: List[int] = []
-    partitions: List[FrozenSet[VertexId]] = []
     removed: Set[EdgeKey] = set()      # the held pairs' boundaries
     comp: Optional[Labels] = None      # labels of g - removed, when needed
     for i, (pair, trace, size) in enumerate(u):
@@ -247,8 +245,6 @@ def bipartition_system(g: MultiGraph, s: Terminals, c: int, t: int,
             if (rest & s == trace and sizes[j] <= size
                     and len(rest) <= 3 * t):
                 continue
-        else:
-            partitions.append(trace)
         pairs.append(pair)
         traces.append(trace)
         sizes.append(size)
@@ -256,7 +252,7 @@ def bipartition_system(g: MultiGraph, s: Terminals, c: int, t: int,
         comp = None
         for j in equivalent[i]:
             alive[j] = False
-    return BipartitionSystem(pairs, traces, partitions)
+    return BipartitionSystem(pairs, traces)
 
 
 # -- type 1 / 2 / 3 repair sets -------------------------------------------

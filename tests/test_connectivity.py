@@ -1,5 +1,6 @@
 """Tests for the top-level engine: oracle, preprocessing, updates, queries."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from dynacut.connectivity import (
 from dynacut.cutprimitives import component_of, components
 from dynacut.dynforest import GraphDS, InsertTerminal
 from dynacut.errors import RejectedOp
+from dynacut.harness import gen_workload
 from dynacut.multigraph import (DeleteEdge, InsertEdge, InsertVertex,
                                 MultiGraph, apply_update, induced_subgraph)
 from dynacut.multilevel import make_schedule, preprocess_multi_level
@@ -757,3 +759,32 @@ def test_queries_outside_a_trace_leave_no_repair_log(monkeypatch):
         engine_query(e, 0, 4)
     assert 0 < len(inner) < len(outer) == 2 * len(inner)
     assert list_sizes() == before
+
+
+@pytest.mark.parametrize("c,want", [
+    (1, ("d5b5c3d8993b63fe", 48, 40)),
+    (2, ("a8322af9f877aa4c", 41, 14)),
+    (3, ("603d363c3a86f43c", 51, 36)),
+])
+def test_gen_workload_replay_is_unchanged(c, want):
+    """Each query's answer, level count and H size, and the engine state
+    after every op, on a gen_workload trace are what they were when
+    update_partition diffed the final layer's contraction around each of
+    its ops; the digests (and the query and True counts) were recorded
+    from that implementation."""
+    n = 12
+    e = engine_preprocess(MultiGraph(), c, n_cap=n)
+    digest = hashlib.sha256()
+    answers = []
+    for tl in gen_workload(n, 200, c):
+        if tl.kind == "insert":
+            engine_update(e, InsertEdge(tl.u, tl.v, 1))
+        elif tl.kind == "delete":
+            engine_update(e, DeleteEdge(tl.u, tl.v))
+        else:
+            answers.append(engine_query(e, tl.u, tl.v))
+            s = e.query_stats[-1]
+            digest.update(repr((answers[-1], s["levels"], s["h_vertices"],
+                                s["h_edges"])).encode())
+        digest.update(hashlib.sha1(repr(e.fingerprint()).encode()).digest())
+    assert (digest.hexdigest()[:16], len(answers), sum(answers)) == want

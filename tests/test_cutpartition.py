@@ -11,6 +11,7 @@ from dynacut.cutpartition import (CutPartitionDS, LayerParams,
                                   update_layer_indices, update_partition)
 from dynacut.cutprimitives import boundary, components, cut_size, \
     is_connected_subset
+from dynacut.dynforest import GraphDS
 from dynacut.errors import RejectedOp
 from dynacut.multigraph import (DeleteEdge, InsertEdge, InsertVertex,
                                 MultiGraph, apply_seq, edge_key, simple_view)
@@ -238,6 +239,38 @@ def test_update_partition_fuzz():
         inter = _intercluster_edges(new_ods)
         assert r <= inter
     assert done >= 5
+
+
+def test_update_partition_contracts_the_final_layer_twice(monkeypatch):
+    """One update_partition call builds the final layer's contraction at
+    most twice, before and after all its ops, however many edges of R reach
+    that layer; the one diff between the two still turns the old
+    sparsifier into the new one."""
+    built = []
+    build = GraphDS._compute_contraction
+
+    def counted(self):
+        built.append(self)
+        return build(self)
+
+    monkeypatch.setattr(GraphDS, "_compute_contraction", counted)
+    rng = random.Random(75)
+    many = 0
+    for _ in range(12):
+        g = random_connected_graph(rng, rng.randrange(5, 11),
+                                   rng.randrange(6))
+        for c in (1, 2):
+            ods = _strict_ods(g, c, 3)
+            r = _random_refining_r(rng, ods)
+            old_sp = build_sparsifier(ods)
+            work = ods.clone()
+            built.clear()
+            new_ods, seq = update_partition(work, r, 3, c, c + 1)
+            assert len(built) <= 2
+            assert all(ds is work.layers[-1] for ds in built)
+            assert build_sparsifier(new_ods) == apply_seq(old_sp.copy(), seq)
+            many += len(_intercluster_edges(new_ods)) >= 3
+    assert many >= 5
 
 
 class _Unread:

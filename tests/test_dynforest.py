@@ -28,17 +28,24 @@ def bfs_component(g, x):
     return seen
 
 
+def _check_trees(ds, g):
+    """Each vertex's forest tree is its BFS component of g."""
+    for x in g.vertex_list():
+        assert ds._forest_side(x, None) == bfs_component(g, x)
+
+
 def test_queries_c4():
     ds = GraphDS(cycle_graph(4))
     for x in range(4):
-        assert ds.comp_id(x) == 0
+        assert ds._forest_side(x, None) == {0, 1, 2, 3}
 
 
 def test_id_splits_on_deletion():
     ds = GraphDS(path_graph(3))
     ds.ds_update(DeleteEdge(1, 2))
-    assert ds.comp_id(0) == ds.comp_id(1)
-    assert ds.comp_id(0) != ds.comp_id(2)
+    assert ds._forest_side(0, None) == {0, 1}
+    assert ds._forest_side(2, None) == {2}
+    _check_trees(ds, ds.g)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -60,8 +67,8 @@ def test_queries_match_bfs_oracle(seed):
                 g.add_edge(u, v, 1)
         ds.check_forest()
         x = rng.randrange(30)
-        comp = bfs_component(g, x)
-        assert ds.comp_id(x) == min(comp)
+        assert ds._forest_side(x, None) == bfs_component(g, x)
+        _check_trees(ds, g)
 
 
 def test_forest_delta_on_tree_edge_delete():

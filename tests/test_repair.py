@@ -134,13 +134,11 @@ def test_bipartition_size_bound_fuzz():
         s = set(rng.sample(g.vertex_list(), rng.randrange(2, 5)))
         bs = bipartition_system(g, s, 2, 4)
         assert len(bs.pairs) <= 2 * (len(s) - 1)
-        # all cached partitions nontrivial and distinct
-        seen = set()
-        for tr in bs.s_partitions:
+        # all held traces nontrivial and distinct
+        assert len(bs.traces) == len(bs.pairs)
+        assert len(set(bs.traces)) == len(bs.traces)
+        for tr in bs.traces:
             assert frozenset() != tr != frozenset(s)
-            key = frozenset((tr, frozenset(s) - tr))
-            assert key not in seen
-            seen.add(key)
 
 
 # -- typed repair sets: size bounds ----------------------------------------
