@@ -9,13 +9,12 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .cutpartition import (build_sparsifier, cut_partition_update,
                            update_layer_indices)
-from .cutprimitives import component_of
+from .cutprimitives import component_of, touched_components
 from .errors import RejectedOp
 from .multigraph import (CompositeOp, DeleteEdge, InsertEdge, InsertVertex,
-                         MultiGraph,
-                         ReductionImage, UpdateOp, UpdateSeq, VertexId,
-                         apply_seq, degree_reduce, induced_subgraph,
-                         named_vertices)
+                         MultiGraph, ReductionImage, UpdateOp, UpdateSeq,
+                         VertexId, apply_seq, changed_vertices, degree_reduce,
+                         named_vertices, shallow_copy)
 from .multilevel import (MultiLevelDS, ParamSchedule, make_schedule,
                          preprocess_multi_level, splice_multi_level)
 from .onlinebatch import Scheduler
@@ -75,51 +74,122 @@ def edge_connectivity(g: MultiGraph, x: VertexId, y: VertexId, cap_at: int) -> i
 # -- fully dynamic engine --------------------------------------------------
 
 class StackDS:
-    """Batchable wrapper over the sparsifier stack.  A batch rebuilds only
-    the components it touches: it preprocesses the touched components of
-    the post-batch graph and splices the result into the pre-batch stack,
-    which gives the full rebuild exactly (see splice_multi_level).  It
-    rebuilds the whole stack instead when the batch touches every
-    component, when the part's level count differs from the stack's, or
-    when the part alone fails to preprocess.  The desk schedules have no
-    spare update rounds, so rebuilding is the deterministic batch rule; the
-    round-consuming update path is what queries exercise."""
+    """Batchable wrapper over the sparsifier stack.  It holds one instance:
+    the output of its latest batch_update, or of its first initialize
+    before any batch.
+
+    Every output equals preprocess_multi_level of its own graph (see
+    splice_multi_level), so any earlier output is as exact a splice base
+    as a batch's `inst`, and the latest one is the cheapest: under the
+    scheduler a serve's graph differs from the previous serve's only in
+    the components its newest op touched, and a level-0 re-initialize's
+    only in those that the few updates since its graph touched.  So
+    initialize and batch_update preprocess only the components of their
+    graph that hold a vertex whose adjacency differs from the held graph,
+    and splice that part into the held instance.  A batch preprocesses
+    the whole graph instead when it touches every component (on a
+    one-component graph every change is a change of everything), when the
+    part's level count differs from the held instance's, or when the part
+    alone fails to preprocess, and it does so through initialize, as it
+    did before the held instance.  initialize preprocesses the whole graph
+    when the part holds more than half its vertices, since a splice then
+    saves little or costs more: it copies the held graph's dicts and each
+    changed vertex's neighbour list.  initialize does not replace the held
+    instance: a level-0 re-initialize runs in the same tick as a serve,
+    which should still start from the previous serve.
+
+    The step charge does not depend on what is held.  initialize charges
+    the vertices and distinct edges of its graph plus 1.  batch_update
+    charges len(seq) plus the vertices and distinct edges of the post-batch
+    components that hold a vertex seq names, which is what rebuilding the
+    touched components costs; when those are the whole graph it charges an
+    initialize instead, and on the last two fallbacks an initialize more.
+    The desk schedules have no spare update rounds, so rebuilding is the
+    deterministic batch rule; the round-consuming update path is what
+    queries exercise."""
 
     def __init__(self, sched: ParamSchedule):
         self.sched = sched
         self.steps = 0
+        self.held: Optional[MultiLevelDS] = None
 
     def initialize(self, g: MultiGraph) -> MultiLevelDS:
         self.steps += g.vertex_count() + g.distinct_edge_count() + 1
-        return preprocess_multi_level(g, self.sched)
+        out = None
+        if self.held is not None:
+            part, gone = self._diff(g, [])
+            if 2 * len(part) <= g.vertex_count():
+                out = self._splice(g, part, gone)
+        if out is None:
+            out = preprocess_multi_level(g, self.sched)
+            if self.held is None:
+                self.held = out
+        return out
 
     def batch_update(self, inst: MultiLevelDS, g_before: MultiGraph,
                      seq: UpdateSeq) -> MultiLevelDS:
-        drop: Set[VertexId] = set()
-        for v in named_vertices(seq):
-            if g_before.has_vertex(v) and v not in drop:
-                drop |= component_of(g_before, v)
+        if self.held is None:   # before any initialize, or after a raise
+            self.held = inst
+        named = named_vertices(seq)
+        g = apply_seq(shallow_copy(g_before, named), seq)
         # Each op names the vertices whose edges it changes, and a touched
         # component that splits keeps a named vertex in every piece, so the
-        # batch turns the touched components into the post-batch graph's
-        # components that hold a named vertex.
-        part_g = apply_seq(induced_subgraph(g_before, drop), seq)
+        # batch touches exactly the post-batch components that hold a named
+        # vertex.
+        touched = [comp for comp, _ in touched_components(
+            g, [v for v in named if g.has_vertex(v)])]
+        size = sum(map(len, touched))
         self.steps += len(seq)
-        if len(drop) == g_before.vertex_count():
-            return self.initialize(part_g)   # part_g is the whole graph
-        self.steps += part_g.vertex_count() + part_g.distinct_edge_count()
+        out = None
+        if size < g.vertex_count():
+            self.steps += size + sum(g.degree(v) for comp in touched
+                                     for v in comp) // 2
+            out = self._splice(g, *self._diff(g, touched))
+        if out is None:
+            # the batch touches every component, or the held instance is
+            # no base for g: rebuild whole, through an initialize that has
+            # nothing held to diff against
+            self.held = None
+            out = self.initialize(g)
+        self.held = out
+        return out
+
+    def _diff(self, g: MultiGraph, searched: List[Set[VertexId]]
+              ) -> Tuple[Set[VertexId], Set[VertexId]]:
+        """(part, gone): the components of g that hold a vertex whose
+        adjacency differs from the held graph's, as one vertex set, and the
+        held graph's vertices that g lacks.  `searched` are components of
+        g found already, which are not searched again."""
+        changed, gone = changed_vertices(g, self.held.graph)
+        seen = set().union(*searched)
+        part = set().union(*(comp for comp in searched
+                             if not comp.isdisjoint(changed)))
+        for comp, _ in touched_components(g, changed - seen):
+            part |= comp
+        return part, gone
+
+    def _splice(self, g: MultiGraph, part: Set[VertexId],
+                gone: Set[VertexId]) -> Optional[MultiLevelDS]:
+        """g's stack: the held instance with g's components on `part`
+        preprocessed and spliced in, and the vertices `gone` dropped.  None
+        when the part's level count differs from the held instance's, or
+        when the part fails to preprocess."""
+        held = self.held
+        if not part and not gone:
+            return held
         try:
-            part = preprocess_multi_level(part_g, self.sched)
+            new = preprocess_multi_level(g.restrict(part), self.sched)
         except RejectedOp:
-            part = None     # the full rebuild below raises if it must
-        if part is not None and part.level_count() == inst.level_count():
-            return splice_multi_level(inst, drop, part)
-        return self.initialize(apply_seq(g_before.copy(), seq))
+            return None     # the full rebuild raises if it must
+        if new.level_count() != held.level_count():
+            return None
+        return splice_multi_level(held, part | gone, new)
 
     def clone(self, inst: MultiLevelDS) -> MultiLevelDS:
-        # batch_update builds a new instance that shares only what it
-        # leaves unchanged, and engine_query works on copies of the queried
-        # component, so no caller mutates a served instance.
+        # Every instance is read-only: batch_update and initialize build a
+        # new one that shares what it leaves unchanged with the held one,
+        # and engine_query works on copies of the queried component.  So
+        # the held instance, and every instance served, stay as built.
         return inst
 
     def fingerprint(self, inst: MultiLevelDS) -> Tuple:

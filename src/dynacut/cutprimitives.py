@@ -389,29 +389,27 @@ def enumerate_cuts(g: MultiGraph, terms: Iterable[VertexId],
     terms = frozenset(terms)
     if not tp <= terms:
         raise RejectedOp("enumerate-cuts", "T' not within the terminal sets")
+    cs = search or CutSearch(g)
     universe: Set[VertexSet] = {
-        side for _, side in enumerate_anchored_cuts(g, tp, c, t, search)}
+        side for _, side in enumerate_anchored_cuts(g, tp, c, t, cs)}
     # keep only pieces whose terminal trace stays within T'
     pieces = sorted((v for v in universe if (v & terms) <= tp),
                     key=lambda s: tuple(sorted(s)))
     out: Set[VertexSet] = set()
-
-    def extend(start: int, union: Set[VertexId], depth: int) -> None:
-        if union and (frozenset(union) & terms) == tp:
-            b = boundary(g, union)
-            if sum(g.multiplicity(u, v) for u, v in b) <= c:
-                out.add(frozenset(union))
+    # unions of at most c disjoint pieces, each union grown by later pieces
+    # only; an explicit stack, since a recursive closure would keep cs
+    # alive in a reference cycle after the call
+    stack: List[Tuple[int, VertexSet, int]] = [(0, frozenset(), 0)]
+    while stack:
+        start, union, depth = stack.pop()
+        if union and union & terms == tp and cs.cut_size(union) <= c:
+            out.add(union)
         if depth == c:
-            return
+            continue
         for idx in range(start, len(pieces)):
             piece = pieces[idx]
-            if union & piece:
-                continue
-            if len(union) + len(piece) > t:
-                continue
-            extend(idx + 1, union | piece, depth + 1)
-
-    extend(0, set(), 0)
+            if not union & piece and len(union) + len(piece) <= t:
+                stack.append((idx + 1, union | piece, depth + 1))
     return out
 
 

@@ -206,6 +206,29 @@ def splice_graph(base: MultiGraph, drop, part: MultiGraph) -> MultiGraph:
     return g
 
 
+def shallow_copy(g: MultiGraph, own) -> MultiGraph:
+    """A copy of g that owns the adjacency of the vertices `own` and shares
+    every other vertex's with g.  Ops that name only vertices of `own` may
+    change the copy; nothing may change g while the copy is in use."""
+    adj = dict(g._adj)
+    for v in own:
+        if v in adj:
+            adj[v] = dict(adj[v])
+    out = MultiGraph()
+    out._adj = adj
+    out._distinct_edges = g._distinct_edges
+    return out
+
+
+def changed_vertices(g: MultiGraph, base: MultiGraph
+                     ) -> Tuple[Set[VertexId], Set[VertexId]]:
+    """(changed, gone): the vertices of g whose adjacency differs from
+    base's, those base lacks included, and the vertices of base g lacks."""
+    old = base._adj
+    changed = {v for v, nbrs in g._adj.items() if old.get(v) != nbrs}
+    return changed, old.keys() - g._adj.keys()
+
+
 def simple_view(g: MultiGraph) -> MultiGraph:
     """Test oracle: same vertices and distinct edges, all multiplicities
     1 (the engine's expander steps read distinct adjacency only)."""

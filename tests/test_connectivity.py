@@ -16,8 +16,9 @@ from dynacut.cutprimitives import component_of, components
 from dynacut.dynforest import GraphDS, InsertTerminal
 from dynacut.errors import RejectedOp
 from dynacut.harness import gen_workload
-from dynacut.multigraph import (DeleteEdge, InsertEdge, InsertVertex,
-                                MultiGraph, apply_update, induced_subgraph)
+from dynacut.multigraph import (DeleteEdge, DeleteVertex, InsertEdge,
+                                InsertVertex, MultiGraph, apply_update,
+                                induced_subgraph)
 from dynacut.multilevel import make_schedule, preprocess_multi_level
 from dynacut.onlinebatch import Scheduler
 
@@ -451,6 +452,204 @@ def test_stack_splice_on_a_two_level_schedule(monkeypatch):
     with pytest.raises(RejectedOp):
         impl.batch_update(inst, g, [op])
     assert calls == {**before, "full": before["full"] + 1}
+
+
+def _random_batch(rng, g, seen, cap):
+    """One to four ops valid on g in order: merges of two components, edge
+    deletes (tallied as splits when they split a component), edge inserts
+    inside a component, vertex inserts up to `cap` vertices, and vertex
+    deletes after deletes of the vertex's edges.  Returns the ops and g
+    after them; g is unchanged."""
+    h = g.copy()
+    seq = []
+    for _ in range(rng.randint(1, 4)):
+        comps = components(h)
+        r = rng.random()
+        if r < 0.25 and len(comps) > 1:
+            a, b = rng.sample(comps, 2)
+            ops = [InsertEdge(rng.choice(sorted(a)), rng.choice(sorted(b)), 1)]
+            seen["merge"] += 1
+        elif (r < 0.4 and h.vertex_count() < cap) or not h.vertex_count():
+            v = max(h.vertex_list(), default=-1) + 1
+            ops = [InsertVertex(v)]
+            if h.vertex_count() and rng.random() < 0.7:
+                ops.append(InsertEdge(v, rng.choice(h.vertex_list()), 1))
+            seen["add"] += 1
+        elif r < 0.5:
+            v = rng.choice(h.vertex_list())
+            ops = [DeleteEdge(v, w) for w in h.neighbors(v)]
+            ops.append(DeleteVertex(v))
+            seen["delete"] += 1
+        else:
+            comp = sorted(rng.choice(comps))
+            present = [e for e in h.edge_keys() if e[0] in comp]
+            absent = [(u, v) for u, v in itertools.combinations(comp, 2)
+                      if not h.has_edge(u, v)]
+            if present and (not absent or rng.random() < 0.6):
+                ops = [DeleteEdge(*rng.choice(present))]
+                seen["split"] += len(components(
+                    apply_update(h.copy(), ops[0]))) > len(comps)
+            elif absent:
+                ops = [InsertEdge(*rng.choice(absent), 1)]
+            else:
+                continue
+        for op in ops:
+            apply_update(h, op)
+        seq.extend(ops)
+    return seq, h
+
+
+@pytest.mark.parametrize("case", ["flat", "two-level"])
+def test_stack_from_any_base_matches_preprocess_fuzz(case, monkeypatch):
+    """StackDS builds each result from the instance it holds, not from the
+    batch's parent.  Interleave batches from parents up to four outputs
+    older than the held one, as a serve in a new window has, with
+    initializes of graphs several ops behind it: every output equals a
+    preprocess of its graph, a batch raises exactly when that preprocess
+    does, and no call changes an earlier output or graph.  On the two-level
+    schedule the level-count fallback fires in a batch and in an
+    initialize, and batches raise, one of them on that fallback."""
+    calls = _spy_stack(monkeypatch)
+    rng = random.Random(81 if case == "flat" else 82)
+    if case == "flat":
+        g = _components_graph(rng, [4, 3, 5, 2])
+        sched = connectivity._flat_schedule(2, 40)
+        cap, rounds = 40, 150
+    else:     # the exact conductance check keeps these graphs small
+        g = _two_barbells()
+        sched = make_schedule(1, 12, "desk", {"rounds": 1, "t": 20,
+                                              "n_max": 20,
+                                              "phi": Fraction(2, 5)})
+        cap, rounds = 13, 40
+    impl = StackDS(sched)
+    history = [(g, impl.initialize(g.copy()))]
+    if case == "two-level":
+        # a barbell stacks two levels and two triangles one, so the part
+        # of each call below has another level count than the held stack
+        g1 = apply_update(g.copy(), DeleteEdge(12, 13))
+        history.append((g1, impl.batch_update(history[0][1], g,
+                                              [DeleteEdge(12, 13)])))
+        assert calls == {"splice": 0, "full": 1}
+        g2 = apply_update(g1.copy(), DeleteEdge(2, 3))
+        history.append((g2, impl.initialize(g2)))
+        assert calls == {"splice": 0, "full": 1}
+        assert history[2][1].level_count() == 1
+        # the part raises, and so does the whole rebuild; nothing is held
+        # after that, so the next batch splices into its own parent
+        with pytest.raises(RejectedOp):
+            impl.batch_update(history[1][1], g1, [InsertEdge(0, 4, 1)])
+        assert calls == {"splice": 0, "full": 2}
+        history.append((apply_update(g1.copy(), DeleteEdge(4, 5)),
+                        impl.batch_update(history[1][1], g1,
+                                          [DeleteEdge(4, 5)])))
+        assert calls == {"splice": 1, "full": 2}
+    outputs = [(inst, inst.fingerprint()) for _, inst in history]
+    graphs = [(h, sorted(h.edge_items())) for h, _ in history]
+    for h, inst in history:
+        assert _stack_state(inst) == \
+            _stack_state(preprocess_multi_level(h, sched))
+    seen = {"merge": 0, "split": 0, "add": 0, "delete": 0, "older": 0,
+            "behind": 0, "raise": 0}
+    for _ in range(rounds):
+        j = rng.randrange(max(0, len(history) - 5), len(history))
+        g_j, inst_j = history[j]
+        if rng.random() < 0.25:
+            out = impl.initialize(g_j.copy())
+            seen["behind"] += j < len(history) - 3
+            assert _stack_state(out) == \
+                _stack_state(preprocess_multi_level(g_j, sched))
+            outputs.append((out, out.fingerprint()))
+            continue
+        seq, g_new = _random_batch(rng, g_j, seen, cap)
+        try:
+            want = preprocess_multi_level(g_new, sched)
+        except RejectedOp:
+            with pytest.raises(RejectedOp):
+                impl.batch_update(inst_j, g_j, seq)
+            seen["raise"] += 1
+            continue
+        seen["older"] += j < len(history) - 1
+        out = impl.batch_update(inst_j, g_j, seq)
+        assert _stack_state(out) == _stack_state(want)
+        history.append((g_new, out))
+        outputs.append((out, out.fingerprint()))
+        graphs.append((g_new, sorted(g_new.edge_items())))
+    for inst, fp in outputs:
+        assert inst.fingerprint() == fp
+    for h, edges in graphs:
+        assert sorted(h.edge_items()) == edges
+    assert min(seen[k] for k in ("merge", "split", "add", "delete",
+                                 "older", "behind")) > 0
+    assert calls["splice"] > 0
+    assert (seen["raise"] > 0) == (case == "two-level")
+
+
+def _adjacency(g, v):
+    return ({w: g.multiplicity(v, w) for w in g.neighbors(v)}
+            if g.has_vertex(v) else None)
+
+
+def _changed_part(g, base):
+    """The vertices of the components of g that hold a vertex whose
+    adjacency differs from base's."""
+    part = set()
+    for v in g.vertex_list():
+        if v not in part and _adjacency(g, v) != _adjacency(base, v):
+            part |= component_of(g, v)
+    return part
+
+
+def test_stack_preprocesses_only_what_changed(monkeypatch):
+    """On a 12-community engine, each serve preprocesses only the
+    components changed since the previous serve, not every one its window
+    of up to 12 updates touched, and each level-0 re-initialize only those
+    whose adjacency differs from the previous serve, not the whole image."""
+    rng = random.Random(12)
+    g = _components_graph(rng, [5] * 12)
+    e = engine_preprocess(g, 2)
+    inputs = []
+    preprocess = connectivity.preprocess_multi_level
+
+    def spy_preprocess(h, sched):
+        inputs.append(h.vertices)
+        return preprocess(h, sched)
+
+    calls = []      # [method name, result graph, graphs it preprocessed]
+    for name in ("initialize", "batch_update"):
+        def spy(self, *args, _method=getattr(StackDS, name), _name=name):
+            start = len(inputs)
+            call = [_name]
+            calls.append(call)
+            out = _method(self, *args)
+            call += [out.graph, inputs[start:]]
+            return out
+        monkeypatch.setattr(StackDS, name, spy)
+    monkeypatch.setattr(connectivity, "preprocess_multi_level",
+                        spy_preprocess)
+    reinits = 0
+    for _ in range(40):
+        k = rng.randrange(12)
+        pairs = list(itertools.combinations(range(5 * k, 5 * k + 5), 2))
+        present = [p for p in pairs if g.has_edge(*p)]
+        absent = [p for p in pairs if not g.has_edge(*p)]
+        if present and (not absent or rng.random() < 0.5):
+            op = DeleteEdge(*rng.choice(present))
+            g.remove_edge(op.u, op.v)
+        else:
+            op = InsertEdge(*rng.choice(absent), 1)
+            g.add_edge(op.u, op.v, 1)
+        served = e.current.graph
+        calls.clear()
+        engine_update(e, op)
+        # a level-0 window opens before the serve, in the same tick
+        assert [name for name, _, _ in calls] in (
+            ["batch_update"], ["initialize", "batch_update"])
+        for _, target, made in calls:
+            part = _changed_part(target, served)
+            assert made == ([part] if part else [])
+            assert len(part) < target.vertex_count()
+        reinits += len(calls) == 2
+    assert reinits == 6
 
 
 def _check_forests_are_fresh(ods, seen):
