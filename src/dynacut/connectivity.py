@@ -5,10 +5,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Set, Tuple
 
-from .cutpartition import (build_sparsifier, cut_partition_update,
-                           update_layer_indices)
+from .cutpartition import (CutPartitionDS, build_sparsifier,
+                           cut_partition_update, update_layer_indices)
 from .cutprimitives import component_of, touched_components
 from .errors import RejectedOp
 from .multigraph import (CompositeOp, DeleteEdge, InsertEdge, InsertVertex,
@@ -73,6 +74,18 @@ def edge_connectivity(g: MultiGraph, x: VertexId, y: VertexId, cap_at: int) -> i
 
 # -- fully dynamic engine --------------------------------------------------
 
+class _Deferred(MultiLevelDS):
+    """preprocess_multi_level(g, sched), run the first time anything reads
+    the instance and never again.  g must stay unchanged until then."""
+
+    def __init__(self, g: MultiGraph, sched: ParamSchedule):
+        self.g, self.schedule, self.round = g, sched, 0
+
+    @cached_property
+    def levels(self) -> List[CutPartitionDS]:
+        return preprocess_multi_level(self.g, self.schedule).levels
+
+
 class StackDS:
     """Batchable wrapper over the sparsifier stack.  It holds one instance:
     the output of its latest batch_update, or of its first initialize
@@ -82,31 +95,30 @@ class StackDS:
     splice_multi_level), so any earlier output is as exact a splice base
     as a batch's `inst`, and the latest one is the cheapest: under the
     scheduler a serve's graph differs from the previous serve's only in
-    the components its newest op touched, and a level-0 re-initialize's
-    only in those that the few updates since its graph touched.  So
-    initialize and batch_update preprocess only the components of their
-    graph that hold a vertex whose adjacency differs from the held graph,
-    and splice that part into the held instance.  A batch preprocesses
-    the whole graph instead when it touches every component (on a
-    one-component graph every change is a change of everything), when the
-    part's level count differs from the held instance's, or when the part
-    alone fails to preprocess, and it does so through initialize, as it
-    did before the held instance.  initialize preprocesses the whole graph
-    when the part holds more than half its vertices, since a splice then
-    saves little or costs more: it copies the held graph's dicts and each
-    changed vertex's neighbour list.  initialize does not replace the held
-    instance: a level-0 re-initialize runs in the same tick as a serve,
-    which should still start from the previous serve.
+    the components its newest op touched.  So batch_update reads `inst`
+    only when nothing is held (before any initialize, or after a raise).
+    It preprocesses only the components of its graph that hold a vertex
+    whose adjacency differs from the held graph, and splices that part
+    into the held instance.  It rebuilds the whole graph instead, through
+    initialize with nothing held, when the batch touches every component
+    (on a one-component graph every change is a change of everything),
+    when the part's level count differs from the held instance's, or when
+    the part alone fails to preprocess.
 
-    The step charge does not depend on what is held.  initialize charges
-    the vertices and distinct edges of its graph plus 1.  batch_update
-    charges len(seq) plus the vertices and distinct edges of the post-batch
-    components that hold a vertex seq names, which is what rebuilding the
-    touched components costs; when those are the whole graph it charges an
-    initialize instead, and on the last two fallbacks an initialize more.
-    The desk schedules have no spare update rounds, so rebuilding is the
-    deterministic batch rule; the round-consuming update path is what
-    queries exercise."""
+    initialize with nothing held preprocesses g and holds the result.  Any
+    other initialize is a level-0 re-initialize, whose output is read only
+    after a raise, so it returns an instance that preprocesses g the first
+    time it is read (and raises then if g does not preprocess).
+
+    The step charge does not depend on what is held or deferred.
+    initialize charges the vertices and distinct edges of its graph plus
+    1.  batch_update charges len(seq) plus the vertices and distinct edges
+    of the post-batch components that hold a vertex seq names, which is
+    what rebuilding the touched components costs; when those are the
+    whole graph it charges an initialize instead, and on the last two
+    fallbacks an initialize more.  The desk schedules have no spare update
+    rounds, so rebuilding is the deterministic batch rule; the
+    round-consuming update path is what queries exercise."""
 
     def __init__(self, sched: ParamSchedule):
         self.sched = sched
@@ -115,16 +127,10 @@ class StackDS:
 
     def initialize(self, g: MultiGraph) -> MultiLevelDS:
         self.steps += g.vertex_count() + g.distinct_edge_count() + 1
-        out = None
         if self.held is not None:
-            part, gone = self._diff(g, [])
-            if 2 * len(part) <= g.vertex_count():
-                out = self._splice(g, part, gone)
-        if out is None:
-            out = preprocess_multi_level(g, self.sched)
-            if self.held is None:
-                self.held = out
-        return out
+            return _Deferred(g, self.sched)
+        self.held = preprocess_multi_level(g, self.sched)
+        return self.held
 
     def batch_update(self, inst: MultiLevelDS, g_before: MultiGraph,
                      seq: UpdateSeq) -> MultiLevelDS:
@@ -144,37 +150,29 @@ class StackDS:
         if size < g.vertex_count():
             self.steps += size + sum(g.degree(v) for comp in touched
                                      for v in comp) // 2
-            out = self._splice(g, *self._diff(g, touched))
+            out = self._splice(g, touched)
         if out is None:
             # the batch touches every component, or the held instance is
             # no base for g: rebuild whole, through an initialize that has
-            # nothing held to diff against
+            # nothing held
             self.held = None
             out = self.initialize(g)
         self.held = out
         return out
 
-    def _diff(self, g: MultiGraph, searched: List[Set[VertexId]]
-              ) -> Tuple[Set[VertexId], Set[VertexId]]:
-        """(part, gone): the components of g that hold a vertex whose
-        adjacency differs from the held graph's, as one vertex set, and the
-        held graph's vertices that g lacks.  `searched` are components of
-        g found already, which are not searched again."""
-        changed, gone = changed_vertices(g, self.held.graph)
-        seen = set().union(*searched)
-        part = set().union(*(comp for comp in searched
-                             if not comp.isdisjoint(changed)))
-        for comp, _ in touched_components(g, changed - seen):
-            part |= comp
-        return part, gone
-
-    def _splice(self, g: MultiGraph, part: Set[VertexId],
-                gone: Set[VertexId]) -> Optional[MultiLevelDS]:
-        """g's stack: the held instance with g's components on `part`
-        preprocessed and spliced in, and the vertices `gone` dropped.  None
-        when the part's level count differs from the held instance's, or
-        when the part fails to preprocess."""
+    def _splice(self, g: MultiGraph, touched: List[Set[VertexId]]
+                ) -> Optional[MultiLevelDS]:
+        """g's stack, spliced into the held instance: the changed part of
+        g preprocessed, and the held graph's vertices that g lacks dropped.
+        `touched` are components of g found already, not searched again.
+        None when the part's level count differs from the held instance's,
+        or when the part fails to preprocess."""
         held = self.held
+        changed, gone = changed_vertices(g, held.graph)
+        part = set().union(*(comp for comp in touched
+                             if not comp.isdisjoint(changed)))
+        for comp, _ in touched_components(g, changed - set().union(*touched)):
+            part |= comp
         if not part and not gone:
             return held
         try:
@@ -186,10 +184,10 @@ class StackDS:
         return splice_multi_level(held, part | gone, new)
 
     def clone(self, inst: MultiLevelDS) -> MultiLevelDS:
-        # Every instance is read-only: batch_update and initialize build a
-        # new one that shares what it leaves unchanged with the held one,
-        # and engine_query works on copies of the queried component.  So
-        # the held instance, and every instance served, stay as built.
+        # Every instance is read-only: batch_update builds a new one that
+        # shares what it leaves unchanged with the held one, and
+        # engine_query works on copies of the queried component.  So the
+        # held instance, and every instance served, stay as built.
         return inst
 
     def fingerprint(self, inst: MultiLevelDS) -> Tuple:

@@ -33,7 +33,8 @@ class BatchableDS(Protocol):
     batch_update; the scheduler charges cost by reading its deltas.
     initialize must leave `g` unchanged, and batch_update may consume
     `inst` (the scheduler hands it a clone) but must leave `g_before`
-    unchanged: snapshots share their graphs.
+    unchanged: snapshots share their graphs.  A caller may not change `g`
+    after initialize either, since the instance may read it later.
     """
     steps: int
 

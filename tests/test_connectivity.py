@@ -506,10 +506,22 @@ def test_stack_from_any_base_matches_preprocess_fuzz(case, monkeypatch):
     older than the held one, as a serve in a new window has, with
     initializes of graphs several ops behind it: every output equals a
     preprocess of its graph, a batch raises exactly when that preprocess
-    does, and no call changes an earlier output or graph.  On the two-level
-    schedule the level-count fallback fires in a batch and in an
-    initialize, and batches raise, one of them on that fallback."""
+    does, and no call changes an earlier output or graph.  A re-initialize
+    preprocesses its graph once, when first read, however often it is
+    read.  On the two-level schedule the level-count fallback fires in a
+    batch, batches raise, one of them on that fallback, and a raise leaves
+    nothing held, so the next batch reads its base: once a re-initialize's
+    unread output, once an older batch output."""
     calls = _spy_stack(monkeypatch)
+    made = []
+    preprocess = connectivity.preprocess_multi_level
+
+    def spy_preprocess(h, sched):
+        made.append(h)
+        return preprocess(h, sched)
+
+    monkeypatch.setattr(connectivity, "preprocess_multi_level",
+                        spy_preprocess)
     rng = random.Random(81 if case == "flat" else 82)
     if case == "flat":
         g = _components_graph(rng, [4, 3, 5, 2])
@@ -523,26 +535,34 @@ def test_stack_from_any_base_matches_preprocess_fuzz(case, monkeypatch):
         cap, rounds = 13, 40
     impl = StackDS(sched)
     history = [(g, impl.initialize(g.copy()))]
+    reinits = []
     if case == "two-level":
         # a barbell stacks two levels and two triangles one, so the part
-        # of each call below has another level count than the held stack
+        # of the first batch has another level count than the held stack
         g1 = apply_update(g.copy(), DeleteEdge(12, 13))
         history.append((g1, impl.batch_update(history[0][1], g,
                                               [DeleteEdge(12, 13)])))
         assert calls == {"splice": 0, "full": 1}
         g2 = apply_update(g1.copy(), DeleteEdge(2, 3))
+        start = len(made)
         history.append((g2, impl.initialize(g2)))
-        assert calls == {"splice": 0, "full": 1}
-        assert history[2][1].level_count() == 1
+        reinits.append(g2)
+        assert made[start:] == [] and calls == {"splice": 0, "full": 1}
         # the part raises, and so does the whole rebuild; nothing is held
-        # after that, so the next batch splices into its own parent
-        with pytest.raises(RejectedOp):
-            impl.batch_update(history[1][1], g1, [InsertEdge(0, 4, 1)])
-        assert calls == {"splice": 0, "full": 2}
-        history.append((apply_update(g1.copy(), DeleteEdge(4, 5)),
-                        impl.batch_update(history[1][1], g1,
-                                          [DeleteEdge(4, 5)])))
-        assert calls == {"splice": 1, "full": 2}
+        # after that, so the next batch splices into its own base: first
+        # the re-initialize's unread output, then an older batch output
+        op = DeleteEdge(4, 5)
+        for j, full in ((2, 2), (1, 3)):
+            with pytest.raises(RejectedOp):
+                impl.batch_update(history[1][1], g1, [InsertEdge(0, 4, 1)])
+            assert calls == {"splice": full - 2, "full": full}
+            g_j, inst_j = history[j]
+            out = impl.batch_update(inst_j, g_j, [op])
+            assert calls == {"splice": full - 1, "full": full}
+            assert _stack_state(out) == _stack_state(
+                preprocess_multi_level(apply_update(g_j.copy(), op), sched))
+        assert history[2][1].level_count() == 1
+        history.append((apply_update(g1.copy(), op), out))
     outputs = [(inst, inst.fingerprint()) for _, inst in history]
     graphs = [(h, sorted(h.edge_items())) for h, _ in history]
     for h, inst in history:
@@ -554,11 +574,14 @@ def test_stack_from_any_base_matches_preprocess_fuzz(case, monkeypatch):
         j = rng.randrange(max(0, len(history) - 5), len(history))
         g_j, inst_j = history[j]
         if rng.random() < 0.25:
-            out = impl.initialize(g_j.copy())
+            h = g_j.copy()
+            out = impl.initialize(h)
+            reinits.append(h)
             seen["behind"] += j < len(history) - 3
             assert _stack_state(out) == \
                 _stack_state(preprocess_multi_level(g_j, sched))
             outputs.append((out, out.fingerprint()))
+            graphs.append((h, sorted(h.edge_items())))
             continue
         seq, g_new = _random_batch(rng, g_j, seen, cap)
         try:
@@ -578,6 +601,7 @@ def test_stack_from_any_base_matches_preprocess_fuzz(case, monkeypatch):
         assert inst.fingerprint() == fp
     for h, edges in graphs:
         assert sorted(h.edge_items()) == edges
+    assert [sum(m is h for m in made) for h in reinits] == [1] * len(reinits)
     assert min(seen[k] for k in ("merge", "split", "add", "delete",
                                  "older", "behind")) > 0
     assert calls["splice"] > 0
@@ -602,8 +626,8 @@ def _changed_part(g, base):
 def test_stack_preprocesses_only_what_changed(monkeypatch):
     """On a 12-community engine, each serve preprocesses only the
     components changed since the previous serve, not every one its window
-    of up to 12 updates touched, and each level-0 re-initialize only those
-    whose adjacency differs from the previous serve, not the whole image."""
+    of up to 12 updates touched, and each level-0 re-initialize preprocesses
+    nothing: its output is read only after a raise."""
     rng = random.Random(12)
     g = _components_graph(rng, [5] * 12)
     e = engine_preprocess(g, 2)
@@ -614,14 +638,14 @@ def test_stack_preprocesses_only_what_changed(monkeypatch):
         inputs.append(h.vertices)
         return preprocess(h, sched)
 
-    calls = []      # [method name, result graph, graphs it preprocessed]
+    calls = []      # [method name, graphs it preprocessed]
     for name in ("initialize", "batch_update"):
         def spy(self, *args, _method=getattr(StackDS, name), _name=name):
             start = len(inputs)
             call = [_name]
             calls.append(call)
             out = _method(self, *args)
-            call += [out.graph, inputs[start:]]
+            call.append(inputs[start:])
             return out
         monkeypatch.setattr(StackDS, name, spy)
     monkeypatch.setattr(connectivity, "preprocess_multi_level",
@@ -640,15 +664,18 @@ def test_stack_preprocesses_only_what_changed(monkeypatch):
             g.add_edge(op.u, op.v, 1)
         served = e.current.graph
         calls.clear()
+        inputs.clear()
         engine_update(e, op)
         # a level-0 window opens before the serve, in the same tick
-        assert [name for name, _, _ in calls] in (
+        assert [name for name, _ in calls] in (
             ["batch_update"], ["initialize", "batch_update"])
-        for _, target, made in calls:
-            part = _changed_part(target, served)
-            assert made == ([part] if part else [])
-            assert len(part) < target.vertex_count()
-        reinits += len(calls) == 2
+        *reinit, (_, made) = calls
+        assert [m for _, m in reinit] in ([], [[]])
+        target = e.current.graph
+        part = _changed_part(target, served)
+        assert made == inputs == ([part] if part else [])
+        assert len(part) < target.vertex_count()
+        reinits += len(reinit)
     assert reinits == 6
 
 
