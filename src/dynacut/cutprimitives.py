@@ -7,7 +7,7 @@ distinct boundary edges; the cut *size* counts multiplicities.  A cut is
 sides do.  A (t, c)-cut has size <= c and named side of <= t vertices.
 
 A CutSearch holds what repeated searches on one unchanging graph share: the
-heavy-class quotient per threshold c, each simple-cut search result, the
+heavy-class quotient per threshold, each simple-cut search result, the
 pieces of the graph minus each edge set, and each side's boundary.
 repair_set builds one for the length of one call; the enumeration and
 atomic-cut functions read it when it is passed and build a throwaway one
@@ -203,9 +203,9 @@ def _heavy_quotient(g: MultiGraph, c: int) -> _Quotient:
 
 class CutSearch:
     """What the cut searches on one graph g share, each built once: the
-    heavy-class quotient per threshold c, the result of each simple-cut
-    search per (x, c, t, excluded), the pieces of g minus each edge set e0,
-    and the boundary of each side.
+    heavy-class quotient per threshold, the result of each simple-cut
+    search per (x, c, min(t, |V(g)|), excluded), the pieces of g minus each
+    edge set e0, walked on a quotient, and the boundary of each side.
 
     g must not change while the object is in use.  repair_set builds one
     per call, passes it to every helper, and drops it when it returns, so
@@ -229,21 +229,45 @@ class CutSearch:
 
     def simple_cuts(self, x: VertexId, c: int, t: int,
                     excluded: Iterable[VertexId] = ()) -> FrozenSet[VertexSet]:
-        """enumerate_simple_cuts(g, x, c, t, excluded), searched once."""
-        key = (x, c, t, frozenset(excluded) - {x})
+        """enumerate_simple_cuts(g, x, c, t, excluded), searched once.  Every
+        budget t >= |V(g)| gives the sides of t = |V(g)|, so all such budgets
+        share that one search."""
+        key = (x, c, min(t, self.g.vertex_count()), frozenset(excluded) - {x})
         if key not in self._simple:
             self._simple[key] = frozenset(enumerate_simple_cuts(
-                self.g, x, c, t, key[3], search=self))
+                self.g, x, c, key[2], key[3], search=self))
         return self._simple[key]
 
     def piece(self, e0: EdgeSet, x: VertexId) -> VertexSet:
-        """x's component of g minus the edges e0, given as edge keys; the
-        same object for every vertex of the piece."""
+        """x's component of g minus the edges e0, given as pairs in either
+        order; the same object for every vertex of the piece.
+
+        Let h be the largest multiplicity of an edge of e0 that g holds (0
+        when none).  No edge heavier than h is removed, so the piece is a
+        union of the classes of the quotient at threshold h, and the walk
+        runs on that quotient: two classes stay joined unless the distinct
+        edges of e0 between them carry all of their multiplicity.  At h = 0
+        the classes are g's components."""
         found = self._pieces.setdefault(e0, [])
         for p in found:
             if x in p:
                 return p
-        found.append(frozenset(_reachable(self.g, x, e0)))
+        g = self.g
+        mult = {edge_key(u, v): g.multiplicity(u, v) for u, v in e0}
+        owner, members, adj = self.quotient(max(mult.values(), default=0))
+        between: Dict[Tuple[int, int], int] = {}
+        for (u, v), m in mult.items():
+            if m and owner[u] != owner[v]:
+                i, j = owner[u], owner[v]
+                between[i, j] = between[j, i] = between.get((i, j), 0) + m
+        seen = {owner[x]}
+        queue = [owner[x]]
+        for i in queue:
+            for j, m in adj[i]:
+                if j not in seen and m > between.get((i, j), 0):
+                    seen.add(j)
+                    queue.append(j)
+        found.append(frozenset(v for i in queue for v in members[i]))
         return found[-1]
 
     def boundary(self, side: Iterable[VertexId]) -> EdgeSet:
@@ -267,7 +291,7 @@ def induces_atomic_cut(g: MultiGraph, e0: Iterable[EdgeKey],
     if not edges or not all(g.has_vertex(x) for e in edges for x in e):
         return False
     piece = (search or CutSearch(g)).piece
-    # the pieces of g minus e0 met so far; a BFS stays in its component
+    # the pieces of g minus e0 met so far; a piece lies in one component
     sides: List[VertexSet] = []
     for u, v in edges:
         pu, pv = piece(edges, u), piece(edges, v)
@@ -288,8 +312,8 @@ def induced_cut_side(g: MultiGraph, e0: Iterable[EdgeKey],
                      search: Optional[CutSearch] = None) -> Set[VertexId]:
     """The side L of the cut induced by e0 that contains `inner`: the union
     of the pieces of g minus e0 that hold a vertex of `inner`.  `inner` lies
-    in one component of g (every caller passes a connected side), and a BFS
-    stays in its component, so L does too."""
+    in one component of g (every caller passes a connected side), and a
+    piece lies in one component, so L does too."""
     edges = frozenset(edge_key(u, v) for u, v in e0)
     piece = (search or CutSearch(g)).piece
     side: Set[VertexId] = set()
@@ -363,9 +387,10 @@ def enumerate_simple_cuts(g: MultiGraph, x: VertexId, c: int, t: int,
 def enumerate_anchored_cuts(g: MultiGraph, anchors: Iterable[VertexId], c: int,
                             t: int, search: Optional[CutSearch] = None
                             ) -> List[Tuple[VertexId, VertexSet]]:
-    """Every side meeting `anchors` exactly once, tagged with the smallest
-    anchor it contains and ordered by (anchor, side).  Matches the union of
-    per-anchor enumerations processed with first-hit deduplication."""
+    """Every simple (t, c)-cut side meeting `anchors` at least once, listed
+    once, tagged with the smallest anchor it contains and ordered by
+    (anchor, side).  Matches the union of per-anchor enumerations processed
+    with first-hit deduplication."""
     cs = search or CutSearch(g)
     out: List[Tuple[VertexId, VertexSet]] = []
     done: List[VertexId] = []

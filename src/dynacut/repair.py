@@ -263,7 +263,11 @@ def bipartition_system(g: MultiGraph, s: Terminals, c: int, t: int,
 def type_one_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
                         comp3: Labels, c: int, t: int,
                         search: Optional[CutSearch] = None) -> Set[EdgeKey]:
-    """Repair edges for terminal bipartitions that split S nontrivially."""
+    """Repair edges for terminal bipartitions that split S nontrivially.
+
+    A held pair's candidates are the simple (t, c)-cut sides that meet both
+    S and the pair's side.  They are read from the anchored enumeration
+    over S, whose searches bipartition_system has already run."""
     s = frozenset(s)
     if not s:
         return set()
@@ -271,12 +275,13 @@ def type_one_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
     terms = s | frozenset(t_set)
     held = {comp3[x] for x in s}
     system = bipartition_system(g, s, c, t, cs)
+    s_sides = [side for _, side in enumerate_anchored_cuts(g, s, c, t, cs)]
     w1: Set[EdgeKey] = set()
     for pair, trace in zip(system.pairs, system.traces):
         buckets: Dict[VertexId, List[RealizablePair]] = defaultdict(list)
         seen = set()
-        for _, side in enumerate_anchored_cuts(g, pair.side, c, t, cs):
-            if not (side & s):
+        for side in s_sides:
+            if not (side & pair.side):
                 continue
             b = cs.boundary(side)
             cid = _label_of(comp3, _ends(b))

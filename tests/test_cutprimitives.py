@@ -1,9 +1,11 @@
 import itertools
 import random
 
+from dynacut import cutprimitives
 from dynacut.cutprimitives import (
     Cut,
     CutSearch,
+    _reachable,
     boundary,
     component_of,
     components,
@@ -500,3 +502,84 @@ def test_shared_search_matches_fresh_calls_fuzz():
             elif fn is induces_atomic_cut:
                 seen["atomic" if want else "not_atomic"] += 1
     assert all(n > 20 for n in seen.values()), seen
+
+
+def test_piece_matches_reachable_fuzz():
+    """CutSearch.piece, walked on a heavy-class quotient, is x's component
+    of g minus e0 however e0 is given: with edges of multiplicity above 1,
+    reversed endpoints, pairs that are not edges of g, or empty.  Every
+    vertex of a piece gets the same object back."""
+    rng = random.Random(71)
+    seen = {"heavy": 0, "absent": 0, "empty": 0, "split": 0}
+    for _ in range(60):
+        g = _heavy_graph(rng)
+        verts = g.vertex_list()
+        cs = CutSearch(g)
+        for _ in range(8):
+            kind = rng.randrange(4)
+            e0 = [] if kind == 0 else _random_e0(rng, g)
+            if kind == 1:
+                e0.append(tuple(rng.sample(verts + [max(verts) + 1], 2)))
+            e0 = frozenset(e0)
+            seen["empty"] += not e0
+            seen["heavy"] += any(g.multiplicity(u, v) > 1 for u, v in e0)
+            seen["absent"] += any(not g.has_edge(u, v) for u, v in e0)
+            for x in verts:
+                p = cs.piece(e0, x)
+                assert p == frozenset(_reachable(g, x, e0)), (e0, x)
+                assert all(cs.piece(e0, y) is p for y in p)
+                seen["split"] += p != cs.piece(frozenset(), x)
+    assert all(n > 20 for n in seen.values()), seen
+
+
+def test_sides_meeting_s_and_p_fuzz():
+    """The type-one candidates of a held pair with side P are the sides of
+    the anchored enumeration over S that meet P: the family the anchored
+    enumeration over P gives, restricted to the sides that meet S."""
+    rng = random.Random(73)
+    found = 0
+    for _ in range(60):
+        g = _heavy_graph(rng)
+        verts = g.vertex_list()
+        cs = CutSearch(g)
+        s = set(rng.sample(verts, rng.randrange(1, 4)))
+        for _ in range(5):
+            p = frozenset(rng.sample(verts, rng.randrange(1, 5)))
+            c, t = rng.randrange(1, 4), rng.randrange(1, len(verts) + 2)
+            want = {side for _, side in enumerate_anchored_cuts(g, p, c, t)
+                    if side & s}
+            got = {side for _, side in enumerate_anchored_cuts(g, s, c, t, cs)
+                   if side & p}
+            assert got == want, (s, p, c, t)
+            found += len(want)
+    assert found > 200
+
+
+def test_budgets_past_vertex_count_share_one_search(monkeypatch):
+    """Two budgets t, q >= |V(g)| give one simple-cut search on a
+    CutSearch, and its sides are what enumerate_simple_cuts gives under
+    either budget."""
+    run = cutprimitives.enumerate_simple_cuts
+    budgets = []
+
+    def spy(g, x, c, t, excluded=(), search=None):
+        budgets.append(t)
+        return run(g, x, c, t, excluded, search)
+
+    monkeypatch.setattr(cutprimitives, "enumerate_simple_cuts", spy)
+    rng = random.Random(79)
+    found = 0
+    for _ in range(40):
+        g = _heavy_graph(rng)
+        verts, n = g.vertex_list(), g.vertex_count()
+        x, c = rng.choice(verts), rng.randrange(1, 4)
+        t, q = n + rng.choice((0, 1, 5)), rng.choice((n, n + 2, 10 ** 24))
+        excluded = rng.sample(verts, rng.randrange(0, 3))
+        cs = CutSearch(g)
+        del budgets[:]
+        sides = cs.simple_cuts(x, c, t, excluded)
+        assert cs.simple_cuts(x, c, q, excluded) is sides
+        assert budgets == [n]
+        assert sides == run(g, x, c, t, excluded) == run(g, x, c, q, excluded)
+        found += len(sides)
+    assert found > 40
