@@ -106,11 +106,13 @@ class CutPartitionDS:
     gamma: int
 
     def partition(self) -> List[Set[VertexId]]:
-        """The expander clusters: components of the layer-0 graph."""
+        """Test oracle: the expander clusters, the components of the
+        layer-0 graph."""
         return components(self.layers[0].g)
 
     def cut_partition(self) -> List[Set[VertexId]]:
-        """The refined partition: components of the final layer's graph."""
+        """Test oracle: the refined partition, the components of the final
+        layer's graph."""
         return components(self.layers[-1].g)
 
     def clone(self) -> "CutPartitionDS":

@@ -8,7 +8,8 @@ sides do.  A (t, c)-cut has size <= c and named side of <= t vertices.
 
 A CutSearch holds what repeated searches on one unchanging graph share: the
 heavy-class quotient per threshold, each simple-cut search result, the
-pieces of the graph minus each edge set, and each side's boundary.
+pieces of the graph minus each edge set, and each side's boundary and the
+subsets of it that induce an atomic cut.
 repair_set builds one for the length of one call; the enumeration and
 atomic-cut functions read it when it is passed and build a throwaway one
 when it is not.
@@ -16,6 +17,7 @@ when it is not.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Set, Tuple)
@@ -205,14 +207,15 @@ class CutSearch:
     """What the cut searches on one graph g share, each built once: the
     heavy-class quotient per threshold, the result of each simple-cut
     search per (x, c, min(t, |V(g)|), excluded), the pieces of g minus each
-    edge set e0, walked on a quotient, and the boundary of each side.
+    edge set e0, walked on a quotient, and the boundary of each side with
+    the subsets of it that induce an atomic cut.
 
     g must not change while the object is in use.  repair_set builds one
     per call, passes it to every helper, and drops it when it returns, so
     nothing is kept between calls or shared between engines.  The functions
     below that take a `search` read it instead of redoing the work; without
     one they build their own, which lives for that call only.  Every result
-    it keeps is a frozenset, since each caller that asks gets the same one."""
+    it keeps is immutable, since each caller that asks gets the same one."""
 
     def __init__(self, g: MultiGraph):
         self.g = g
@@ -221,6 +224,7 @@ class CutSearch:
                            FrozenSet[VertexSet]] = {}
         self._pieces: Dict[EdgeSet, List[VertexSet]] = {}
         self._boundary: Dict[VertexSet, EdgeSet] = {}
+        self._atomic: Dict[VertexSet, Tuple[EdgeSet, ...]] = {}
 
     def quotient(self, c: int) -> _Quotient:
         if c not in self._quotients:
@@ -278,6 +282,19 @@ class CutSearch:
 
     def cut_size(self, side: Iterable[VertexId]) -> int:
         return sum(self.g.multiplicity(u, v) for u, v in self.boundary(side))
+
+    def atomic_subsets(self, side: Iterable[VertexId]) -> Tuple[EdgeSet, ...]:
+        """The nonempty subsets of the boundary of `side` that induce an
+        atomic cut, by size and then in sorted order: the edge sets E' of
+        the realizable pairs (E', side)."""
+        key = frozenset(side)
+        if key not in self._atomic:
+            es = sorted(self.boundary(key))
+            subsets = (frozenset(combo) for r in range(1, len(es) + 1)
+                       for combo in itertools.combinations(es, r))
+            self._atomic[key] = tuple(
+                e for e in subsets if induces_atomic_cut(self.g, e, self))
+        return self._atomic[key]
 
 
 # -- atomic cuts -----------------------------------------------------------
@@ -450,5 +467,7 @@ class RealizablePair:
     @classmethod
     def of(cls, edges: Iterable[EdgeKey], side: Iterable[VertexId]
            ) -> "RealizablePair":
+        """Test helper: a pair from edges given as pairs in either order
+        and any iterable side."""
         return cls(frozenset(edge_key(u, v) for u, v in edges),
                    frozenset(side))

@@ -15,8 +15,13 @@ of g minus those edges is a BFS that skips them.
 Every helper of one repair_set call reads its graph g through one
 CutSearch (see cutprimitives), built when the call starts and dropped when
 it returns: each heavy-class quotient, simple-cut search, piece of g minus
-an edge set and boundary of a side is then computed once per call, however
-many helpers ask for it.  A helper called on its own builds its own.
+an edge set, boundary of a side and list of the side's boundary subsets
+that induce an atomic cut is then computed once per call, however many
+helpers ask for it.  A helper called on its own builds its own.
+
+A realizable pair (E', V') is a simple small cut side V' with a subset E'
+of its boundary that induces an atomic cut; every helper reads the E' of a
+side from CutSearch.atomic_subsets.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .cutprimitives import (
     enumerate_cuts,
     enumerate_anchored_cuts,
     induced_cut_side,
-    induces_atomic_cut,
 )
 from .errors import RejectedOp
 from .multigraph import EdgeKey, MultiGraph, VertexId, edge_key
@@ -87,21 +91,14 @@ class IASet:
 
 @dataclass
 class BipartitionSystem:
-    """Realizable pairs with the S-trace of each (parallel lists); the
-    traces are distinct, so an S-partition {P, S-P} holds at most one pair
-    per side."""
+    """The held realizable pairs with the S-trace of each (parallel lists);
+    the traces are distinct, so an S-partition {P, S-P} holds at most one
+    pair per side.  `candidates` lists every (pair, S-trace) the system
+    chose from, each pair once: the pairs on the simple (t, c)-cut sides
+    meeting S whose trace splits S nontrivially."""
     pairs: List[RealizablePair]
     traces: List[FrozenSet[VertexId]]
-
-
-def _edge_subsets(edges: Iterable[EdgeKey]) -> List[EdgeSet]:
-    """Nonempty subsets, deterministic order."""
-    es = sorted(edges)
-    out = []
-    for r in range(1, len(es) + 1):
-        for combo in itertools.combinations(es, r):
-            out.append(frozenset(combo))
-    return out
+    candidates: List[Tuple[RealizablePair, FrozenSet[VertexId]]]
 
 
 def _ends(edges: Iterable[EdgeKey]) -> Set[VertexId]:
@@ -129,16 +126,17 @@ def _label_of(comp: Labels, ends: Iterable[VertexId]) -> Optional[VertexId]:
 
 # -- elimination procedure -------------------------------------------------
 
-def elimination(g: MultiGraph, terms: Terminals, gamma,
+def elimination(g: MultiGraph, terms: Terminals,
+                gamma: Iterable[RealizablePair],
                 search: Optional[CutSearch] = None) -> Set[EdgeKey]:
     """Boundary edges of a maximal chain of pairs from `gamma`; the output
     intercepts a small terminal-separating cut for every pair.  `terms` are
     the terminals of DS1 and DS2 together.  Each chosen pair's edges are
     deleted, cumulatively, from g, and a pair leaves the pool once some
-    witness cut's ends fall in different components of what is left."""
-    pool = [p if isinstance(p, RealizablePair) else RealizablePair.of(*p)
-            for p in gamma]
-    remaining = sorted({_canon(p): p for p in pool}.values(), key=_canon)
+    witness cut's ends fall in different components of what is left.
+    Neither the order of `gamma` nor a pair listed twice changes the
+    output."""
+    remaining = sorted(set(gamma), key=_canon)
     if not remaining:
         return set()
     terms = frozenset(terms)
@@ -199,34 +197,24 @@ def bipartition_system(g: MultiGraph, s: Terminals, c: int, t: int,
     """
     s = frozenset(s)
     cs = search or CutSearch(g)
-    u: List[Tuple[RealizablePair, FrozenSet[VertexId], int]] = []
-    seen = set()
+    u: List[Tuple[RealizablePair, FrozenSet[VertexId]]] = []
     for _, side in enumerate_anchored_cuts(g, s, c, t, cs):
-        for e_sub in _edge_subsets(cs.boundary(side)):
-            if not induces_atomic_cut(g, e_sub, cs):
-                continue
-            l_side = frozenset(induced_cut_side(g, e_sub, side, cs))
-            trace = l_side & s
-            if not trace or trace == s:
-                continue
-            pair = RealizablePair(e_sub, frozenset(side))
-            key = _canon(pair)
-            if key not in seen:
-                seen.add(key)
-                u.append((pair, trace, cs.cut_size(side)))
+        for e_sub in cs.atomic_subsets(side):
+            trace = s & induced_cut_side(g, e_sub, side, cs)
+            if trace and trace != s:
+                u.append((RealizablePair(e_sub, side), trace))
     u.sort(key=lambda item: _canon(item[0]))
     equivalent: Dict[int, List[int]] = defaultdict(list)
-    for i, (p1, tr1, _) in enumerate(u):
-        for j, (p2, tr2, _) in enumerate(u):
+    for i, (p1, tr1) in enumerate(u):
+        for j, (p2, tr2) in enumerate(u):
             if i != j and (p1.side & p2.side) and tr1 == tr2:
                 equivalent[i].append(j)
     alive = [True] * len(u)
     pairs: List[RealizablePair] = []
     traces: List[FrozenSet[VertexId]] = []
-    sizes: List[int] = []
     removed: Set[EdgeKey] = set()      # the held pairs' boundaries
     comp: Optional[Labels] = None      # labels of g - removed, when needed
-    for i, (pair, trace, size) in enumerate(u):
+    for i, (pair, trace) in enumerate(u):
         if not alive[i]:
             continue
         b = cs.boundary(pair.side) - removed
@@ -242,17 +230,17 @@ def bipartition_system(g: MultiGraph, s: Terminals, c: int, t: int,
         if s - trace in traces:
             j = traces.index(s - trace)
             rest = cs.piece(frozenset(), min(pairs[j].side)) - pairs[j].side
-            if (rest & s == trace and sizes[j] <= size
+            if (rest & s == trace
+                    and cs.cut_size(pairs[j].side) <= cs.cut_size(pair.side)
                     and len(rest) <= 3 * t):
                 continue
         pairs.append(pair)
         traces.append(trace)
-        sizes.append(size)
         removed |= b
         comp = None
         for j in equivalent[i]:
             alive[j] = False
-    return BipartitionSystem(pairs, traces)
+    return BipartitionSystem(pairs, traces, u)
 
 
 # -- type 1 / 2 / 3 repair sets -------------------------------------------
@@ -265,9 +253,9 @@ def type_one_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
                         search: Optional[CutSearch] = None) -> Set[EdgeKey]:
     """Repair edges for terminal bipartitions that split S nontrivially.
 
-    A held pair's candidates are the simple (t, c)-cut sides that meet both
-    S and the pair's side.  They are read from the anchored enumeration
-    over S, whose searches bipartition_system has already run."""
+    A held pair's candidates are the bipartition system's candidates with
+    the held pair's S-trace whose side meets the held pair's side and
+    whose boundary ends lie in one component of DS3 that holds S."""
     s = frozenset(s)
     if not s:
         return set()
@@ -275,29 +263,14 @@ def type_one_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
     terms = s | frozenset(t_set)
     held = {comp3[x] for x in s}
     system = bipartition_system(g, s, c, t, cs)
-    s_sides = [side for _, side in enumerate_anchored_cuts(g, s, c, t, cs)]
     w1: Set[EdgeKey] = set()
     for pair, trace in zip(system.pairs, system.traces):
         buckets: Dict[VertexId, List[RealizablePair]] = defaultdict(list)
-        seen = set()
-        for side in s_sides:
-            if not (side & pair.side):
+        for cand, cand_trace in system.candidates:
+            if cand_trace != trace or not (cand.side & pair.side):
                 continue
-            b = cs.boundary(side)
-            cid = _label_of(comp3, _ends(b))
-            if cid not in held:
-                continue
-            for e_sub in _edge_subsets(b):
-                if not induces_atomic_cut(g, e_sub, cs):
-                    continue
-                l_side = frozenset(induced_cut_side(g, e_sub, side, cs))
-                if (l_side & s) != trace:
-                    continue
-                cand = RealizablePair(e_sub, frozenset(side))
-                key = _canon(cand)
-                if key in seen:
-                    continue
-                seen.add(key)
+            cid = _label_of(comp3, _ends(cs.boundary(cand.side)))
+            if cid in held:
                 buckets[cid].append(cand)
         w1 |= set(cs.boundary(pair.side))
         for cid in sorted(buckets):
@@ -319,7 +292,6 @@ def type_two_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
         for side in cs.simple_cuts(s_v, c, q):
             reach |= (side & t_set)
         gamma: List[RealizablePair] = []
-        seen = set()
         for _, side in enumerate_anchored_cuts(g, reach, c, t, cs):
             if side & s:
                 continue
@@ -331,14 +303,9 @@ def type_two_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
             if any(len({comp3[y] for y in _ends(cs.boundary(alt))}) > 1
                    for alt in alts):
                 continue
-            for e_sub in _edge_subsets(b):
-                if (induces_atomic_cut(g, e_sub, cs)
-                        and _separates(cs, e_sub, side, s_v)):
-                    cand = RealizablePair(e_sub, frozenset(side))
-                    key = _canon(cand)
-                    if key not in seen:
-                        seen.add(key)
-                        gamma.append(cand)
+            gamma.extend(RealizablePair(e_sub, side)
+                         for e_sub in cs.atomic_subsets(side)
+                         if _separates(cs, e_sub, side, s_v))
         w2 |= elimination(g, terms, gamma, cs)
     return w2
 
@@ -369,15 +336,13 @@ def type_three_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
             continue
         cid = _label_of(comp3, _ends(cs.boundary(side)))
         if cid in held:
-            buckets[cid].append(frozenset(side))
+            buckets[cid].append(side)
     for cid in sorted(buckets):
         best_e: EdgeSet = frozenset()
         best_size = None
         root: Optional[VertexId] = None
         for side in buckets[cid]:
-            for e_sub in _edge_subsets(cs.boundary(side)):
-                if not induces_atomic_cut(g, e_sub, cs):
-                    continue
+            for e_sub in cs.atomic_subsets(side):
                 outside = sorted(_ends(e_sub) - side)
                 if not outside:
                     continue
@@ -390,22 +355,13 @@ def type_three_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
                     best_size = vn
                     best_e = e_sub
                     root = min(found)
-        gamma: List[RealizablePair] = []
-        if root is not None:
-            seen = set()
-            for side in buckets[cid]:
-                if root in side:
-                    continue
-                for e_sub in _edge_subsets(cs.boundary(side)):
-                    if (induces_atomic_cut(g, e_sub, cs)
-                            and _separates(cs, e_sub, side, root)):
-                        cand = RealizablePair(e_sub, frozenset(side))
-                        key = _canon(cand)
-                        if key not in seen:
-                            seen.add(key)
-                            gamma.append(cand)
         w3 |= set(best_e)
-        w3 |= elimination(g, terms, gamma, cs)
+        if root is not None:
+            gamma = [RealizablePair(e_sub, side) for side in buckets[cid]
+                     if root not in side
+                     for e_sub in cs.atomic_subsets(side)
+                     if _separates(cs, e_sub, side, root)]
+            w3 |= elimination(g, terms, gamma, cs)
     return w3
 
 

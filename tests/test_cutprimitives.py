@@ -438,37 +438,51 @@ def _heavy_graph(rng):
     return _mg(edges)
 
 
+def _random_ball(rng, g):
+    """A connected side of 1-4 vertices grown from a random vertex."""
+    verts = g.vertex_list()
+    ball = {rng.choice(verts)}
+    for _ in range(rng.randrange(0, 4)):
+        ball.add(rng.choice([w for v in ball for w in g.neighbors(v)]
+                            or verts))
+    return ball
+
+
 def _random_e0(rng, g):
     """The boundary of a random ball half the time, else 1-3 random edges;
     either may be listed with endpoints reversed."""
-    verts = g.vertex_list()
     if rng.random() < 0.5:
-        ball = {rng.choice(verts)}
-        for _ in range(rng.randrange(0, 4)):
-            ball.add(rng.choice([w for v in ball for w in g.neighbors(v)]
-                                or verts))
-        e0 = list(boundary(g, ball)) or g.edge_keys()[:1]
+        e0 = list(boundary(g, _random_ball(rng, g))) or g.edge_keys()[:1]
     else:
         e0 = rng.sample(g.edge_keys(), min(rng.randrange(1, 4),
                                           g.distinct_edge_count()))
     return [(v, u) if rng.random() < 0.3 else (u, v) for u, v in e0]
 
 
+def _atomic_boundary_subsets(g, side):
+    """The nonempty subsets of the sorted boundary of `side`, by size, that
+    induce an atomic cut, each tested without a search."""
+    es = sorted(boundary(g, side))
+    return [frozenset(e) for r in range(1, len(es) + 1)
+            for e in itertools.combinations(es, r) if induces_atomic_cut(g, e)]
+
+
 def test_shared_search_matches_fresh_calls_fuzz():
     """On one CutSearch per graph, every call, made in random order and
     some twice, equals the same call without the search: the simple-cut,
-    anchored and T'-cut enumerations, the atomic-cut tests and boundaries,
-    on multigraphs with edges heavier than c, terminals and `excluded`
-    sets."""
+    anchored and T'-cut enumerations, the atomic-cut tests, boundaries and
+    the atomic boundary subsets of a connected side, on multigraphs with
+    edges heavier than c, terminals and `excluded` sets.  A repeated
+    atomic_subsets call returns the same object."""
     rng = random.Random(67)
-    seen = {"sides": 0, "atomic": 0, "not_atomic": 0}
+    seen = {"sides": 0, "atomic": 0, "not_atomic": 0, "subsets": 0}
     for _ in range(40):
         g = _heavy_graph(rng)
         verts = g.vertex_list()
         calls = []
         for _ in range(30):
             c, t = rng.randrange(1, 4), rng.randrange(1, len(verts) + 1)
-            kind = rng.randrange(6)
+            kind = rng.randrange(7)
             if kind == 0:
                 x = rng.choice(verts)
                 excluded = rng.sample(verts, rng.randrange(0, 4))
@@ -485,8 +499,11 @@ def test_shared_search_matches_fresh_calls_fuzz():
             elif kind == 4:
                 inner = rng.sample(verts, rng.randrange(1, 4))
                 calls.append((induced_cut_side, (_random_e0(rng, g), inner)))
-            else:
+            elif kind == 5:
                 calls.append((boundary, (rng.sample(verts, 3),)))
+            else:
+                calls.append((_atomic_boundary_subsets,
+                              (_random_ball(rng, g),)))
         calls += rng.sample(calls, 10)
         rng.shuffle(calls)
         cs = CutSearch(g)
@@ -494,6 +511,12 @@ def test_shared_search_matches_fresh_calls_fuzz():
             want = fn(g, *args)
             if fn is boundary:
                 assert cs.boundary(*args) == want
+                continue
+            if fn is _atomic_boundary_subsets:
+                got = cs.atomic_subsets(*args)
+                assert list(got) == want, args
+                assert cs.atomic_subsets(*args) is got
+                seen["subsets"] += len(want)
                 continue
             assert fn(g, *args, search=cs) == want, (fn.__name__, args)
             if fn is enumerate_simple_cuts:

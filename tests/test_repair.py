@@ -12,6 +12,8 @@ from dynacut.cutprimitives import (
     component_labels,
     cut_size,
     enumerate_cuts,
+    induced_cut_side,
+    induces_atomic_cut,
     intercepts,
     is_connected_subset,
 )
@@ -127,7 +129,33 @@ def test_bipartition_barbell_bridge_pair():
     assert g == before
 
 
+def _brute_candidates(g, s, c, t):
+    """Every (pair, S-trace) on a connected side of at most t vertices and
+    cut size at most c that meets S, with an atomic boundary subset whose
+    induced side splits S nontrivially."""
+    s = frozenset(s)
+    out = set()
+    for r in range(1, t + 1):
+        for sub in itertools.combinations(g.vertex_list(), r):
+            side = frozenset(sub)
+            if (not side & s or cut_size(g, side) > c
+                    or not is_connected_subset(g, side)):
+                continue
+            es = sorted(boundary(g, side))
+            for k in range(1, len(es) + 1):
+                for e in map(frozenset, itertools.combinations(es, k)):
+                    if not induces_atomic_cut(g, e):
+                        continue
+                    trace = s & induced_cut_side(g, e, side)
+                    if trace and trace != s:
+                        out.add((RealizablePair(e, side), trace))
+    return out
+
+
 def test_bipartition_size_bound_fuzz():
+    """Held pairs respect the 2(|S|-1) bound with distinct nontrivial
+    traces; the candidates list each pair once, hold every held (pair,
+    trace), and equal a brute-force family."""
     rng = random.Random(9)
     for _ in range(25):
         g = _rand_graph(rng, 5, 13)
@@ -139,6 +167,10 @@ def test_bipartition_size_bound_fuzz():
         assert len(set(bs.traces)) == len(bs.traces)
         for tr in bs.traces:
             assert frozenset() != tr != frozenset(s)
+        cand_pairs = [pair for pair, _ in bs.candidates]
+        assert len(set(cand_pairs)) == len(cand_pairs)
+        assert set(zip(bs.pairs, bs.traces)) <= set(bs.candidates)
+        assert set(bs.candidates) == _brute_candidates(g, s, 2, 4)
 
 
 # -- typed repair sets: size bounds ----------------------------------------
