@@ -432,8 +432,7 @@ def cut_partition_update(ods: CutPartitionDS, seq: UpdateSeq, phi: Fraction,
     for comp, w_id in touched_components(
             ds0.g, [x for x in touched if ds0.g.has_vertex(x)]):
         d_id = {edge_key(u, v) for u in w_id for v in ds0.g.adjacent(u)}
-        r_id = decremental_single_expander(induced_subgraph(ds0.g, comp),
-                                           phi, d_id)
+        r_id = decremental_single_expander(ds0.g.restrict(comp), phi, d_id)
         r |= r_id | d_id
     new_ods, new_seq = update_partition(ods, r, t, c, gamma, params)
     base = new_ods.g

@@ -8,11 +8,21 @@ sides do.  A (t, c)-cut has size <= c and named side of <= t vertices.
 
 A CutSearch holds what repeated searches on one unchanging graph share: the
 heavy-class quotient per threshold, each simple-cut search result, the
-pieces of the graph minus each edge set, and each side's boundary and the
-subsets of it that induce an atomic cut.
+cut size of each side a search found, the pieces of the graph minus each
+edge set, and each side's boundary and the subsets of it that induce an
+atomic cut.
 repair_set builds one for the length of one call; the enumeration and
 atomic-cut functions read it when it is passed and build a throwaway one
 when it is not.
+
+One search serves every narrower ask.  The sides of the simple-cut search
+(x, c, t, E) are the connected sides holding x with cut size <= c, at most
+max(t, 1) vertices and no vertex of E; that set does not depend on the
+quotient the search walks.  So an earlier search of x at (c0, t0, E0) with
+c0 >= c, t0 >= t and E0 a subset of E holds every side of the narrower
+one, and filtering it by cut size, vertex count and E gives them exactly.
+A search records each side's cut size as it finds it, so the filter walks
+no boundary.
 """
 
 from __future__ import annotations
@@ -206,9 +216,11 @@ def _heavy_quotient(g: MultiGraph, c: int) -> _Quotient:
 class CutSearch:
     """What the cut searches on one graph g share, each built once: the
     heavy-class quotient per threshold, the result of each simple-cut
-    search per (x, c, min(t, |V(g)|), excluded), the pieces of g minus each
-    edge set e0, walked on a quotient, and the boundary of each side with
-    the subsets of it that induce an atomic cut.
+    search per (x, c, min(t, |V(g)|), excluded), the cut size of each side,
+    the pieces of g minus each edge set e0, walked on a quotient, and the
+    boundary of each side with the subsets of it that induce an atomic cut.
+    A search that an earlier one covers is filtered from it, with the cut
+    sizes the earlier one recorded (see the module docstring).
 
     g must not change while the object is in use.  repair_set builds one
     per call, passes it to every helper, and drops it when it returns, so
@@ -224,6 +236,7 @@ class CutSearch:
                            FrozenSet[VertexSet]] = {}
         self._pieces: Dict[EdgeSet, List[VertexSet]] = {}
         self._boundary: Dict[VertexSet, EdgeSet] = {}
+        self._sizes: Dict[VertexSet, int] = {}
         self._atomic: Dict[VertexSet, Tuple[EdgeSet, ...]] = {}
 
     def quotient(self, c: int) -> _Quotient:
@@ -233,14 +246,27 @@ class CutSearch:
 
     def simple_cuts(self, x: VertexId, c: int, t: int,
                     excluded: Iterable[VertexId] = ()) -> FrozenSet[VertexSet]:
-        """enumerate_simple_cuts(g, x, c, t, excluded), searched once.  Every
-        budget t >= |V(g)| gives the sides of t = |V(g)|, so all such budgets
-        share that one search."""
-        key = (x, c, min(t, self.g.vertex_count()), frozenset(excluded) - {x})
-        if key not in self._simple:
-            self._simple[key] = frozenset(enumerate_simple_cuts(
-                self.g, x, c, key[2], key[3], search=self))
-        return self._simple[key]
+        """enumerate_simple_cuts(g, x, c, t, excluded), the same object for
+        a repeated ask.  Every budget t >= |V(g)| gives the sides of
+        t = |V(g)|, so all such budgets share one key.  An earlier result
+        for x at (c0 >= c, t0 >= t, a subset of excluded) is filtered; only
+        an ask that none covers runs a search."""
+        t = min(t, self.g.vertex_count())
+        shut = frozenset(excluded) - {x}
+        key = (x, c, t, shut)
+        if key in self._simple:
+            return self._simple[key]
+        for (x0, c0, t0, shut0), sides in self._simple.items():
+            if x0 == x and c0 >= c and t0 >= t and shut0 <= shut:
+                found = frozenset(
+                    v for v in sides if self._sizes[v] <= c
+                    and len(v) <= max(t, 1) and v.isdisjoint(shut))
+                break
+        else:
+            found = frozenset(enumerate_simple_cuts(self.g, x, c, t, shut,
+                                                    search=self))
+        self._simple[key] = found
+        return found
 
     def piece(self, e0: EdgeSet, x: VertexId) -> VertexSet:
         """x's component of g minus the edges e0, given as pairs in either
@@ -281,7 +307,11 @@ class CutSearch:
         return self._boundary[key]
 
     def cut_size(self, side: Iterable[VertexId]) -> int:
-        return sum(self.g.multiplicity(u, v) for u, v in self.boundary(side))
+        key = frozenset(side)
+        if key not in self._sizes:
+            self._sizes[key] = sum(self.g.multiplicity(u, v)
+                                   for u, v in self.boundary(key))
+        return self._sizes[key]
 
     def atomic_subsets(self, side: Iterable[VertexId]) -> Tuple[EdgeSet, ...]:
         """The nonempty subsets of the boundary of `side` that induce an
@@ -358,11 +388,15 @@ def enumerate_simple_cuts(g: MultiGraph, x: VertexId, c: int, t: int,
     branching on the next undecided neighbor class of the grown side, with
     the remaining multiplicity budget tracked incrementally: every valid
     side is one leaf, and any branch whose committed boundary already
-    exceeds c dies immediately.
+    exceeds c dies immediately.  Every boundary edge of a side is charged
+    once, when its second end is decided, so a leaf's cut size is c minus
+    the budget left; it is recorded in the search.
     """
     if not g.has_vertex(x):
         raise RejectedOp("enumerate-simple-cuts", f"vertex {x} absent")
-    owner, members, nbrs = (search or CutSearch(g)).quotient(c)
+    cs = search or CutSearch(g)
+    owner, members, nbrs = cs.quotient(c)
+    sizes = cs._sizes
     shut: Set[int] = {owner[v] for v in excluded if v != x and v in owner}
 
     out: Set[VertexSet] = set()
@@ -377,7 +411,9 @@ def enumerate_simple_cuts(g: MultiGraph, x: VertexId, c: int, t: int,
         while i < len(queue) and (queue[i] in side or queue[i] in shut):
             i += 1
         if i == len(queue):
-            out.add(frozenset(v for k in side for v in members[k]))
+            found = frozenset(v for k in side for v in members[k])
+            out.add(found)
+            sizes[found] = c - budget
             return
         k = queue[i]
         cost_in = sum(m for j, m in nbrs[k] if j in shut)
@@ -435,11 +471,12 @@ def enumerate_cuts(g: MultiGraph, terms: Iterable[VertexId],
     universe: Set[VertexSet] = {
         side for _, side in enumerate_anchored_cuts(g, tp, c, t, cs)}
     # keep only pieces whose terminal trace stays within T'
-    pieces = sorted((v for v in universe if (v & terms) <= tp),
-                    key=lambda s: tuple(sorted(s)))
+    pieces = [v for v in universe if (v & terms) <= tp]
     out: Set[VertexSet] = set()
     # unions of at most c disjoint pieces, each union grown by later pieces
-    # only; an explicit stack, since a recursive closure would keep cs
+    # only; disjointness and the size bound hold for every subfamily of a
+    # family they hold for, so the unions do not depend on the pieces'
+    # order.  An explicit stack, since a recursive closure would keep cs
     # alive in a reference cycle after the call
     stack: List[Tuple[int, VertexSet, int]] = [(0, frozenset(), 0)]
     while stack:

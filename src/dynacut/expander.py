@@ -160,7 +160,7 @@ def _intercluster(g: MultiGraph, partition: List[FrozenSet[VertexId]]
     for i, part in enumerate(partition):
         for v in part:
             owner[v] = i
-    return {e for e in g.edge_keys() if owner[e[0]] != owner[e[1]]}
+    return {e for e in g.pairs() if owner[e[0]] != owner[e[1]]}
 
 
 def pruning(g: MultiGraph, d_edges: Iterable[EdgeKey], phi: Fraction

@@ -194,11 +194,16 @@ def bipartition_system(g: MultiGraph, s: Terminals, c: int, t: int,
     The boundary of each held pair is deleted from g, and a later pair is
     skipped when the ends of its boundary in what is left fall in different
     components of it.
+
+    A side that holds all of S is skipped before its boundary subsets are
+    tested: the side a subset induces contains the side, so its trace is S.
     """
     s = frozenset(s)
     cs = search or CutSearch(g)
     u: List[Tuple[RealizablePair, FrozenSet[VertexId]]] = []
     for _, side in enumerate_anchored_cuts(g, s, c, t, cs):
+        if s <= side:
+            continue
         for e_sub in cs.atomic_subsets(side):
             trace = s & induced_cut_side(g, e_sub, side, cs)
             if trace and trace != s:
@@ -281,9 +286,13 @@ def type_one_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
 def type_two_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
                         comp3: Labels, c: int, t: int, q: int,
                         search: Optional[CutSearch] = None) -> Set[EdgeKey]:
-    """Repair edges for terminal bipartitions avoiding S entirely."""
-    s = frozenset(s)
+    """Repair edges for terminal bipartitions avoiding S entirely.  Each
+    vertex of S collects the terminals of T it reaches, a subset of T, so
+    an empty T gives the empty set at once."""
     t_set = frozenset(t_set)
+    if not t_set:
+        return set()
+    s = frozenset(s)
     terms = s | t_set
     cs = search or CutSearch(g)
     w2: Set[EdgeKey] = set()

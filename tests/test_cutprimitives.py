@@ -473,9 +473,15 @@ def test_shared_search_matches_fresh_calls_fuzz():
     anchored and T'-cut enumerations, the atomic-cut tests, boundaries and
     the atomic boundary subsets of a connected side, on multigraphs with
     edges heavier than c, terminals and `excluded` sets.  A repeated
-    atomic_subsets call returns the same object."""
+    atomic_subsets call returns the same object.  After each simple-cut
+    ask, a narrower one on the same x (c' <= c, t' <= t, excluded' a
+    superset), which that ask covers, equals a fresh search, and a repeat
+    of it returns the same object.  Every side the enumerations return has
+    the cut size of the oracle on the search."""
     rng = random.Random(67)
-    seen = {"sides": 0, "atomic": 0, "not_atomic": 0, "subsets": 0}
+    narrow = random.Random(68)
+    seen = {"sides": 0, "atomic": 0, "not_atomic": 0, "subsets": 0,
+            "narrower": 0}
     for _ in range(40):
         g = _heavy_graph(rng)
         verts = g.vertex_list()
@@ -519,11 +525,29 @@ def test_shared_search_matches_fresh_calls_fuzz():
                 seen["subsets"] += len(want)
                 continue
             assert fn(g, *args, search=cs) == want, (fn.__name__, args)
+            if fn is induces_atomic_cut:
+                seen["atomic" if want else "not_atomic"] += 1
             if fn is enumerate_simple_cuts:
                 assert cs.simple_cuts(*args) == want
                 seen["sides"] += len(want)
-            elif fn is induces_atomic_cut:
-                seen["atomic" if want else "not_atomic"] += 1
+                x, c, t, excluded = args
+                c2, t2 = narrow.randrange(1, c + 1), narrow.randrange(t + 1)
+                excluded2 = excluded + narrow.sample(verts,
+                                                     narrow.randrange(3))
+                fresh = enumerate_simple_cuts(g, x, c2, t2, excluded2)
+                got = cs.simple_cuts(x, c2, t2, excluded2)
+                assert got == fresh, (args, c2, t2, excluded2)
+                assert cs.simple_cuts(x, c2, t2, excluded2) is got
+                seen["narrower"] += len(fresh)
+                sides = want | fresh
+            elif fn is enumerate_anchored_cuts:
+                sides = {side for _, side in want}
+            elif fn is enumerate_cuts:
+                sides = want
+            else:
+                continue
+            for side in sides:
+                assert cs.cut_size(side) == cut_size(g, side), side
     assert all(n > 20 for n in seen.values()), seen
 
 

@@ -356,8 +356,9 @@ def test_repair_set_runs_each_search_once(monkeypatch):
     simple-cut search runs once and no threshold's heavy-class quotient is
     built twice, though the helpers ask for some searches several times;
     every search threshold c is among the quotients built, and pieces may
-    add thresholds of their own.  The call's CutSearch is gone when it
-    returns."""
+    add thresholds of their own.  No search runs that an earlier search of
+    the same x covers: one at c0 >= c and t0 >= t whose excluded set is a
+    subset.  The call's CutSearch is gone when it returns."""
     searches, quotients, made = [], [], []
     asked = [0]
     run_search = cutprimitives.enumerate_simple_cuts
@@ -392,11 +393,62 @@ def test_repair_set_runs_each_search_once(monkeypatch):
             asked[0] = 0
             repair_set(g, set(s) | set(t_set), g3, s, c, t, q)
             assert len(set(searches)) == len(searches)
+            for i, (x, c_i, t_i, e_i) in enumerate(searches):
+                assert not any(x0 == x and c0 >= c_i and t0 >= t_i
+                               and e0 <= e_i
+                               for x0, c0, t0, e0 in searches[:i])
             assert len(set(quotients)) == len(quotients)
             assert {k[1] for k in searches} <= set(quotients)
             assert len(made) == 1 and made[0]() is None
             repeats += asked[0] - len(searches)
     assert repeats > 0
+
+
+def test_bipartition_skips_sides_holding_s(monkeypatch):
+    """bipartition_system never asks for the atomic boundary subsets of a
+    side that holds all of S, whose subsets would all trace S, though the
+    anchored enumeration it reads yields such sides."""
+    asked = []
+    atomic_subsets = cutprimitives.CutSearch.atomic_subsets
+
+    def spy(self, side):
+        asked.append(frozenset(side))
+        return atomic_subsets(self, side)
+
+    monkeypatch.setattr(cutprimitives.CutSearch, "atomic_subsets", spy)
+    rng = random.Random(83)
+    holding = tested = 0
+    for _ in range(40):
+        g = _rand_graph(rng, 4, 11)
+        s = frozenset(rng.sample(g.vertex_list(), rng.randrange(1, 4)))
+        c, t = rng.randrange(1, 4), rng.randrange(2, 6)
+        del asked[:]
+        bipartition_system(g, s, c, t)
+        assert not any(s <= side for side in asked)
+        tested += len(asked)
+        holding += sum(s <= side for _, side in
+                       cutprimitives.enumerate_anchored_cuts(g, s, c, t))
+    assert tested > 20 and holding > 20
+
+
+def test_type_two_with_empty_t_runs_no_search(monkeypatch):
+    """With T minus S empty, type two gives the empty set at once, before
+    any simple-cut search."""
+    searches = []
+    run = cutprimitives.enumerate_simple_cuts
+
+    def spy(*args, **kwargs):
+        searches.append(args)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(cutprimitives, "enumerate_simple_cuts", spy)
+    rng = random.Random(89)
+    for _ in range(10):
+        g = _rand_graph(rng, 4, 11)
+        s = set(rng.sample(g.vertex_list(), rng.randrange(1, 4)))
+        comp3 = component_labels(g)
+        assert type_two_repair_set(g, s, set(), comp3, 2, 3, 6) == set()
+    assert not searches
 
 
 # -- initial IA and verifier ----------------------------------------------
