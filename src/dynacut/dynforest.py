@@ -12,6 +12,11 @@ one into the other.
 It keeps the graph, the terminals and the forest, and nothing derived from
 them but the contraction, which is built when first read after a change.
 A caller that needs components searches the graph (cutprimitives).
+
+An edge op walks the forest on the smaller side only: the trees of its two
+ends are searched in lockstep until one search runs out (the balanced search
+of Even and Shiloach, JACM 1981), so it reads about as much of the forest as
+the smaller tree holds, not the whole component.
 """
 
 from __future__ import annotations
@@ -97,9 +102,9 @@ class GraphDS:
 
     def _forest_side(self, x: VertexId, banned: Optional[EdgeKey]
                      ) -> Set[VertexId]:
-        """Vertices reachable from x in the forest avoiding `banned` (x's
-        whole tree when it is None): a walk over g's adjacency that follows
-        forest edges only, so it stays in x's tree."""
+        """Test oracle: vertices reachable from x in the forest avoiding
+        `banned` (x's whole tree when it is None): a walk over g's adjacency
+        that follows forest edges only, so it stays in x's tree."""
         side = {x}
         queue = deque([x])
         while queue:
@@ -113,6 +118,28 @@ class GraphDS:
                 side.add(v)
                 queue.append(v)
         return side
+
+    def _smaller_tree(self, u: VertexId, v: VertexId
+                      ) -> Optional[Set[VertexId]]:
+        """The forest tree of u or of v that has fewer vertices (u's on a
+        tie), or None when u and v are in one tree.  Two walks over g's
+        adjacency that follow forest edges only, one from u and one from v,
+        take one vertex each in turn; the first to run out has found its
+        whole tree, and walks that meet share one."""
+        u_side, v_side = {u}, {v}
+        walks = ((u_side, [u], v_side), (v_side, [v], u_side))
+        while True:
+            for side, stack, other in walks:
+                x = stack.pop()
+                for y in self.g.adjacent(x):
+                    if y in side or edge_key(x, y) not in self.forest:
+                        continue
+                    if y in other:
+                        return None
+                    side.add(y)
+                    stack.append(y)
+                if not stack:
+                    return side
 
     # -- contraction ------------------------------------------------------
     def contracted(self) -> MultiGraph:
@@ -176,7 +203,15 @@ class GraphDS:
     # -- updates ----------------------------------------------------------
     def ds_update(self, op: DsOp) -> None:
         """Apply one op; contracted() read before and after a run of ops
-        gives the change to the contraction (contracted_diff)."""
+        gives the change to the contraction (contracted_diff).
+
+        An inserted edge joins the forest when its ends are in different
+        trees.  A deleted forest edge is replaced by the least edge (by
+        edge_key) crossing between the two trees it leaves, if any.  That
+        edge is found from the smaller tree: the old tree spanned its
+        component, so every edge leaving either new tree enters the other,
+        both have the same crossing edges, and the forest is the one a scan
+        of either side gives."""
         if isinstance(op, InsertTerminal):
             if not self.g.has_vertex(op.v):
                 raise RejectedOp("ds-update", f"vertex {op.v} absent")
@@ -187,16 +222,16 @@ class GraphDS:
             raise RejectedOp("ds-update", f"vertex {op.v} still a terminal")
         else:
             apply_update(self.g, op)
-            # the forest lacks the new edge yet, so the walk sees the trees
+            # the forest lacks the new edge yet, so the walks see the trees
             # from before the insert
             if isinstance(op, InsertEdge):
-                if op.v not in self._forest_side(op.u, None):
+                if self._smaller_tree(op.u, op.v) is not None:
                     self.forest.add(edge_key(op.u, op.v))
             elif isinstance(op, DeleteEdge):
                 e = edge_key(op.u, op.v)
                 if e in self.forest:
                     self.forest.discard(e)
-                    side = self._forest_side(op.u, e)
+                    side = self._smaller_tree(op.u, op.v)
                     repl = min((edge_key(a, b) for a in side
                                 for b in self.g.adjacent(a) if b not in side),
                                default=None)

@@ -383,19 +383,23 @@ def repair_set(g: MultiGraph, t2: Terminals, g3: MultiGraph,
     is g with terminals t2 minus S, and DS3 is g3, on g's vertices, with
     terminals S.  Nothing is mutated.  Replacements are budgeted q + t
     vertices; q >= 2t is required (see bipartition_system).  The helpers
-    share one CutSearch over g, which is dropped when the call returns."""
+    share one CutSearch over g, which is dropped when the call returns.
+    A repair set is a set of g's edges, so an edgeless g gets the empty set
+    without a search."""
     if q < 2 * t:
         raise RejectedOp("repair-set", f"need q >= 2t, got q={q} t={t}")
     s_set = frozenset(s)
     for x in sorted(s_set):
         if not (g.has_vertex(x) and g3.has_vertex(x)):
             raise RejectedOp("repair-set", f"vertex {x} absent")
-    t_set = frozenset(t2) - s_set
-    comp3 = component_labels(g3)
-    cs = CutSearch(g)
-    w = type_one_repair_set(g, s_set, t_set, comp3, c, t, cs)
-    w |= type_two_repair_set(g, s_set, t_set, comp3, c, t, q, cs)
-    w |= type_three_repair_set(g, s_set, t_set, comp3, c, t, cs)
+    w: Set[EdgeKey] = set()
+    if g.distinct_edge_count():
+        t_set = frozenset(t2) - s_set
+        comp3 = component_labels(g3)
+        cs = CutSearch(g)
+        w = type_one_repair_set(g, s_set, t_set, comp3, c, t, cs)
+        w |= type_two_repair_set(g, s_set, t_set, comp3, c, t, q, cs)
+        w |= type_three_repair_set(g, s_set, t_set, comp3, c, t, cs)
     for log in _LOGS:
         log.append((len(s_set), len(w), c))
     return w

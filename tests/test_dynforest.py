@@ -9,7 +9,7 @@ from dynacut.dynforest import (
 from dynacut.errors import RejectedOp
 from dynacut.multigraph import (
     DeleteEdge, DeleteVertex, InsertEdge, InsertVertex, MultiGraph,
-    apply_seq, edge_key, induced_subgraph,
+    apply_seq, apply_update, edge_key, induced_subgraph,
 )
 
 from util import (barbell, cycle_graph, partition_sparsifier, path_graph,
@@ -69,6 +69,123 @@ def test_queries_match_bfs_oracle(seed):
         x = rng.randrange(30)
         assert ds._forest_side(x, None) == bfs_component(g, x)
         _check_trees(ds, g)
+
+
+def _one_sided_tree(g, forest, x):
+    """x's tree of `forest`, walked over g."""
+    seen = {x}
+    stack = [x]
+    while stack:
+        u = stack.pop()
+        for v in g.neighbors(u):
+            if v not in seen and edge_key(u, v) in forest:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def _one_sided_update(g, forest, op):
+    """The forest rule that walks u's whole side: an inserted edge joins
+    when v is not in u's tree; a deleted forest edge is replaced by the
+    least edge leaving u's side.  g has had op applied already."""
+    e = edge_key(op.u, op.v)
+    if isinstance(op, InsertEdge):
+        if op.v not in _one_sided_tree(g, forest, op.u):
+            forest.add(e)
+    elif e in forest:
+        forest.discard(e)
+        side = _one_sided_tree(g, forest, op.u)
+        repl = min((edge_key(a, b) for a in side for b in g.neighbors(a)
+                    if b not in side), default=None)
+        if repl is not None:
+            forest.add(repl)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_forest_matches_one_sided_rule_fuzz(seed):
+    """After every op of a random stream of edge, vertex and terminal ops
+    the forest spans g and equals the forest of the rule that walks u's
+    whole side, so walking the smaller side changes no forest."""
+    rng = random.Random(300 + seed)
+    n = rng.randint(8, 30)
+    g = random_simple_graph(rng, n, rng.uniform(0.15, 0.4))
+    ds = GraphDS(g.copy(), set(rng.sample(range(n), 3)))
+    ref_g, ref_forest = g, set(ds.forest)
+    replaced = joined = 0
+    for _ in range(150):
+        verts = ref_g.vertex_list()
+        choice = rng.random()
+        if choice < 0.35 and ref_g.distinct_edge_count():
+            op = DeleteEdge(*rng.choice(ref_g.edge_keys()))
+        elif choice < 0.7:
+            u, v = rng.sample(verts, 2)
+            if ref_g.has_edge(u, v):
+                continue
+            op = InsertEdge(u, v, rng.randint(1, 3))
+        elif choice < 0.8:
+            op = InsertVertex(max(verts) + 1)
+        elif choice < 0.85:
+            free = [v for v in verts
+                    if ref_g.is_isolated(v) and v not in ds.terminals]
+            if not free or len(verts) <= 2:
+                continue
+            op = DeleteVertex(rng.choice(free))
+        elif choice < 0.95:
+            op = InsertTerminal(rng.choice(verts))
+        else:
+            op = DeleteTerminal(rng.choice(verts))
+        before = set(ref_forest)
+        ds.ds_update(op)
+        if isinstance(op, (InsertEdge, DeleteEdge, InsertVertex,
+                           DeleteVertex)):
+            apply_update(ref_g, op)
+        if isinstance(op, (InsertEdge, DeleteEdge)):
+            _one_sided_update(ref_g, ref_forest, op)
+        replaced += len(before - ref_forest) == len(ref_forest - before) == 1
+        joined += len(ref_forest) > len(before)
+        ds.check_forest()
+        assert ds.g == ref_g
+        assert ds.forest == ref_forest
+    assert replaced >= 3 and joined >= 3
+
+
+def _adjacency_reads(monkeypatch, ds, op):
+    """How many adjacency lists of ds.g applying op reads."""
+    reads = [0]
+    adjacent = MultiGraph.adjacent
+
+    def spy(self, v):
+        reads[0] += 1
+        return adjacent(self, v)
+
+    monkeypatch.setattr(MultiGraph, "adjacent", spy)
+    ds.ds_update(op)
+    monkeypatch.setattr(MultiGraph, "adjacent", adjacent)
+    return reads[0]
+
+
+@pytest.mark.parametrize("cut", [1, 9])
+def test_edge_ops_walk_the_smaller_tree(monkeypatch, cut):
+    """Cutting a short tail off a long path, or a leaf off a big star,
+    reads a number of adjacency lists bounded by the tail, whichever end
+    the op names first, and so does joining the tail back on.  A chord
+    between two close vertices of the path reads a few lists."""
+    n = 300
+    star = MultiGraph.from_edges(range(n), [(0, v) for v in range(1, n)])
+    for g, (u, v) in ((path_graph(n), (n - 1 - cut, n - cut)),
+                      (star, (0, n - 1))):
+        small = cut if g is not star else 1
+        for first, second in ((u, v), (v, u)):
+            ds = GraphDS(g.copy())
+            assert _adjacency_reads(monkeypatch, ds,
+                                    DeleteEdge(first, second)) <= 3 * small
+            assert _adjacency_reads(monkeypatch, ds,
+                                    InsertEdge(first, second, 1)) <= 2 * small
+            ds.check_forest()
+    ds = GraphDS(path_graph(n))
+    assert _adjacency_reads(monkeypatch, ds,
+                            InsertEdge(n // 2, n // 2 + 2, 1)) <= 4
+    ds.check_forest()
 
 
 def test_forest_delta_on_tree_edge_delete():

@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from dynacut import cutprimitives
+from dynacut import cutprimitives, repair
 from dynacut.cutprimitives import (
     RealizablePair,
     boundary,
@@ -449,6 +449,51 @@ def test_type_two_with_empty_t_runs_no_search(monkeypatch):
         comp3 = component_labels(g)
         assert type_two_repair_set(g, s, set(), comp3, 2, 3, 6) == set()
     assert not searches
+
+
+def test_repair_set_on_edgeless_graph_searches_nothing(monkeypatch):
+    """An edgeless g has the empty repair set, which repair_set gives
+    without labelling DS3 or building a CutSearch; it still logs the call
+    and still rejects bad arguments.  The typed sets, asked directly,
+    agree."""
+    built, labelled = [], []
+    init = cutprimitives.CutSearch.__init__
+    labels = repair.component_labels
+
+    def spy_init(self, g):
+        built.append(g)
+        init(self, g)
+
+    def spy_labels(g):
+        labelled.append(g)
+        return labels(g)
+
+    monkeypatch.setattr(cutprimitives.CutSearch, "__init__", spy_init)
+    monkeypatch.setattr(repair, "component_labels", spy_labels)
+    for n, s, t2 in ((1, {0}, {0}), (4, {0, 2}, {0, 1, 2, 3})):
+        g = MultiGraph.from_edges(range(n), [])
+        g3 = g.copy()
+        del built[:], labelled[:]
+        for c, t, q in _REPAIR_ARGS:
+            with repair.recording() as log:
+                assert repair_set(g, t2, g3, s, c, t, q) == set()
+            assert log == [(len(s), 0, c)]
+        assert not built and not labelled
+        comp3 = component_labels(g3)
+        t_set = t2 - s
+        assert type_one_repair_set(g, s, t_set, comp3, 2, 3) == set()
+        assert type_two_repair_set(g, s, t_set, comp3, 2, 3, 6) == set()
+        assert type_three_repair_set(g, s, t_set, comp3, 2, 3) == set()
+        with pytest.raises(RejectedOp):
+            repair_set(g, t2, g3, s, 2, 3, 5)
+        with pytest.raises(RejectedOp):
+            repair_set(g, t2, g3, s | {9}, 2, 3, 6)
+        g9 = g.copy()
+        g9.add_vertex(9)
+        with pytest.raises(RejectedOp):
+            repair_set(g9, t2, g3, s | {9}, 2, 3, 6)
+        with pytest.raises(RejectedOp):
+            repair_set(g, t2, g9, s | {9}, 2, 3, 6)
 
 
 # -- initial IA and verifier ----------------------------------------------
