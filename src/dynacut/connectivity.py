@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -10,7 +9,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .cutpartition import (CutPartitionDS, build_sparsifier,
                            cut_partition_update, update_layer_indices)
-from .cutprimitives import component_of, touched_components
+from .cutprimitives import _capped_maxflow, component_of, touched_components
 from .errors import RejectedOp
 from .multigraph import (CompositeOp, DeleteEdge, InsertEdge, InsertVertex,
                          MultiGraph, ReductionImage, UpdateOp, UpdateSeq,
@@ -19,42 +18,6 @@ from .multigraph import (CompositeOp, DeleteEdge, InsertEdge, InsertVertex,
 from .multilevel import (MultiLevelDS, ParamSchedule, make_schedule,
                          preprocess_multi_level, splice_multi_level)
 from .onlinebatch import Scheduler
-
-
-def _capped_maxflow(g: MultiGraph, x: VertexId, y: VertexId, cap: int) -> int:
-    """Max x-y flow with per-edge capacities min(multiplicity, cap), itself
-    capped at cap.  At most cap augmentations."""
-    res: Dict[Tuple[VertexId, VertexId], int] = {}
-    for (u, v), mult in g.edge_items():
-        w = min(mult, cap)
-        res[(u, v)] = w
-        res[(v, u)] = w
-    flow = 0
-    while flow < cap:
-        parent: Dict[VertexId, VertexId] = {x: x}
-        queue = deque([x])
-        while queue and y not in parent:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                if v not in parent and res.get((u, v), 0) > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if y not in parent:
-            break
-        bottleneck = cap - flow
-        v = y
-        while v != x:
-            u = parent[v]
-            bottleneck = min(bottleneck, res[(u, v)])
-            v = u
-        v = y
-        while v != x:
-            u = parent[v]
-            res[(u, v)] -= bottleneck
-            res[(v, u)] += bottleneck
-            v = u
-        flow += bottleneck
-    return flow
 
 
 def offline_oracle(g: MultiGraph, x: VertexId, y: VertexId, c: int) -> bool:

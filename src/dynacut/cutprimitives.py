@@ -1,5 +1,7 @@
 """Cut objects and primitives: interception tests, the atomic-cut test,
-bounded simple/non-simple cut enumeration, and realizable pairs.
+bounded simple/non-simple cut enumeration, realizable pairs, and the capped
+max-flow that both the final answer and type one's repair-set certificate
+run.
 
 Conventions: a cut is named by one vertex side V'.  The cut-set is the set of
 distinct boundary edges; the cut *size* counts multiplicities.  A cut is
@@ -140,6 +142,47 @@ def touched_components(g: MultiGraph, xs: Iterable[VertexId]
         left -= comp
     out.sort(key=lambda item: min(item[0]))
     return out
+
+
+def _capped_maxflow(g: MultiGraph, x: VertexId, y: VertexId, cap: int) -> int:
+    """min(cap, the x-y edge connectivity of g), multiplicities counted: a
+    max x-y flow with per-edge capacities min(multiplicity, cap), itself
+    capped at cap, in at most cap augmentations.
+
+    Only the edges that carry flow are stored, as the net flow across each
+    in both directions; every other residual capacity is read off g's
+    adjacency in no fixed order.  The value does not depend on the order
+    the augmenting paths are found in."""
+    flow: Dict[Tuple[VertexId, VertexId], int] = {}
+    total = 0
+    while total < cap:
+        # parent[v] = (u, residual capacity of u -> v)
+        parent: Dict[VertexId, Tuple[VertexId, int]] = {x: (x, cap)}
+        queue = [x]
+        for u in queue:
+            for v, m in g.incident(u):
+                if v not in parent:
+                    left = min(m, cap) - flow.get((u, v), 0)
+                    if left > 0:
+                        parent[v] = (u, left)
+                        queue.append(v)
+            if y in parent:
+                break
+        else:
+            break
+        push = cap - total
+        v = y
+        while v != x:
+            v, left = parent[v]
+            push = min(push, left)
+        v = y
+        while v != x:
+            u = parent[v][0]
+            flow[u, v] = flow.get((u, v), 0) + push
+            flow[v, u] = -flow[u, v]
+            v = u
+        total += push
+    return total
 
 
 @dataclass(frozen=True)

@@ -259,11 +259,11 @@ class GraphDS:
     def restrict(self, verts: Set[VertexId]) -> "GraphDS":
         """A copy on the vertices of `verts` that g has, which must be
         closed under adjacency in g.  Every tree of the forest then lies
-        inside or outside them, so the copy keeps the forest edges met
-        while walking the copied adjacency."""
-        g = self.g.restrict(verts)
-        return GraphDS.from_forest(g, self.terminals & verts,
-                                   self.forest.intersection(g.pairs()))
+        inside or outside them, so the copy keeps the forest edges with an
+        end among them."""
+        return GraphDS.from_forest(self.g.restrict(verts),
+                                   self.terminals & verts,
+                                   {e for e in self.forest if e[0] in verts})
 
     def fingerprint(self) -> Tuple:
         return (tuple(sorted((e, m) for e, m in self.g.edge_items())),

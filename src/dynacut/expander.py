@@ -232,7 +232,11 @@ def decremental_single_expander(g: MultiGraph, phi: Fraction,
                                 d_edges: Iterable[EdgeKey]) -> Set[EdgeKey]:
     """Intercluster edges of an expander decomposition of G minus d_edges,
     built by pruning around the deletions and re-decomposing only the pruned
-    part; O(|D|) edges when G was a phi-expander."""
+    part; O(|D|) edges when G was a phi-expander.
+
+    When the pruned part is all of G, the re-decomposition reads a plain
+    copy of G: the decomposition reads only sorted vertex lists and sets,
+    so it gives what it gives on induced_subgraph(G, V(G))."""
     d_set = {edge_key(u, v) for u, v in d_edges}
     phi = Fraction(phi)
     m = g.distinct_edge_count()
@@ -244,7 +248,7 @@ def decremental_single_expander(g: MultiGraph, phi: Fraction,
             r = set(boundary(g, p)) - d_set if p else set()
         except RejectedOp:
             p = set(g.vertex_list())
-    h = induced_subgraph(g, p)
+    h = g.copy() if len(p) == g.vertex_count() else induced_subgraph(g, p)
     for u, v in d_set:
         if h.has_edge(u, v):
             h.remove_edge(u, v)

@@ -9,7 +9,8 @@ of its multiplicity at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, KeysView, List, Optional, Set, Tuple, Union
+from typing import (Dict, ItemsView, Iterator, KeysView, List, Optional, Set,
+                    Tuple, Union)
 
 from .errors import RejectedOp
 
@@ -56,6 +57,11 @@ class MultiGraph:
         """The distinct neighbors of v, in no fixed order; a live view, so
         the graph must not change while it is read."""
         return self._adj[v].keys()
+
+    def incident(self, v: VertexId) -> ItemsView[VertexId, int]:
+        """(neighbor, multiplicity) for each distinct neighbor of v, in no
+        fixed order; a live view, like adjacent()."""
+        return self._adj[v].items()
 
     def degree(self, v: VertexId) -> int:
         """Number of distinct neighbors."""

@@ -22,12 +22,24 @@ helpers ask for it.  A helper called on its own builds its own.
 A realizable pair (E', V') is a simple small cut side V' with a subset E'
 of its boundary that induces an atomic cut; every helper reads the E' of a
 side from CutSearch.atomic_subsets.
+
+Two typed sets first test an exact certificate that a part of their answer
+is empty, and skip that part's search when it holds; each docstring states
+its certificate and why it holds.  Type one returns the empty set when
+every vertex of S is joined to the least one by more than c edge-disjoint
+paths (a capped max-flow, cutprimitives._capped_maxflow).  Type three skips
+its first part when all of its terminals lie in one component of g of at
+most t vertices, and its second when T is empty.  Type two returns the
+empty set at once for an empty T.  repair_set hands the typed sets DS3's
+component labels as a mapping that labels g3 on its first read, so a call
+whose typed sets all return early labels nothing.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (AbstractSet, Dict, FrozenSet, Iterable, Iterator, List,
@@ -36,8 +48,10 @@ from typing import (AbstractSet, Dict, FrozenSet, Iterable, Iterator, List,
 from .cutprimitives import (
     CutSearch,
     RealizablePair,
+    _capped_maxflow,
     boundary,
     component_labels,
+    component_of,
     components,
     enumerate_cuts,
     enumerate_anchored_cuts,
@@ -49,7 +63,7 @@ from .multigraph import EdgeKey, MultiGraph, VertexId, edge_key
 EdgeSet = FrozenSet[EdgeKey]
 Terminals = AbstractSet[VertexId]
 # vertex -> the least vertex of its component
-Labels = Dict[VertexId, VertexId]
+Labels = Mapping[VertexId, VertexId]
 
 # The logs open under recording(), innermost last.
 _LOGS: List[List[Tuple[int, int, int]]] = []
@@ -115,6 +129,28 @@ def _separates(cs: CutSearch, e0: EdgeSet, side: Iterable[VertexId],
     minus e0 holds no vertex of `side`, so it is not in the union of their
     pieces, the side induced_cut_side gives."""
     return cs.piece(e0, x).isdisjoint(side)
+
+
+class _LazyLabels(Mapping):
+    """component_labels(g), computed on the first read."""
+
+    def __init__(self, g: MultiGraph):
+        self.g = g
+        self.labels: Optional[Dict[VertexId, VertexId]] = None
+
+    def _read(self) -> Dict[VertexId, VertexId]:
+        if self.labels is None:
+            self.labels = component_labels(self.g)
+        return self.labels
+
+    def __getitem__(self, x: VertexId) -> VertexId:
+        return self._read()[x]
+
+    def __iter__(self) -> Iterator[VertexId]:
+        return iter(self._read())
+
+    def __len__(self) -> int:
+        return len(self._read())
 
 
 def _label_of(comp: Labels, ends: Iterable[VertexId]) -> Optional[VertexId]:
@@ -253,6 +289,23 @@ def bipartition_system(g: MultiGraph, s: Terminals, c: int, t: int,
 # Each reads g (the graph of DS1 and DS2), S (DS1's terminals), T (DS2's
 # terminals, disjoint from S) and the component labels of DS3's graph.
 
+def _s_unsplittable(g: MultiGraph, s: FrozenSet[VertexId], c: int) -> bool:
+    """True when every vertex of the nonempty S has more than c
+    edge-disjoint paths in g, multiplicities counted, to s0 = min(S); then
+    no cut of size <= c separates two vertices of S, since
+    lambda(x, y) >= min(lambda(x, s0), lambda(s0, y))."""
+    s0 = min(s)
+    return all(_capped_maxflow(g, s0, b, c + 1) > c for b in s if b != s0)
+
+
+def _one_small_component(g: MultiGraph, terms: FrozenSet[VertexId],
+                         t: int) -> bool:
+    """True when the nonempty `terms` lie in one component of g of at most
+    t vertices."""
+    p = component_of(g, min(terms))
+    return len(p) <= t and terms <= p
+
+
 def type_one_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
                         comp3: Labels, c: int, t: int,
                         search: Optional[CutSearch] = None) -> Set[EdgeKey]:
@@ -260,9 +313,18 @@ def type_one_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
 
     A held pair's candidates are the bipartition system's candidates with
     the held pair's S-trace whose side meets the held pair's side and
-    whose boundary ends lie in one component of DS3 that holds S."""
+    whose boundary ends lie in one component of DS3 that holds S.
+
+    Certificate: the set is empty when _s_unsplittable(g, S, c) holds,
+    and is then returned before any search.  The set is empty when the
+    system has no candidate.  A candidate (E', V') has E' within the
+    boundary of V', so E' weighs at most c, and g minus E' splits the
+    component of V' into two pieces with exactly E' between them.  Its
+    S-trace, the vertices of S in the piece of V', is neither empty nor S,
+    so E' (or no edge at all, across components) separates some x and y
+    of S, and lambda(x, y) <= c."""
     s = frozenset(s)
-    if not s:
+    if not s or _s_unsplittable(g, s, c):
         return set()
     cs = search or CutSearch(g)
     terms = s | frozenset(t_set)
@@ -323,18 +385,27 @@ def type_three_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
                           comp3: Labels, c: int, t: int,
                           search: Optional[CutSearch] = None
                           ) -> Set[EdgeKey]:
-    """Repair edges for terminal bipartitions containing all of S."""
+    """Repair edges for terminal bipartitions containing all of S.
+
+    Certificates, each tested before its part's search.  Part one adds
+    nothing when _one_small_component(g, S | T, t) holds: that component P
+    is a connected side of at most t vertices, with cut size 0, holding
+    every terminal, so enumerate_cuts lists it, and it is the only side
+    listed with cut size 0 (a listed side is a union of connected sides
+    that meet the terminals, so inside P, and cut size 0 makes it all of
+    P); the best side is P, whose boundary is empty.  Part two adds nothing
+    when T is empty: it keeps only sides that miss a vertex of T."""
     s = frozenset(s)
     t_set = frozenset(t_set)
     terms = s | t_set
     cs = search or CutSearch(g)
     w3: Set[EdgeKey] = set()
-    if 0 < len(terms) <= t:
+    if 0 < len(terms) <= t and not _one_small_component(g, terms, t):
         h = enumerate_cuts(g, terms, terms, c, t, cs)
         if h:
             best = min(h, key=lambda v: (cs.cut_size(v), tuple(sorted(v))))
             w3 |= set(cs.boundary(best))
-    if not s:
+    if not s or not t_set:
         return w3
     held = {comp3[x] for x in s}
     buckets: Dict[VertexId, List[FrozenSet[VertexId]]] = defaultdict(list)
@@ -385,7 +456,8 @@ def repair_set(g: MultiGraph, t2: Terminals, g3: MultiGraph,
     vertices; q >= 2t is required (see bipartition_system).  The helpers
     share one CutSearch over g, which is dropped when the call returns.
     A repair set is a set of g's edges, so an edgeless g gets the empty set
-    without a search."""
+    without a search.  DS3's labels are computed only if a typed set reads
+    them (see the module docstring)."""
     if q < 2 * t:
         raise RejectedOp("repair-set", f"need q >= 2t, got q={q} t={t}")
     s_set = frozenset(s)
@@ -395,7 +467,7 @@ def repair_set(g: MultiGraph, t2: Terminals, g3: MultiGraph,
     w: Set[EdgeKey] = set()
     if g.distinct_edge_count():
         t_set = frozenset(t2) - s_set
-        comp3 = component_labels(g3)
+        comp3 = _LazyLabels(g3)
         cs = CutSearch(g)
         w = type_one_repair_set(g, s_set, t_set, comp3, c, t, cs)
         w |= type_two_repair_set(g, s_set, t_set, comp3, c, t, q, cs)

@@ -1,13 +1,18 @@
 """Tests for the top-level engine: oracle, preprocessing, updates, queries."""
 
 import hashlib
+import importlib.util
 import itertools
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from dynacut import connectivity, cutpartition, multilevel, repair
+from dynacut import (connectivity, cutpartition, cutprimitives, multilevel,
+                     repair)
 from dynacut.connectivity import (
     StackDS, edge_connectivity, engine_preprocess, engine_query,
     engine_update, offline_oracle,
@@ -1014,3 +1019,71 @@ def test_gen_workload_replay_is_unchanged(c, want):
                                 s["h_edges"])).encode())
         digest.update(hashlib.sha1(repr(e.fingerprint()).encode()).digest())
     assert (digest.hexdigest()[:16], len(answers), sum(answers)) == want
+
+
+def _benchmark_workloads():
+    """The benchmark's workload module, perfbench/workloads.py."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod
+    try:
+        spec.loader.exec_module(mod)
+    finally:
+        del sys.modules[spec.name]
+    return mod
+
+
+def test_setup_and_updates_run_none_of_the_query_path_changes(monkeypatch):
+    """On the seed-1 op streams of both benchmark workloads,
+    engine_preprocess and engine_update call neither the capped max-flow
+    (under any module's name for it) nor a typed repair set, nor the
+    query's decremental expander update and layer restriction, so the
+    query-path changes to these change nothing that set-up and updates
+    run.  The queries of the same streams call all of them, the flow both
+    from type one's certificate and for the final answer."""
+    calls = Counter()
+    phase = ["setup"]
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[phase[0], name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for mod, name in ((cutprimitives, "_capped_maxflow"),
+                      (repair, "_capped_maxflow"),
+                      (connectivity, "_capped_maxflow"),
+                      (repair, "type_one_repair_set"),
+                      (repair, "type_two_repair_set"),
+                      (repair, "type_three_repair_set"),
+                      (cutpartition, "decremental_single_expander"),
+                      (GraphDS, "restrict")):
+        monkeypatch.setattr(mod, name,
+                            spy(f"{mod.__name__}.{name}", getattr(mod, name)))
+    bench = _benchmark_workloads()
+    for wl in bench.WORKLOADS.values():
+        stream = bench.OpStream(wl, 1)
+        phase[0] = "setup"
+        e = engine_preprocess(MultiGraph.from_edges(stream.initial_vertices,
+                                                    stream.initial_edges),
+                              wl.c)
+        rounds = stream.rounds()
+        for _ in range(8):
+            for kind, u, v in next(rounds):
+                phase[0] = "query" if kind == "query" else "update"
+                if kind == "query":
+                    engine_query(e, u, v)
+                elif kind == "delete":
+                    engine_update(e, DeleteEdge(u, v))
+                else:
+                    engine_update(e, InsertEdge(u, v))
+    assert not [key for key in calls if key[0] != "query"]
+    for name in ("dynacut.repair._capped_maxflow",
+                 "dynacut.connectivity._capped_maxflow",
+                 "dynacut.repair.type_one_repair_set",
+                 "dynacut.repair.type_two_repair_set",
+                 "dynacut.repair.type_three_repair_set",
+                 "dynacut.cutpartition.decremental_single_expander",
+                 "GraphDS.restrict"):
+        assert calls["query", name] > 0

@@ -5,6 +5,7 @@ from dynacut import cutprimitives
 from dynacut.cutprimitives import (
     Cut,
     CutSearch,
+    _capped_maxflow,
     _reachable,
     boundary,
     component_of,
@@ -630,3 +631,33 @@ def test_budgets_past_vertex_count_share_one_search(monkeypatch):
         assert sides == run(g, x, c, t, excluded) == run(g, x, c, q, excluded)
         found += len(sides)
     assert found > 40
+
+
+def _brute_lambda(g, x, y):
+    """The least multiplicity-weighted cut between x and y over every
+    vertex side holding x and not y (0 across components)."""
+    rest = [v for v in g.vertex_list() if v not in (x, y)]
+    return min(cut_size(g, {x, *extra}) for r in range(len(rest) + 1)
+               for extra in itertools.combinations(rest, r))
+
+
+def test_capped_maxflow_matches_brute_force_on_multigraphs():
+    """_capped_maxflow(g, x, y, cap) is min(cap, lambda(x, y)), edges
+    weighted by multiplicity, at caps c and c + 1, on multigraphs with
+    edges heavier than the cap and with a second component; the flow
+    leaves g as it was."""
+    rng = random.Random(97)
+    below = at_cap = 0
+    for _ in range(60):
+        g = _heavy_graph(rng)
+        before = sorted(g.edge_items())
+        x, y = rng.sample(g.vertex_list(), 2)
+        lam = _brute_lambda(g, x, y)
+        for c in (1, 2, 3):
+            for cap in (c, c + 1):
+                assert _capped_maxflow(g, x, y, cap) == min(cap, lam)
+                assert _capped_maxflow(g, y, x, cap) == min(cap, lam)
+                below += lam < cap
+                at_cap += lam >= cap
+        assert sorted(g.edge_items()) == before
+    assert below > 40 and at_cap > 40

@@ -259,6 +259,28 @@ def test_dse_barbell_bridge():
         frozenset({0, 1, 2}), frozenset({3, 4, 5})]
 
 
+def test_dse_without_pruning_redecomposes_a_copy_of_g():
+    """When |D| exceeds m * phi / 10, pruning is skipped and all of g minus
+    D is re-decomposed: the result is the decomposition of the
+    induced-subgraph rebuild of g minus D, and g is left as it was."""
+    rng = random.Random(71)
+    for _ in range(20):
+        g = random_multigraph(rng, rng.randrange(4, 12), 0.4)
+        edges = g.edge_keys()
+        if not edges:
+            continue
+        before = (g.vertex_list(), sorted(g.edge_items()))
+        d = rng.sample(edges, rng.randrange(1, min(3, len(edges)) + 1))
+        phi = Fraction(1, 2)
+        assert len(d) > len(edges) * phi / 10
+        h = induced_subgraph(g, g.vertex_list())
+        for u, v in d:
+            h.remove_edge(u, v)
+        want = expander_decomposition(h, phi / 64).intercluster
+        assert decremental_single_expander(g, phi, d) == want
+        assert (g.vertex_list(), sorted(g.edge_items())) == before
+
+
 def test_dse_output_clusters_certified_fuzz():
     rng = random.Random(66)
     ratios = []

@@ -496,6 +496,119 @@ def test_repair_set_on_edgeless_graph_searches_nothing(monkeypatch):
             repair_set(g, t2, g9, s | {9}, 2, 3, 6)
 
 
+def _random_multigraph(rng):
+    """A connected multigraph of 3-9 vertices with multiplicities 1-4,
+    sometimes beside a second component of 3 more vertices."""
+    n = rng.randrange(3, 10)
+    base = random_connected_graph(rng, n, rng.randrange(0, n + 2))
+    edges = [(u, v, rng.choice((1, 1, 2, 3, 4))) for u, v in base.edge_keys()]
+    verts = list(range(n))
+    if rng.random() < 0.25:
+        verts += [n, n + 1, n + 2]
+        edges += [(n, n + 1, rng.randrange(1, 5)), (n + 1, n + 2, 1)]
+    return MultiGraph.from_edges(verts, edges)
+
+
+def test_typed_set_certificates_are_exact_fuzz(monkeypatch):
+    """Type one and type three give what they give with their emptiness
+    certificates forced off (answering False), on random multigraphs with
+    |S| of 1-4, T empty and not, c of 1-3, and t below and above |V|.  A
+    certified type one is empty.  Both certificates hold and fail often
+    enough to be tested, type one's on an S of two vertices or more."""
+    rng = random.Random(101)
+    unsplittable = repair._s_unsplittable
+    one_small = repair._one_small_component
+    seen = {"one": [0, 0], "three": [0, 0]}     # [certified, not]
+    shapes = set()
+    for _ in range(160):
+        g = _random_multigraph(rng)
+        verts = g.vertex_list()
+        n = len(verts)
+        s = frozenset(rng.sample(verts, rng.randrange(1, min(4, n) + 1)))
+        rest = [v for v in verts if v not in s]
+        t_set = frozenset(rng.sample(rest, rng.randrange(0, min(3, len(rest))
+                                                         + 1)))
+        c = rng.randrange(1, 4)
+        t = rng.choice((rng.randrange(1, n), n + rng.randrange(0, 3)))
+        g3 = g.copy()
+        for u, v in rng.sample(g.edge_keys(), rng.randrange(0, 3)):
+            g3.remove_edge(u, v)
+        comp3 = component_labels(g3)
+        w1 = type_one_repair_set(g, s, t_set, comp3, c, t)
+        w3 = type_three_repair_set(g, s, t_set, comp3, c, t)
+        if len(s) > 1:
+            cert = unsplittable(g, s, c)
+            seen["one"][not cert] += 1
+            assert not (cert and w1)
+        terms = s | t_set
+        if len(terms) <= t:
+            seen["three"][not one_small(g, terms, t)] += 1
+        shapes.add((bool(t_set), t < n, c))
+        with monkeypatch.context() as m:
+            m.setattr(repair, "_s_unsplittable", lambda *args: False)
+            m.setattr(repair, "_one_small_component", lambda *args: False)
+            assert type_one_repair_set(g, s, t_set, comp3, c, t) == w1
+            assert type_three_repair_set(g, s, t_set, comp3, c, t) == w3
+    assert min(seen["one"]) >= 20 and min(seen["three"]) >= 20
+    assert len(shapes) == 12
+
+
+def test_certified_repair_set_searches_nothing(monkeypatch):
+    """A repair_set call whose typed sets are all certified empty (every
+    pair of S joined by more than c edge-disjoint paths, T minus S empty,
+    S in one component of at most t vertices) gives the empty set with its
+    one CutSearch built but no simple-cut search run, no heavy-class
+    quotient built and DS3 not labelled, and logs (|S|, 0, c).  When a
+    certificate fails, the same spies see the searches run."""
+    built, searched, quotients, labelled = [], [], [], []
+    init = cutprimitives.CutSearch.__init__
+    search = cutprimitives.enumerate_simple_cuts
+    quotient = cutprimitives._heavy_quotient
+    labels = repair.component_labels
+
+    def spy_init(self, g):
+        built.append(g)
+        init(self, g)
+
+    def spy_search(*args, **kwargs):
+        searched.append(args)
+        return search(*args, **kwargs)
+
+    def spy_quotient(g, c):
+        quotients.append(c)
+        return quotient(g, c)
+
+    def spy_labels(g, *args):
+        labelled.append(g)
+        return labels(g, *args)
+
+    monkeypatch.setattr(cutprimitives.CutSearch, "__init__", spy_init)
+    monkeypatch.setattr(cutprimitives, "enumerate_simple_cuts", spy_search)
+    monkeypatch.setattr(cutprimitives, "_heavy_quotient", spy_quotient)
+    monkeypatch.setattr(repair, "component_labels", spy_labels)
+    # a 6-cycle of double edges: every pair is 4-edge connected
+    g = MultiGraph.from_edges(range(6), [(i, (i + 1) % 6, 2)
+                                         for i in range(6)])
+    g3 = g.copy()
+    g3.remove_edge(0, 1)
+    for s, t2, c, t, certified in (({0, 2, 4}, {0, 2, 4}, 3, 6, True),
+                                   ({3}, {3}, 1, 7, True),
+                                   ({0, 3}, {0, 3}, 2, 6, True),
+                                   ({0, 2, 4}, {0, 2, 4}, 4, 6, False),
+                                   ({0, 2}, {0, 1, 2}, 2, 6, False),
+                                   ({0, 2}, {0, 2}, 2, 5, False)):
+        del built[:], searched[:], quotients[:], labelled[:]
+        with repair.recording() as log:
+            w = repair_set(g, t2, g3, s, c, t, 2 * t)
+        assert len(built) == 1
+        assert log == [(len(s), len(w), c)]
+        if certified:
+            assert w == set()
+            assert not searched and not quotients and not labelled
+        else:
+            assert searched and quotients
+
+
 # -- initial IA and verifier ----------------------------------------------
 
 def test_initial_ia_trivial():
