@@ -14,7 +14,7 @@ from .errors import RejectedOp
 from .multigraph import (CompositeOp, DeleteEdge, InsertEdge, InsertVertex,
                          MultiGraph, ReductionImage, UpdateOp, UpdateSeq,
                          VertexId, apply_seq, changed_vertices, degree_reduce,
-                         named_vertices, shallow_copy)
+                         named_vertices)
 from .multilevel import (MultiLevelDS, ParamSchedule, make_schedule,
                          preprocess_multi_level, splice_multi_level)
 from .onlinebatch import Scheduler
@@ -100,7 +100,7 @@ class StackDS:
         if self.held is None:   # before any initialize, or after a raise
             self.held = inst
         named = named_vertices(seq)
-        g = apply_seq(shallow_copy(g_before, named), seq)
+        g = apply_seq(g_before.copy(), seq)
         # Each op names the vertices whose edges it changes, and a touched
         # component that splits keeps a named vertex in every piece, so the
         # batch touches exactly the post-batch components that hold a named

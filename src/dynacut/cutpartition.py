@@ -136,12 +136,23 @@ class CutPartitionDS:
         With `indices`, only the layers at those indices are copied; every
         other index keeps this structure's own layer, which nothing may
         then read through the copy.  update_partition reads only the
-        indices update_layer_indices names."""
+        indices update_layer_indices names.
+
+        A layer object held at several copied indices is restricted once,
+        and each further index gets a clone() of that copy, so every
+        copied index still holds its own object."""
         keep = range(len(self.layers)) if indices is None else set(indices)
-        return CutPartitionDS(self.g.restrict(verts),
-                              [ds.restrict(verts) if j in keep else ds
-                               for j, ds in enumerate(self.layers)],
-                              self.params, self.gamma)
+        copies: Dict[int, GraphDS] = {}
+        layers = []
+        for j, ds in enumerate(self.layers):
+            if j not in keep:
+                layers.append(ds)
+            elif id(ds) in copies:
+                layers.append(copies[id(ds)].clone())
+            else:
+                layers.append(copies.setdefault(id(ds), ds.restrict(verts)))
+        return CutPartitionDS(self.g.restrict(verts), layers, self.params,
+                              self.gamma)
 
     def fingerprint(self) -> Tuple:
         graph = (tuple(sorted(self.g.edge_items())),

@@ -151,6 +151,9 @@ class GraphDS:
         return self._contracted
 
     def _compute_contraction(self) -> MultiGraph:
+        if not self.terminals:
+            # pruning non-terminal leaves empties every tree
+            return MultiGraph()
         adj: Dict[VertexId, List[VertexId]] = {v: [] for v in self.g.vertices}
         for u, v in self.forest:
             adj[u].append(v)
@@ -259,11 +262,16 @@ class GraphDS:
     def restrict(self, verts: Set[VertexId]) -> "GraphDS":
         """A copy on the vertices of `verts` that g has, which must be
         closed under adjacency in g.  Every tree of the forest then lies
-        inside or outside them, so the copy keeps the forest edges with an
-        end among them."""
-        return GraphDS.from_forest(self.g.restrict(verts),
-                                   self.terminals & verts,
-                                   {e for e in self.forest if e[0] in verts})
+        inside or outside them, so the copy keeps the forest edges of its
+        own graph: all of them when it holds every vertex, else the ones a
+        walk of its adjacency finds in the forest."""
+        g = self.g.restrict(verts)
+        forest = self.forest
+        if g.vertex_count() == self.g.vertex_count():
+            kept = set(forest)
+        else:
+            kept = {e for e in g.pairs() if e in forest}
+        return GraphDS.from_forest(g, self.terminals & verts, kept)
 
     def fingerprint(self) -> Tuple:
         return (tuple(sorted((e, m) for e, m in self.g.edge_items())),

@@ -236,7 +236,16 @@ def decremental_single_expander(g: MultiGraph, phi: Fraction,
 
     When the pruned part is all of G, the re-decomposition reads a plain
     copy of G: the decomposition reads only sorted vertex lists and sets,
-    so it gives what it gives on induced_subgraph(G, V(G))."""
+    so it gives what it gives on induced_subgraph(G, V(G)).
+
+    The re-decomposition is skipped when sub_phi * m(G) <= 1, since it
+    then finds no intercluster edge.  Proof: it runs on a subgraph H of G,
+    and every cluster it examines is a component of H or of a subgraph of
+    H, so a connected set of two vertices or more (singletons are not
+    examined) with volume vol <= 2 m(H) <= 2 m(G).  Then sub_phi <=
+    1/m(G) <= 2/vol, so the cluster passes the 2/vol test, is kept whole,
+    and no edge of H runs between two clusters.  The engine's flat
+    schedule meets this in every call."""
     d_set = {edge_key(u, v) for u, v in d_edges}
     phi = Fraction(phi)
     m = g.distinct_edge_count()
@@ -248,12 +257,14 @@ def decremental_single_expander(g: MultiGraph, phi: Fraction,
             r = set(boundary(g, p)) - d_set if p else set()
         except RejectedOp:
             p = set(g.vertex_list())
+    sub_phi = phi / 64  # desk surrogate for the subpolynomial loss
+    if sub_phi * m <= 1:
+        return r
     h = g.copy() if len(p) == g.vertex_count() else induced_subgraph(g, p)
     for u, v in d_set:
         if h.has_edge(u, v):
             h.remove_edge(u, v)
     if h.vertex_count():
-        sub_phi = phi / 64  # desk surrogate for the subpolynomial loss
         deco = expander_decomposition(h, sub_phi)
         r |= deco.intercluster
     return r

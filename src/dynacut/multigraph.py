@@ -4,6 +4,17 @@ constant-degree reduction gadget.
 A multigraph stores vertices plus edges keyed by unordered vertex pair with a
 positive integer multiplicity.  No self-loops.  Deleting an edge removes all
 of its multiplicity at once.
+
+Copies share adjacency until they write it (copy-on-write per vertex, the
+node copying of Driscoll, Sarnak, Sleator and Tarjan, JCSS 1989).  Each
+graph records the vertices whose neighbour dict it owns; None means it owns
+them all, as a graph that was never copied does.  copy(), restrict() and
+splice_graph put the inner dicts into the new graph as they are, and both
+sides give up ownership of what they share, so a write to either side after
+a copy never shows in the other.  add_edge and remove_edge copy a vertex's
+dict before their first write to it, and add_vertex owns the dict it makes.
+A copied dict keeps its insertion order, so every walk over a copy reads
+neighbours in the order a walk over the source does.
 """
 
 from __future__ import annotations
@@ -25,11 +36,13 @@ def edge_key(u: VertexId, v: VertexId) -> EdgeKey:
 class MultiGraph:
     """Vertices plus unordered-pair edges with multiplicity >= 1."""
 
-    __slots__ = ("_adj", "_distinct_edges")
+    __slots__ = ("_adj", "_distinct_edges", "_own")
 
     def __init__(self) -> None:
         self._adj: Dict[VertexId, Dict[VertexId, int]] = {}
         self._distinct_edges = 0
+        # the vertices whose neighbour dict this graph owns; None: all
+        self._own: Optional[Set[VertexId]] = None
 
     # -- queries ----------------------------------------------------------
     @property
@@ -55,7 +68,8 @@ class MultiGraph:
 
     def adjacent(self, v: VertexId) -> KeysView[VertexId]:
         """The distinct neighbors of v, in no fixed order; a live view, so
-        the graph must not change while it is read."""
+        the graph must not change while it is read (a write may also
+        replace the viewed dict with a copy)."""
         return self._adj[v].keys()
 
     def incident(self, v: VertexId) -> ItemsView[VertexId, int]:
@@ -97,6 +111,8 @@ class MultiGraph:
         if v in self._adj:
             raise RejectedOp("insert-vertex", f"vertex {v} already present")
         self._adj[v] = {}
+        if self._own is not None:
+            self._own.add(v)
 
     def remove_vertex(self, v: VertexId) -> None:
         if v not in self._adj:
@@ -114,6 +130,9 @@ class MultiGraph:
             raise RejectedOp("insert-edge", f"endpoint of ({u},{v}) absent")
         if v in self._adj[u]:
             raise RejectedOp("insert-edge", f"edge ({u},{v}) already present")
+        own = self._own
+        if own is not None and (u not in own or v not in own):
+            self._unshare(u, v)
         self._adj[u][v] = mult
         self._adj[v][u] = mult
         self._distinct_edges += 1
@@ -122,26 +141,50 @@ class MultiGraph:
         """Delete the edge entirely, regardless of multiplicity."""
         if not self.has_edge(u, v):
             raise RejectedOp("delete-edge", f"edge ({u},{v}) absent")
+        own = self._own
+        if own is not None and (u not in own or v not in own):
+            self._unshare(u, v)
         del self._adj[u][v]
         del self._adj[v][u]
         self._distinct_edges -= 1
 
+    def _unshare(self, u: VertexId, v: VertexId) -> None:
+        """Copy the neighbour dicts of u and v that this graph does not
+        own, and own them.  Its callers test ownership inline first, so a
+        write to dicts the graph owns costs no call."""
+        own = self._own
+        for x in (u, v):
+            if x not in own:
+                self._adj[x] = dict(self._adj[x])
+                own.add(x)
+
     # -- misc -------------------------------------------------------------
     def copy(self) -> "MultiGraph":
+        """A copy that shares every neighbour dict until either side
+        writes it; both may be mutated."""
         g = MultiGraph()
-        g._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
+        g._adj = dict(self._adj)
         g._distinct_edges = self._distinct_edges
+        g._own, self._own = set(), set()
         return g
 
-    def restrict(self, verts) -> "MultiGraph":
-        """A copy of the graph on the vertices of `verts` it has, where
-        those vertices are closed under adjacency (a union of components).
-        Copies their adjacency dicts as they are: nothing is filtered or
-        sorted, unlike induced_subgraph."""
+    def restrict(self, verts: Set[VertexId]) -> "MultiGraph":
+        """A copy of the graph on the vertices of the set `verts` it has,
+        where those vertices are closed under adjacency (a union of
+        components).  Shares their adjacency dicts as they are, like
+        copy(): nothing is filtered or sorted, unlike induced_subgraph, and
+        both graphs may be mutated."""
         src = self._adj
+        if len(verts) >= len(src) and src.keys() <= verts:
+            return self.copy()
         g = MultiGraph()
-        g._adj = {v: dict(src[v]) for v in verts if v in src}
+        g._adj = {v: src[v] for v in verts if v in src}
         g._distinct_edges = sum(map(len, g._adj.values())) // 2
+        g._own = set()
+        if self._own is None:
+            self._own = src.keys() - g._adj.keys()
+        else:
+            self._own -= g._adj.keys()
         return g
 
     def __eq__(self, other: object) -> bool:
@@ -200,8 +243,8 @@ def splice_graph(base: MultiGraph, drop, part: MultiGraph) -> MultiGraph:
     """base without the vertices `drop`, plus `part`.  `drop` must be
     vertices of base closed under adjacency, and disjoint from part's
     vertices.  The result shares the kept vertices' adjacency with base and
-    part's adjacency with part, so none of the three may be mutated
-    afterwards."""
+    part's adjacency with part until one of them writes it, so all three
+    may be mutated afterwards (see the module docstring)."""
     adj = dict(base._adj)
     dropped = sum(len(adj.pop(v)) for v in drop)
     adj.update(part._adj)
@@ -209,21 +252,8 @@ def splice_graph(base: MultiGraph, drop, part: MultiGraph) -> MultiGraph:
     g._adj = adj
     g._distinct_edges = (base._distinct_edges - dropped // 2
                          + part._distinct_edges)
+    g._own, base._own, part._own = set(), set(), set()
     return g
-
-
-def shallow_copy(g: MultiGraph, own) -> MultiGraph:
-    """A copy of g that owns the adjacency of the vertices `own` and shares
-    every other vertex's with g.  Ops that name only vertices of `own` may
-    change the copy; nothing may change g while the copy is in use."""
-    adj = dict(g._adj)
-    for v in own:
-        if v in adj:
-            adj[v] = dict(adj[v])
-    out = MultiGraph()
-    out._adj = adj
-    out._distinct_edges = g._distinct_edges
-    return out
 
 
 def changed_vertices(g: MultiGraph, base: MultiGraph

@@ -51,7 +51,6 @@ from .cutprimitives import (
     _capped_maxflow,
     boundary,
     component_labels,
-    component_of,
     components,
     enumerate_cuts,
     enumerate_anchored_cuts,
@@ -301,9 +300,24 @@ def _s_unsplittable(g: MultiGraph, s: FrozenSet[VertexId], c: int) -> bool:
 def _one_small_component(g: MultiGraph, terms: FrozenSet[VertexId],
                          t: int) -> bool:
     """True when the nonempty `terms` lie in one component of g of at most
-    t vertices."""
-    p = component_of(g, min(terms))
-    return len(p) <= t and terms <= p
+    t vertices.  A walk from min(terms) sizes that component, but when g
+    has at most t vertices, so has every component, and the walk stops
+    once it has seen every terminal."""
+    start = min(terms)
+    sized = g.vertex_count() <= t
+    missing = set(terms)
+    missing.discard(start)
+    seen = {start}
+    queue = [start]
+    for u in queue:
+        if sized and not missing:
+            break
+        for v in g.adjacent(u):
+            if v not in seen:
+                seen.add(v)
+                missing.discard(v)
+                queue.append(v)
+    return not missing and len(seen) <= t
 
 
 def type_one_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,

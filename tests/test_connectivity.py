@@ -1087,3 +1087,55 @@ def test_setup_and_updates_run_none_of_the_query_path_changes(monkeypatch):
                  "dynacut.cutpartition.decremental_single_expander",
                  "GraphDS.restrict"):
         assert calls["query", name] > 0
+
+
+def test_queries_copy_few_adjacency_dicts(monkeypatch):
+    """Query copies share neighbour dicts with the served levels and copy
+    one only before writing it: on the seed-1 query-dense op stream a
+    query copies fewer than 100 dicts on average, where copying every dict
+    of the restricted levels took over a thousand.  Every copy() and
+    restrict() output holds its source's dicts themselves."""
+    copied = [0]
+    unshared = [0, 0]
+    shares = [0, 0]
+    unshare = MultiGraph._unshare
+
+    def spy(self, u, v):
+        before = self._adj[u], self._adj[v]
+        unshare(self, u, v)
+        copied[0] += sum(a is not b for a, b in zip(before, (self._adj[u],
+                                                            self._adj[v])))
+
+    def sharing(i, method):
+        def wrapped(self, *args):
+            out = method(self, *args)
+            shares[i] += 1
+            unshared[i] += sum(nbrs is not self._adj[v]
+                               for v, nbrs in out._adj.items())
+            return out
+        return wrapped
+
+    monkeypatch.setattr(MultiGraph, "_unshare", spy)
+    monkeypatch.setattr(MultiGraph, "copy", sharing(0, MultiGraph.copy))
+    monkeypatch.setattr(MultiGraph, "restrict",
+                        sharing(1, MultiGraph.restrict))
+    bench = _benchmark_workloads()
+    wl = bench.WORKLOADS["query-dense"]
+    stream = bench.OpStream(wl, 1)
+    e = engine_preprocess(MultiGraph.from_edges(stream.initial_vertices,
+                                                stream.initial_edges), wl.c)
+    rounds = stream.rounds()
+    per_query = []
+    for _ in range(8):
+        for kind, u, v in next(rounds):
+            if kind == "query":
+                copied[0] = 0
+                engine_query(e, u, v)
+                per_query.append(copied[0])
+            elif kind == "delete":
+                engine_update(e, DeleteEdge(u, v))
+            else:
+                engine_update(e, InsertEdge(u, v))
+    assert len(per_query) == 24 and min(per_query) > 0
+    assert sum(per_query) < 100 * len(per_query)
+    assert unshared == [0, 0] and min(shares) > 0

@@ -280,6 +280,52 @@ class _Unread:
         raise AssertionError(f"update_partition read a layer: .{name}")
 
 
+def test_restrict_gives_shared_layers_distinct_copies():
+    """A layer object held at several indices is restricted once, and every
+    copied index still gets its own object: its fingerprint is what a
+    restrict of that index alone gives, and an op on one copy shows in no
+    other copy and not in the source.  Covers the flat case, where every
+    layer is one object, and structures with witness layers."""
+    rng = random.Random(75)
+    shared = 0
+    for _ in range(10):
+        g = MultiGraph()
+        for part in (random_connected_graph(rng, rng.randrange(2, 7),
+                                            rng.randrange(4))
+                     for _ in range(rng.randrange(1, 4))):
+            base = g.vertex_count()
+            for v in part.vertex_list():
+                g.add_vertex(base + v)
+            for (u, v), m in part.edge_items():
+                g.add_edge(base + u, base + v, m)
+        comps = components(g)
+        verts = set().union(*rng.sample(comps, rng.randrange(1, len(comps)
+                                                              + 1)))
+        for c, phi in ((1, Fraction(1, 1000)), (2, Fraction(1, 1000)),
+                       (2, Fraction(1, 3))):
+            ods = _strict_ods(g, c, 3, phi)
+            shared += len({id(ds) for ds in ods.layers}) < len(ods.layers)
+            before = ods.fingerprint()
+            for indices in (None, update_layer_indices(c)):
+                cut = ods.restrict(verts, indices)
+                keep = (range(len(ods.layers)) if indices is None
+                        else indices)
+                copied = [cut.layers[j] for j in keep]
+                assert len({id(ds) for ds in copied}) == len(copied)
+                assert not {id(ds) for ds in copied} & {id(ds) for ds
+                                                        in ods.layers}
+                for j in keep:
+                    assert cut.layers[j].fingerprint() == \
+                        ods.layers[j].restrict(verts).fingerprint()
+                e = next((e for e in copied[0].g.pairs()), None)
+                if e is not None:
+                    others = [ds.fingerprint() for ds in copied[1:]]
+                    copied[0].ds_update(DeleteEdge(*e))
+                    assert [ds.fingerprint() for ds in copied[1:]] == others
+                assert ods.fingerprint() == before
+    assert shared >= 20
+
+
 def test_update_partition_reads_only_its_layer_indices():
     """update_partition reads only the layers update_layer_indices names:
     with a stand-in that fails on any use at every other index, it gives

@@ -13,7 +13,8 @@ from dynacut.multigraph import (
 )
 
 from util import (barbell, cycle_graph, partition_sparsifier, path_graph,
-                  random_connected_graph, random_simple_graph)
+                  random_connected_graph, random_multigraph,
+                  random_simple_graph)
 
 
 def bfs_component(g, x):
@@ -405,3 +406,33 @@ def test_contract_partition_barbell():
     cg = partition_sparsifier(g, [{0, 1, 2}, {3, 4, 5}], gamma=2)
     assert set(cg.vertices) == {2, 3}
     assert cg.multiplicity(2, 3) == 1
+
+
+class _NonemptyLooking(set):
+    """A terminal set that reads as nonempty even when it holds nothing,
+    so the contraction skips its no-terminal shortcut."""
+
+    def __bool__(self):
+        return True
+
+
+def test_contraction_without_terminals_is_empty_fuzz():
+    """A layer with no terminals contracts to the empty graph at once; the
+    full prune-and-walk, forced on, gives the same empty graph, also after
+    edge ops and after every terminal was deleted again."""
+    rng = random.Random(45)
+    for _ in range(60):
+        g = random_multigraph(rng, rng.randrange(0, 12), rng.random() * 0.5)
+        verts = g.vertex_list()
+        ds = GraphDS(g, rng.sample(verts, min(len(verts), rng.randrange(3))))
+        for _ in range(rng.randrange(6)):
+            u, v = rng.sample(verts, 2) if len(verts) > 1 else (0, 0)
+            if u == v:
+                break
+            ds.ds_update(DeleteEdge(u, v) if g.has_edge(u, v)
+                         else InsertEdge(u, v, 1))
+        for x in sorted(ds.terminals):
+            ds.ds_update(DeleteTerminal(x))
+        got = ds.contracted()
+        ds.terminals = _NonemptyLooking()
+        assert got == ds._compute_contraction() == MultiGraph()

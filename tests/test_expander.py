@@ -281,6 +281,62 @@ def test_dse_without_pruning_redecomposes_a_copy_of_g():
         assert (g.vertex_list(), sorted(g.edge_items())) == before
 
 
+def _dse_always_redecomposing(g, phi, d_edges):
+    """Test oracle: decremental_single_expander with the re-decomposition
+    run whatever sub_phi * m(g) is."""
+    d_set = {edge_key(u, v) for u, v in d_edges}
+    r = set()
+    p = set(g.vertex_list())
+    if len(d_set) <= Fraction(g.distinct_edge_count()) * phi / 10:
+        try:
+            p = pruning(g, d_set, phi)
+            r = set(boundary(g, p)) - d_set if p else set()
+        except RejectedOp:
+            p = set(g.vertex_list())
+    h = induced_subgraph(g, p)
+    for u, v in d_set:
+        if h.has_edge(u, v):
+            h.remove_edge(u, v)
+    if h.vertex_count():
+        r |= expander_decomposition(h, phi / 64).intercluster
+    return r
+
+
+def test_dse_skips_a_redecomposition_that_finds_nothing_fuzz():
+    """When phi / 64 * m(g) <= 1 the re-decomposition is skipped, and the
+    result is what running it gives; above that, it runs, and finds
+    intercluster edges on some inputs.  It also runs with pruning skipped,
+    which at phi = 8 takes nearly every edge of g in D."""
+    rng = random.Random(72)
+    skipped = split = unpruned = 0
+    for i in range(60):
+        g = random_multigraph(rng, rng.randrange(2, 11), 0.5)
+        if i % 2:
+            # a dense half and a bridge to it: a sparse cut to split on
+            half = random_multigraph(rng, rng.randrange(3, 6), 0.8)
+            n = g.vertex_count()
+            for v in half.vertex_list():
+                g.add_vertex(n + v)
+            for (u, v), m in half.edge_items():
+                g.add_edge(n + u, n + v, m)
+            g.add_edge(0, n, 1)
+        edges = g.edge_keys()
+        cases = [(phi, min(len(edges), rng.randrange(3)))
+                 for phi in (Fraction(1, 1000), Fraction(1, 2), Fraction(3),
+                             Fraction(16))]
+        cases.append((Fraction(8), max(len(edges) - 1, 0)))
+        for phi, k in cases:
+            d = rng.sample(edges, k)
+            want = _dse_always_redecomposing(g, phi, d)
+            assert decremental_single_expander(g, phi, d) == want
+            if phi / 64 * len(edges) <= 1:
+                skipped += 1
+            else:
+                split += bool(want)
+                unpruned += k > len(edges) * phi / 10
+    assert skipped >= 100 and split >= 10 and unpruned >= 5
+
+
 def test_dse_output_clusters_certified_fuzz():
     rng = random.Random(66)
     ratios = []

@@ -4,6 +4,7 @@ import pytest
 
 from dynacut.errors import RejectedOp
 from dynacut.connectivity import edge_connectivity
+from dynacut.cutprimitives import components
 from dynacut.multigraph import (
     DeleteEdge, DeleteVertex, InsertEdge, MultiGraph, ReductionImage,
     apply_update, degree_reduce, gadget_id, induced_subgraph, simple_view,
@@ -175,6 +176,103 @@ def test_splice_graph_shares_kept_adjacency():
     assert out.distinct_edge_count() == 3
     assert out._adj[0] is g._adj[0] and out._adj[3] is part._adj[3]
     assert g.has_vertex(4) and g.has_edge(3, 4)
+
+
+def _check_against(g, ref):
+    """g holds exactly the adjacency `ref`, each neighbour dict in ref's
+    insertion order, and counts its distinct edges right."""
+    assert g._adj.keys() == ref.keys()
+    for v, nbrs in ref.items():
+        assert list(g._adj[v].items()) == list(nbrs.items())
+    assert g.distinct_edge_count() == sum(map(len, ref.values())) // 2
+
+
+def _union_of_components(rng, g):
+    comps = components(g)
+    return set().union(*rng.sample(comps, rng.randint(0, len(comps))))
+
+
+def test_copy_on_write_aliasing_fuzz():
+    """Chains of copy, restrict and splice_graph share neighbour dicts, and
+    any graph of a chain, a source included, may be written afterwards: a
+    write to one never shows in another.  Each graph is checked against a
+    reference adjacency kept as a deep copy, after every op.  Fresh graphs
+    that own every dict join the chains too."""
+    rng = random.Random(23)
+    copies = writes = 0
+    for _ in range(50):
+        g0 = random_multigraph(rng, rng.randint(0, 9), 0.15)
+        pool = [(g0, {v: dict(n) for v, n in g0._adj.items()})]
+        g, ref = g0, pool[0][1]
+        for _ in range(80):
+            if rng.random() < 0.4:      # runs of ops on one graph
+                g, ref = rng.choice(pool)
+            kind = rng.choice((0, 1, 1, 2, 3, 3, 3, 4, 4, 4, 5, 6, 7))
+            if kind == 7:
+                # a graph that owns all its dicts, as one never copied
+                # does; its dicts are in sorted order
+                h = induced_subgraph(g, ref)
+                assert h._adj == ref
+                pool.append((h, {v: dict(n) for v, n in h._adj.items()}))
+            elif kind == 0:
+                pool.append((g.copy(), {v: dict(n) for v, n in ref.items()}))
+                copies += 1
+            elif kind == 1:
+                keep = _union_of_components(rng, g)
+                if rng.random() < 0.2:
+                    keep = set(ref)     # the whole graph
+                keep |= {97, 98}        # absent vertices are skipped
+                pool.append((g.restrict(keep),
+                             {v: dict(n) for v, n in ref.items()
+                              if v in keep}))
+                copies += 1
+            elif kind == 2:
+                drop = _union_of_components(rng, g)
+                kept = set(ref) - drop
+                h, h_ref = rng.choice(pool)
+                part_vs = set().union(*(comp for comp in components(h)
+                                        if kept.isdisjoint(comp)))
+                if rng.random() < 0.5:
+                    part = h.restrict(part_vs)
+                else:
+                    part = induced_subgraph(h, part_vs)
+                    h_ref = part._adj
+                out = splice_graph(g, drop, part)
+                out_ref = {v: dict(n) for v, n in ref.items()
+                           if v not in drop}
+                out_ref.update((v, dict(h_ref[v])) for v in part_vs)
+                pool.append((part, {v: dict(h_ref[v]) for v in part_vs}))
+                pool.append((out, out_ref))
+                copies += 2
+            else:
+                vs = list(ref)
+                absent = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]
+                          if v not in ref[u]]
+                present = [(u, v) for u in vs for v in ref[u] if u < v]
+                isolated = [v for v in vs if not ref[v]]
+                if kind == 3 and absent:
+                    u, v = rng.choice(absent)
+                    m = rng.randint(1, 3)
+                    g.add_edge(u, v, m)
+                    ref[u][v] = ref[v][u] = m
+                elif kind == 4 and present:
+                    u, v = rng.choice(present)
+                    g.remove_edge(u, v)
+                    del ref[u][v], ref[v][u]
+                elif kind == 5 and isolated:
+                    v = rng.choice(isolated)
+                    g.remove_vertex(v)
+                    del ref[v]
+                else:
+                    v = rng.choice([x for x in range(len(ref) + 3)
+                                    if x not in ref])
+                    g.add_vertex(v)
+                    ref[v] = {}
+                writes += 1
+            del pool[:-8]
+            for h, h_ref in pool:
+                _check_against(h, h_ref)
+    assert copies > 500 and writes > 1000
 
 
 def test_restrict_copies_a_union_of_components():

@@ -553,6 +553,26 @@ def test_typed_set_certificates_are_exact_fuzz(monkeypatch):
     assert len(shapes) == 12
 
 
+def test_one_small_component_matches_its_definition_fuzz():
+    """The walk that stops once it has seen every terminal (when g has at
+    most t vertices) answers what the whole component's size and vertex
+    set answer, with t below and above |V(g)|, on connected and split
+    graphs."""
+    rng = random.Random(102)
+    seen = [0, 0]
+    for _ in range(300):
+        g = _random_multigraph(rng)
+        verts = g.vertex_list()
+        n = len(verts)
+        terms = frozenset(rng.sample(verts, rng.randrange(1, min(5, n) + 1)))
+        t = rng.choice((rng.randrange(1, n + 1), n + rng.randrange(0, 3)))
+        p = cutprimitives.component_of(g, min(terms))
+        want = len(p) <= t and terms <= p
+        assert repair._one_small_component(g, terms, t) == want
+        seen[want] += 1
+    assert min(seen) >= 50
+
+
 def test_certified_repair_set_searches_nothing(monkeypatch):
     """A repair_set call whose typed sets are all certified empty (every
     pair of S joined by more than c edge-disjoint paths, T minus S empty,
