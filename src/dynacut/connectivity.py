@@ -153,9 +153,6 @@ class StackDS:
         # held instance, and every instance served, stay as built.
         return inst
 
-    def fingerprint(self, inst: MultiLevelDS) -> Tuple:
-        return inst.fingerprint()
-
 
 def _flat_schedule(c: int, n_cap: int) -> ParamSchedule:
     """Desk schedule whose conductance floor sits below every component
@@ -245,7 +242,6 @@ def engine_query(e: Engine, u: VertexId, w: VertexId) -> bool:
         raise RejectedOp("engine-query", f"vertex {u} or {w} absent")
     if u == w:
         return True
-    sched = e.schedule
     mds = e.current
     au, aw = e.reduction.anchor(u), e.reduction.anchor(w)
     seq: UpdateSeq = [InsertVertex(_ATTACH_A), InsertVertex(_ATTACH_B),
@@ -256,15 +252,13 @@ def engine_query(e: Engine, u: VertexId, w: VertexId) -> bool:
         e.query_stats.append({"levels": len(mds.levels), "h_vertices": 0,
                               "h_edges": 0, "expansion": (len(seq),)})
         return False
-    target = sched.chain[mds.round + 1]
-    phi = sched.phi_at(mds.round + 1)
+    phi = e.schedule.phi_at(mds.round + 1)
     expansion = [len(seq)]
     levels = [ods.restrict(comp, update_layer_indices(ods.params.c))
               for ods in mds.levels]
-    top = build_sparsifier(levels[-1], sched.gamma)
+    top = build_sparsifier(levels[-1])
     for ods in levels:
-        _, seq = cut_partition_update(ods, seq, phi, target, sched.t,
-                                      sched.gamma, ods.params)
+        _, seq = cut_partition_update(ods, seq, phi)
         expansion.append(len(seq))
     h = apply_seq(top, seq)
     if not (h.has_vertex(au) and h.has_vertex(aw)):

@@ -11,6 +11,11 @@ pre-update profile with c^2+2c layers whose stronger parameter chain leaves
 enough slack for `update_partition` to rebuild a plain structure after new
 intercluster edges appear.  `build_sparsifier` contracts the final layer
 into superedges and keeps intercluster edges verbatim.
+
+A structure carries its own parameters: t, c and the (t_i, q_i) chain in
+`params`, and the contraction multiplicity `gamma`.  cut_partition_preprocess
+sets them, and refuses gamma <= c; every later stage reads them from the
+structure it is given.
 """
 
 from __future__ import annotations
@@ -78,22 +83,12 @@ class LayerParams:
         return self.pairs[h - 1][1]
 
 
-def default_params(t: int, c: int, strict: bool = False) -> LayerParams:
-    """A conforming chain with q_i = 3 t_i (the slack initial_ia needs)."""
-    n = c * c + 2 * c if strict else c
-    factor = (n + 2) ** 2 if strict else c + 1
-    pairs = []
-    t_i = t
-    for _ in range(n):
-        q_i = 3 * t_i
-        pairs.append((t_i, q_i))
-        t_i = q_i * factor
-    return LayerParams(t, c, tuple(pairs), strict)
-
-
 @dataclass
 class CutPartitionDS:
-    """The input graph and its layer chain.
+    """The input graph and its layer chain, with the parameters they were
+    built for: `params` holds t, c and the (t_i, q_i) chain, and `gamma`
+    the contraction multiplicity, gamma > c.  The update and the
+    sparsifier read them from here.
 
     Equal consecutive layers may be one shared GraphDS object, as
     cut_partition_preprocess and splice_partition build them, so a
@@ -182,21 +177,20 @@ def _layer_ia(g: MultiGraph, terms: Set[VertexId], t_i: int, q_i: int,
     return ia
 
 
-def cut_partition_preprocess(g: MultiGraph, phi: Fraction, c: int, t: int,
-                             params: Optional[LayerParams] = None,
-                             gamma: Optional[int] = None) -> CutPartitionDS:
+def cut_partition_preprocess(g: MultiGraph, phi: Fraction,
+                             params: LayerParams, gamma: int
+                             ) -> CutPartitionDS:
     """Build the structure from scratch: expander decomposition, then one
-    witness layer per composition step.
+    witness layer per composition step.  The structure carries params and
+    gamma, which must exceed params.c.
 
     A layer with no witness edges equals the layer before it, so it is the
     same GraphDS object: it gets no graph copy and no forest of its own.
     On the flat schedule no layer has witness edges, so each level holds
     one distinct layer and runs one BFS.  The result is read-only (see
     CutPartitionDS)."""
-    if params is None:
-        params = default_params(t, c)
-    if params.c != c or params.t != t:
-        raise RejectedOp("cut-partition", "params disagree with (t, c)")
+    if gamma <= params.c:
+        raise RejectedOp("cut-partition", f"need gamma > c, got {gamma}")
     phi = Fraction(phi)
     # the decomposition reads distinct adjacency only, never a multiplicity
     deco = expander_decomposition(g, phi)
@@ -215,8 +209,7 @@ def cut_partition_preprocess(g: MultiGraph, phi: Fraction, c: int, t: int,
             layers.append(GraphDS(cur, terms))
         else:
             layers.append(layers[-1])
-    return CutPartitionDS(g.copy(), layers, params,
-                          gamma if gamma is not None else c + 1)
+    return CutPartitionDS(g.copy(), layers, params, gamma)
 
 
 def splice_partition(parent: CutPartitionDS, drop: Set[VertexId],
@@ -253,10 +246,9 @@ def splice_partition(parent: CutPartitionDS, drop: Set[VertexId],
                           parent.params, parent.gamma)
 
 
-def build_sparsifier(ods: CutPartitionDS, gamma: Optional[int] = None
-                     ) -> MultiGraph:
+def build_sparsifier(ods: CutPartitionDS) -> MultiGraph:
     """Superedges of the final layer's terminal contraction at multiplicity
-    gamma, plus every intercluster edge at its original multiplicity.
+    ods.gamma, plus every intercluster edge at its original multiplicity.
 
     Fresh from cut_partition_preprocess, the final layer's terminals are the
     K endpoints of the B edges kept verbatim, so K <= 2|B|, and the output
@@ -274,10 +266,7 @@ def build_sparsifier(ods: CutPartitionDS, gamma: Optional[int] = None
     leaf, give |B| = k, 4k - 4 vertices and 5k - 6 edges.  It is not 3|B|:
     two 3-leaf stars joined leaf to leaf give |B| = 3 with 8 vertices and 9
     edges."""
-    gamma = ods.gamma if gamma is None else gamma
-    if gamma <= ods.params.c:
-        raise RejectedOp("sparsifier", f"need gamma > c, got {gamma}")
-    return _sparsifier_graph(ods.g, ods.layers[-1], gamma)
+    return _sparsifier_graph(ods.g, ods.layers[-1], ods.gamma)
 
 
 def _sparsifier_graph(g: MultiGraph, ds_q: GraphDS, gamma: int) -> MultiGraph:
@@ -301,9 +290,10 @@ def _sparsifier_graph(g: MultiGraph, ds_q: GraphDS, gamma: int) -> MultiGraph:
     return out
 
 
-def transformed_params(params: LayerParams, t: int, c: int) -> LayerParams:
+def transformed_params(params: LayerParams) -> LayerParams:
     """The plain c-layer chain a strict structure degrades to: layer i keeps
     t from layer w_{i-1}+1 and q from layer w_i, paying one chain factor."""
+    c = params.c
     n = c * c + 2 * c
     w_prev = 0
     pairs = []
@@ -313,7 +303,7 @@ def transformed_params(params: LayerParams, t: int, c: int) -> LayerParams:
         pairs.append((params.pairs[w_prev][0],
                       params.pairs[w_i - 1][1] * factor))
         w_prev = w_i
-    return LayerParams(t, c, tuple(pairs), strict=False)
+    return LayerParams(params.t, c, tuple(pairs), strict=False)
 
 
 def update_layer_indices(c: int) -> List[int]:
@@ -328,8 +318,7 @@ def update_layer_indices(c: int) -> List[int]:
     return out + [h]
 
 
-def update_partition(ods: CutPartitionDS, r_edges, t: int, c: int,
-                     gamma: int, params: Optional[LayerParams] = None
+def update_partition(ods: CutPartitionDS, r_edges
                      ) -> Tuple[CutPartitionDS, UpdateSeq]:
     """Consume a strict (c^2+2c)-layer structure and a set R of newly
     intercluster edges; emit a plain c-layer structure for the refined
@@ -339,13 +328,10 @@ def update_partition(ods: CutPartitionDS, r_edges, t: int, c: int,
     and no other index is read, so a non-empty R is refused unless each of
     those layers is held at no other index, as clone() and restrict() give.
     An empty R updates no layer."""
-    params = ods.params if params is None else params
-    if not params.strict or params.c != c or params.t != t:
-        raise RejectedOp("update-partition",
-                         "need a strict structure of matching strength")
-    if gamma <= c:
-        raise RejectedOp("update-partition", f"need gamma > c, got {gamma}")
-    n = params.layer_count()
+    params, gamma = ods.params, ods.gamma
+    if not params.strict:
+        raise RejectedOp("update-partition", "need a strict structure")
+    c = params.c
     r_cur = {edge_key(u, v) for u, v in r_edges}
     g0 = ods.layers[0].g
     present = {e for e in r_cur if g0.has_edge(*e)}
@@ -420,22 +406,19 @@ def update_partition(ods: CutPartitionDS, r_edges, t: int, c: int,
         for w in (u, v):
             emit(InsertVertex(w))
         emit(InsertEdge(u, v, ods.g.multiplicity(u, v)))
-    new_params = transformed_params(params, t, c)
     new_layers = [ods.layers[j] for j in selected]
-    return (CutPartitionDS(ods.g, new_layers, new_params, gamma),
+    return (CutPartitionDS(ods.g, new_layers, transformed_params(params),
+                           gamma),
             new_seq)
 
 
-def cut_partition_update(ods: CutPartitionDS, seq: UpdateSeq, phi: Fraction,
-                         c: int, t: int, gamma: int,
-                         params: Optional[LayerParams] = None
+def cut_partition_update(ods: CutPartitionDS, seq: UpdateSeq, phi: Fraction
                          ) -> Tuple[CutPartitionDS, UpdateSeq]:
     """Apply a multigraph update batch: isolate every touched vertex into a
     singleton cluster via pruning + re-decomposition, rebuild the layer
-    chain with update_partition, then replay the batch on the base graph."""
-    params = ods.params if params is None else params
-    if not params.strict:
-        raise RejectedOp("cut-partition-update", "need a strict structure")
+    chain with update_partition, then replay the batch on the base graph.
+    update_partition refuses a plain structure before it changes any
+    layer."""
     phi = Fraction(phi)
     touched = named_vertices(seq)
     ds0 = ods.layers[0]
@@ -445,7 +428,7 @@ def cut_partition_update(ods: CutPartitionDS, seq: UpdateSeq, phi: Fraction,
         d_id = {edge_key(u, v) for u in w_id for v in ds0.g.adjacent(u)}
         r_id = decremental_single_expander(ds0.g.restrict(comp), phi, d_id)
         r |= r_id | d_id
-    new_ods, new_seq = update_partition(ods, r, t, c, gamma, params)
+    new_ods, new_seq = update_partition(ods, r)
     base = new_ods.g
     for x in touched:
         if base.has_vertex(x) and base.is_isolated(x):

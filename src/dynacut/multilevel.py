@@ -168,7 +168,7 @@ def _desk_schedule(c: int, m: int, overrides: Dict) -> ParamSchedule:
     try:
         for k in range(rounds):
             prev = LayerParams(t, chain[k + 1], tables[k], strict=True)
-            tables.append(transformed_params(prev, t, chain[k + 1]).pairs)
+            tables.append(transformed_params(prev).pairs)
         LayerParams(t, chain[rounds + 1], tables[rounds], strict=True)
     except RejectedOp as exc:
         raise RejectedSchedule(exc.reason)
@@ -366,11 +366,9 @@ def _build_levels(g: MultiGraph, sched: ParamSchedule, k: int,
     cur = g
     stall = 0
     while True:
-        ods = cut_partition_preprocess(cur, sched.phi, sched.chain[k + 1],
-                                       sched.t, params=params,
-                                       gamma=sched.gamma)
+        ods = cut_partition_preprocess(cur, sched.phi, params, sched.gamma)
         out.append(ods)
-        sp = build_sparsifier(ods, sched.gamma)
+        sp = build_sparsifier(ods)
         if sp.distinct_edge_count() == 0:
             return
         stall = _stall(stall, cur, sp)
@@ -420,9 +418,10 @@ def splice_multi_level(parent: MultiLevelDS, drop: Set[VertexId],
     return MultiLevelDS(levels, parent.schedule, parent.round)
 
 
-def update_multi_level(mds: MultiLevelDS, seq: UpdateSeq, k: int
-                       ) -> MultiLevelDS:
-    """Absorb one update batch as round k.  Small batches propagate level by
+def update_multi_level(mds: MultiLevelDS, seq: UpdateSeq) -> MultiLevelDS:
+    """Absorb one update batch as round k = mds.round + 1, within the
+    schedule's round budget.  Each level's update reads its strength,
+    tables and gamma from the level itself.  Small batches propagate level by
     level; once a level's sequence exceeds its threshold, that level and
     everything above it are rebuilt from scratch.  Leaves its input
     unchanged: a preprocessed level shares its equal layers (see
@@ -434,13 +433,10 @@ def update_multi_level(mds: MultiLevelDS, seq: UpdateSeq, k: int
     splice_multi_level instead of calling this.  It is tested on a
     barbell under desk schedules with a spare round."""
     sched = mds.schedule
+    k = mds.round + 1
     if k > sched.rounds:
         raise RejectedOp("multi-level update",
                          f"round budget exhausted: k = {k} > {sched.rounds}")
-    if k != mds.round + 1:
-        raise RejectedOp("multi-level update",
-                         f"rounds are sequential: expected {mds.round + 1}")
-    target = sched.chain[k]
     c_next = sched.chain[k + 1]
     phi = sched.phi_at(k)
     new_levels: List[CutPartitionDS] = []
@@ -450,15 +446,13 @@ def update_multi_level(mds: MultiLevelDS, seq: UpdateSeq, k: int
         if len(cur_seq) > Fraction(sched.m) * phi ** (i + 1):
             rebuild_from = i
             break
-        new_ods, cur_seq = cut_partition_update(
-            ods.clone(), cur_seq, phi, target, sched.t, sched.gamma,
-            ods.params)
+        new_ods, cur_seq = cut_partition_update(ods.clone(), cur_seq, phi)
         new_levels.append(_reframe(new_ods, c_next))
     if rebuild_from is not None:
         g_cur = apply_seq(mds.levels[rebuild_from].g.copy(), cur_seq)
         _build_levels(g_cur, sched, k, new_levels)
     else:
-        sp = build_sparsifier(new_levels[-1], sched.gamma)
+        sp = build_sparsifier(new_levels[-1])
         if sp.distinct_edge_count() > 0:
             _build_levels(sp, sched, k, new_levels)
     return MultiLevelDS(new_levels, sched, k)

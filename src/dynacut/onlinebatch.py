@@ -44,8 +44,6 @@ class BatchableDS(Protocol):
 
     def clone(self, inst): ...
 
-    def fingerprint(self, inst) -> Tuple: ...
-
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)

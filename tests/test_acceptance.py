@@ -38,8 +38,8 @@ from test_onlinebatch import (
     PAIRS, CounterDS, MultiLevelMock, SortedEdgeListDS, drive, op_stream,
 )
 from test_repair import _repair_scenario
-from util import (partition_sparsifier, random_connected_graph,
-                  random_simple_graph)
+from util import (default_params, partition_sparsifier,
+                  random_connected_graph, random_simple_graph)
 
 
 # -- 1. end-to-end oracle equivalence over 1,000 random traces ---------------
@@ -178,7 +178,7 @@ def test_sparsifier_equivalence():
         c = rng.choice((1, 2))
         phi = Fraction(1, 3)
         t = max(int(c / phi) + 1, 3)
-        ods = cut_partition_preprocess(g, phi, c, t)
+        ods = cut_partition_preprocess(g, phi, default_params(t, c), c + 1)
         sp = build_sparsifier(ods)
         kept = {e for e in g.edge_keys()
                 if not ods.layers[-1].g.has_edge(*e)}

@@ -891,8 +891,7 @@ def test_restrict_on_a_two_level_schedule():
                 out = []
                 for ods in levels:
                     _, seq = cutpartition.cut_partition_update(
-                        ods, seq, sched.phi_at(1), sched.chain[1], sched.t,
-                        sched.gamma, ods.params)
+                        ods, seq, sched.phi_at(1))
                     out.append(seq)
                 emitted.append(out)
             assert emitted[0] == emitted[1]
@@ -1032,6 +1031,32 @@ def _benchmark_workloads():
     finally:
         del sys.modules[spec.name]
     return mod
+
+
+def _replay_digest_script():
+    """scripts/replay_digest.py, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / \
+        "replay_digest.py"
+    spec = importlib.util.spec_from_file_location("_replay_digest", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("name,want", [
+    ("churn-communities", "e15f38b860c56ebb1af5ef8ebd0d6945a747973f"),
+    ("query-dense", "fed53354d5c404fcff3b6cb9bee36ed78eab2404"),
+])
+def test_benchmark_stream_replay_is_unchanged(name, want):
+    """The replay digest of scripts/replay_digest.py over the first 8
+    rounds of each benchmark workload's seed-1 op stream: one sha1 over
+    every answer, every query_stats entry and the engine fingerprint after
+    set-up and after every op.  The values were recorded before each
+    cut-partition structure became the only source of its own t, c, gamma
+    and params."""
+    script = _replay_digest_script()
+    bench = script._workloads()
+    assert script.digest(bench, bench.WORKLOADS[name], 1, 8) == want
 
 
 def test_setup_and_updates_run_none_of_the_query_path_changes(monkeypatch):

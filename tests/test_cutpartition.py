@@ -7,8 +7,8 @@ import pytest
 from dynacut.connectivity import edge_connectivity
 from dynacut.cutpartition import (CutPartitionDS, LayerParams,
                                   build_sparsifier, cut_partition_preprocess,
-                                  cut_partition_update, default_params,
-                                  update_layer_indices, update_partition)
+                                  cut_partition_update, update_layer_indices,
+                                  update_partition)
 from dynacut.cutprimitives import boundary, components, cut_size, \
     is_connected_subset
 from dynacut.dynforest import GraphDS
@@ -16,7 +16,7 @@ from dynacut.errors import RejectedOp
 from dynacut.multigraph import (DeleteEdge, InsertEdge, InsertVertex,
                                 MultiGraph, apply_seq, edge_key, simple_view)
 
-from util import barbell, random_connected_graph
+from util import barbell, default_params, random_connected_graph
 
 
 def _ends(edges):
@@ -96,16 +96,20 @@ def test_layer_params_rejects_broken_chain():
 
 # -- preprocessing -----------------------------------------------------------
 
+def _plain_ods(g, c, t, phi):
+    return cut_partition_preprocess(g, phi, default_params(t, c), c + 1)
+
+
 def test_preprocess_edgeless():
     g = MultiGraph.from_edges(range(5), [])
-    ods = cut_partition_preprocess(g, Fraction(1, 2), 1, 3)
+    ods = _plain_ods(g, 1, 3, Fraction(1, 2))
     assert sorted(map(frozenset, ods.cut_partition())) == [
         frozenset({v}) for v in range(5)]
     assert build_sparsifier(ods).vertex_count() == 0
 
 
 def test_preprocess_barbell():
-    ods = cut_partition_preprocess(barbell(), Fraction(2, 5), 1, 7)
+    ods = _plain_ods(barbell(), 1, 7, Fraction(2, 5))
     parts = sorted(map(frozenset, ods.partition()))
     assert parts == [frozenset({0, 1, 2}), frozenset({3, 4, 5})]
     assert sorted(map(frozenset, ods.cut_partition())) == parts
@@ -123,7 +127,7 @@ def test_preprocess_cut_partition_property_fuzz():
         c = rng.choice([1, 2])
         phi = Fraction(1, 3)
         t = max((c * 3), 4)
-        ods = cut_partition_preprocess(g, phi, c, t)
+        ods = _plain_ods(g, c, t, phi)
         _check_ods(ods, t, c)
 
 
@@ -137,7 +141,7 @@ def test_sparsifier_size_bound_and_equivalence_fuzz():
         c = rng.choice([1, 2])
         phi = Fraction(1, 3)
         t = max(int(c / phi) + 1, 3)
-        ods = cut_partition_preprocess(g, phi, c, t)
+        ods = _plain_ods(g, c, t, phi)
         sp = build_sparsifier(ods)
         bnd = _intercluster_edges(ods)
         k = len(_ends(bnd))
@@ -151,32 +155,36 @@ def test_sparsifier_size_bound_and_equivalence_fuzz():
 
 
 def test_sparsifier_rejects_small_gamma():
-    ods = cut_partition_preprocess(barbell(), Fraction(2, 5), 1, 7)
-    with pytest.raises(RejectedOp):
-        build_sparsifier(ods, gamma=1)
+    """gamma is set once, at preprocessing, which refuses gamma <= c; the
+    sparsifier then contracts at the structure's own gamma."""
+    params = default_params(7, 1)
+    with pytest.raises(RejectedOp, match="gamma"):
+        cut_partition_preprocess(barbell(), Fraction(2, 5), params, 1)
+    ods = cut_partition_preprocess(barbell(), Fraction(2, 5), params, 2)
+    assert ods.gamma == 2
 
 
 # -- update_partition --------------------------------------------------------
 
 def _strict_ods(g, c, t, phi=Fraction(1, 3)):
-    return cut_partition_preprocess(g, phi, c, t,
-                                    default_params(t, c, strict=True))
+    return cut_partition_preprocess(g, phi, default_params(t, c, strict=True),
+                                    c + 1)
 
 
 def test_update_partition_empty_r():
     g = barbell()
     ods = _strict_ods(g, 1, 4, Fraction(2, 5))
     old_sp = build_sparsifier(ods)
-    new_ods, seq = update_partition(ods, set(), 4, 1, 2)
+    new_ods, seq = update_partition(ods, set())
     assert seq == []
     assert len(new_ods.layers) == 2
     assert build_sparsifier(new_ods) == old_sp
 
 
 def test_update_partition_rejects_plain_profile():
-    ods = cut_partition_preprocess(barbell(), Fraction(2, 5), 1, 7)
+    ods = _plain_ods(barbell(), 1, 7, Fraction(2, 5))
     with pytest.raises(RejectedOp):
-        update_partition(ods, set(), 7, 1, 2)
+        update_partition(ods, set())
 
 
 def test_update_partition_rejects_non_refining_r():
@@ -184,9 +192,9 @@ def test_update_partition_rejects_non_refining_r():
                               [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     ods = _strict_ods(g, 1, 4)
     # a single chord of the 4-cycle leaves the cluster connected
-    if len(ods.partition()) == 1:
-        with pytest.raises(RejectedOp):
-            update_partition(ods, {(0, 2)}, 4, 1, 2)
+    assert len(ods.partition()) == 1
+    with pytest.raises(RejectedOp, match="refine"):
+        update_partition(ods, {(0, 2)})
 
 
 def test_update_partition_refuses_shared_layers():
@@ -198,9 +206,9 @@ def test_update_partition_refuses_shared_layers():
     before = ods.fingerprint()
     r = {(0, 1), (0, 2)}
     with pytest.raises(RejectedOp, match="shared"):
-        update_partition(ods, r, 4, 1, 2)
+        update_partition(ods, r)
     assert ods.fingerprint() == before
-    new_ods, seq = update_partition(ods.clone(), r, 4, 1, 2)
+    new_ods, seq = update_partition(ods.clone(), r)
     assert build_sparsifier(new_ods) == apply_seq(build_sparsifier(ods), seq)
     assert ods.fingerprint() == before
 
@@ -229,7 +237,7 @@ def test_update_partition_fuzz():
             continue
         old_sp = build_sparsifier(ods)
         work = ods.clone()
-        new_ods, seq = update_partition(work, r, t, c, c + 1)
+        new_ods, seq = update_partition(work, r)
         done += 1
         assert len(seq) <= 4 * max(len(r), 1) * (10 * c) ** (3 * c)
         assert build_sparsifier(new_ods) == apply_seq(old_sp.copy(), seq)
@@ -265,7 +273,7 @@ def test_update_partition_contracts_the_final_layer_twice(monkeypatch):
             old_sp = build_sparsifier(ods)
             work = ods.clone()
             built.clear()
-            new_ods, seq = update_partition(work, r, 3, c, c + 1)
+            new_ods, seq = update_partition(work, r)
             assert len(built) <= 2
             assert all(ds is work.layers[-1] for ds in built)
             assert build_sparsifier(new_ods) == apply_seq(old_sp.copy(), seq)
@@ -345,18 +353,18 @@ def test_update_partition_reads_only_its_layer_indices():
             if not r:
                 continue
             reads = update_layer_indices(c)
-            want_ods, want_seq = update_partition(ods.clone(), r, 3, c, c + 1)
+            want_ods, want_seq = update_partition(ods.clone(), r)
             part = ods.clone()
             part.layers = [ds if j in reads else _Unread()
                            for j, ds in enumerate(part.layers)]
-            got_ods, got_seq = update_partition(part, r, 3, c, c + 1)
+            got_ods, got_seq = update_partition(part, r)
             assert got_seq == want_seq
             assert got_ods.fingerprint() == want_ods.fingerprint()
             before = ods.fingerprint()
             cut = ods.restrict(set(g.vertex_list()), reads)
             assert [cut.layers[j] is ds for j, ds in enumerate(ods.layers)] \
                 == [j not in reads for j in range(len(ods.layers))]
-            got_ods, got_seq = update_partition(cut, r, 3, c, c + 1)
+            got_ods, got_seq = update_partition(cut, r)
             assert got_seq == want_seq
             assert got_ods.fingerprint() == want_ods.fingerprint()
             assert ods.fingerprint() == before
@@ -371,7 +379,7 @@ def test_cpu_isolated_vertex_insertion():
     ods = _strict_ods(g, 1, 4, Fraction(2, 5))
     old_sp = build_sparsifier(ods)
     new_ods, seq = cut_partition_update(ods.clone(), [InsertVertex(99)],
-                                        Fraction(2, 5), 1, 4, 2)
+                                        Fraction(2, 5))
     assert new_ods.g.has_vertex(99)
     assert build_sparsifier(new_ods) == apply_seq(old_sp.copy(), seq)
 
@@ -381,7 +389,7 @@ def test_cpu_barbell_bridge_deletion():
     ods = _strict_ods(g, 1, 4, Fraction(2, 5))
     old_sp = build_sparsifier(ods)
     new_ods, seq = cut_partition_update(ods.clone(), [DeleteEdge(2, 3)],
-                                        Fraction(2, 5), 1, 4, 2)
+                                        Fraction(2, 5))
     assert not new_ods.g.has_edge(2, 3)
     # touched endpoints become singleton clusters
     q = {frozenset(p) for p in new_ods.cut_partition()}
@@ -414,7 +422,7 @@ def test_cpu_fuzz():
         old_sp = build_sparsifier(ods)
         delta = max(simple_view(g).degree(v) for v in g.vertex_list())
         new_ods, out = cut_partition_update(ods.clone(), seq,
-                                            Fraction(1, 3), c, t, c + 1)
+                                            Fraction(1, 3))
         done += 1
         assert new_ods.g == g2
         assert build_sparsifier(new_ods) == apply_seq(old_sp.copy(), out)
@@ -433,6 +441,6 @@ def test_cpu_fuzz():
 
 
 def test_cpu_rejects_plain_profile():
-    ods = cut_partition_preprocess(barbell(), Fraction(2, 5), 1, 7)
+    ods = _plain_ods(barbell(), 1, 7, Fraction(2, 5))
     with pytest.raises(RejectedOp):
-        cut_partition_update(ods, [], Fraction(2, 5), 1, 7, 2)
+        cut_partition_update(ods, [], Fraction(2, 5))

@@ -259,26 +259,40 @@ def test_dse_barbell_bridge():
         frozenset({0, 1, 2}), frozenset({3, 4, 5})]
 
 
-def test_dse_without_pruning_redecomposes_a_copy_of_g():
-    """When |D| exceeds m * phi / 10, pruning is skipped and all of g minus
-    D is re-decomposed: the result is the decomposition of the
-    induced-subgraph rebuild of g minus D, and g is left as it was."""
+def test_dse_without_pruning_redecomposes_a_copy_of_g(monkeypatch):
+    """When |D| exceeds m * phi / 10, pruning is skipped, and when
+    phi / 64 * m exceeds 1, all of g minus D is re-decomposed: the
+    decomposition runs once, at phi / 64, on the induced-subgraph rebuild
+    of g minus D, its intercluster edges are the result, and g is left as
+    it was.  Both bounds hold when |D| >= 7 and 64/m < phi < 10|D|/m."""
+    ran = []
+
+    def spy(h, sub_phi):
+        ran.append((h.copy(), sub_phi))
+        return expander_decomposition(h, sub_phi)
+
+    monkeypatch.setattr(expander, "expander_decomposition", spy)
     rng = random.Random(71)
-    for _ in range(20):
-        g = random_multigraph(rng, rng.randrange(4, 12), 0.4)
-        edges = g.edge_keys()
-        if not edges:
+    done = 0
+    while done < 10:
+        g = random_multigraph(rng, rng.randrange(13, 17), 0.75)
+        m = g.distinct_edge_count()
+        if m <= 64:
             continue
         before = (g.vertex_list(), sorted(g.edge_items()))
-        d = rng.sample(edges, rng.randrange(1, min(3, len(edges)) + 1))
-        phi = Fraction(1, 2)
-        assert len(d) > len(edges) * phi / 10
+        d = rng.sample(g.edge_keys(), rng.randrange(7, 12))
+        lo, hi = Fraction(64, m), min(Fraction(1), Fraction(10 * len(d), m))
+        phi = lo + (hi - lo) * Fraction(rng.randrange(1, 10), 10)
+        assert len(d) > m * phi / 10 and phi / 64 * m > 1
         h = induced_subgraph(g, g.vertex_list())
         for u, v in d:
             h.remove_edge(u, v)
         want = expander_decomposition(h, phi / 64).intercluster
+        ran.clear()
         assert decremental_single_expander(g, phi, d) == want
+        assert ran == [(h, phi / 64)]
         assert (g.vertex_list(), sorted(g.edge_items())) == before
+        done += 1
 
 
 def _dse_always_redecomposing(g, phi, d_edges):

@@ -161,9 +161,8 @@ def check_mds(mds: MultiLevelDS, g: MultiGraph) -> None:
     sched = mds.schedule
     assert mds.graph == g
     for i in range(1, mds.level_count()):
-        assert mds.levels[i].g == build_sparsifier(mds.levels[i - 1],
-                                                      sched.gamma)
-    top = build_sparsifier(mds.levels[-1], sched.gamma)
+        assert mds.levels[i].g == build_sparsifier(mds.levels[i - 1])
+    top = build_sparsifier(mds.levels[-1])
     assert top.distinct_edge_count() == 0
     # structure strength entering the next round
     c_cur = sched.chain[mds.round + 1]
@@ -253,7 +252,7 @@ class TestUpdate:
     def test_empty_batch_graphs_unchanged(self):
         s = desk(1, 12, rounds=1, t=20, n_max=20, phi=Fraction(2, 5))
         mds = preprocess_multi_level(barbell(), s)
-        m2 = update_multi_level(mds, [], 1)
+        m2 = update_multi_level(mds, [])
         assert m2.round == 1
         assert m2.graph == barbell()
         check_mds(m2, barbell())
@@ -261,7 +260,7 @@ class TestUpdate:
     def test_bridge_deletion_fast_path(self):
         s = desk(1, 12, rounds=1, t=20, n_max=20, phi=Fraction(2, 5))
         mds = preprocess_multi_level(barbell(), s)
-        m2 = update_multi_level(mds, [DeleteEdge(2, 3)], 1)
+        m2 = update_multi_level(mds, [DeleteEdge(2, 3)])
         want = apply_seq(barbell(), [DeleteEdge(2, 3)])
         check_mds(m2, want)
         # the structures now carry the round-1 table
@@ -272,29 +271,23 @@ class TestUpdate:
         s = desk(1, 4, rounds=1, t=20, n_max=20, phi=flat_phi(4))
         mds = preprocess_multi_level(barbell(), s)
         seq = [DeleteEdge(2, 3), InsertEdge(2, 4, 1), InsertEdge(1, 5, 1)]
-        m2 = update_multi_level(mds, seq, 1)     # threshold < |seq|: rebuild
+        m2 = update_multi_level(mds, seq)     # threshold < |seq|: rebuild
         check_mds(m2, apply_seq(barbell(), seq))
 
     def test_round_budget(self):
         s = desk(1, 12, rounds=1, t=20, n_max=20, phi=flat_phi(12))
         mds = preprocess_multi_level(barbell(), s)
-        m2 = update_multi_level(mds, [], 1)
+        m2 = update_multi_level(mds, [])
         with pytest.raises(RejectedOp) as exc:
-            update_multi_level(m2, [], 2)
+            update_multi_level(m2, [])
         assert "budget" in str(exc.value)
-
-    def test_rounds_are_sequential(self):
-        s = desk(1, 12, rounds=1, t=20, n_max=20, phi=flat_phi(12))
-        mds = preprocess_multi_level(barbell(), s)
-        with pytest.raises(RejectedOp):
-            update_multi_level(mds, [], 0)
 
     def test_clone_is_isolated(self):
         s = desk(1, 12, rounds=1, t=20, n_max=20, phi=flat_phi(12))
         mds = preprocess_multi_level(barbell(), s)
         frozen = mds.clone()
         fp = frozen.fingerprint()
-        update_multi_level(mds, [DeleteEdge(2, 3)], 1)
+        update_multi_level(mds, [DeleteEdge(2, 3)])
         assert frozen.fingerprint() == fp
         assert frozen.graph == barbell()
 
@@ -306,7 +299,7 @@ class TestUpdate:
         layers = mds.levels[0].layers
         assert len({id(ds) for ds in layers}) < len(layers)
         fp = mds.fingerprint()
-        m2 = update_multi_level(mds, [DeleteEdge(2, 3)], 1)
+        m2 = update_multi_level(mds, [DeleteEdge(2, 3)])
         assert mds.fingerprint() == fp
         check_mds(m2, apply_seq(barbell(), [DeleteEdge(2, 3)]))
 
@@ -329,7 +322,7 @@ class TestUpdate:
             seq = [DeleteEdge(*e) for e in rng.sample(edges, k)]
             threshold = Fraction(s.m) * Fraction(1, 3)
             try:
-                m2 = update_multi_level(mds, seq, 1)
+                m2 = update_multi_level(mds, seq)
             except RejectedOp:
                 continue
             if len(seq) > threshold:

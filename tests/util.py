@@ -3,11 +3,25 @@
 import random
 
 from dynacut.connectivity import _ATTACH_A, _ATTACH_B, offline_oracle
-from dynacut.cutpartition import (_remove_edges, _sparsifier_graph,
-                                  build_sparsifier, cut_partition_update)
+from dynacut.cutpartition import (LayerParams, _remove_edges,
+                                  _sparsifier_graph, build_sparsifier,
+                                  cut_partition_update)
 from dynacut.dynforest import GraphDS
 from dynacut.multigraph import InsertEdge, InsertVertex, MultiGraph, apply_seq
 from dynacut.repair import _ends
+
+
+def default_params(t: int, c: int, strict: bool = False) -> LayerParams:
+    """A conforming chain with q_i = 3 t_i (the slack initial_ia needs)."""
+    n = c * c + 2 * c if strict else c
+    factor = (n + 2) ** 2 if strict else c + 1
+    pairs = []
+    t_i = t
+    for _ in range(n):
+        q_i = 3 * t_i
+        pairs.append((t_i, q_i))
+        t_i = q_i * factor
+    return LayerParams(t, c, tuple(pairs), strict)
 
 
 def random_simple_graph(rng: random.Random, n: int, p: float) -> MultiGraph:
@@ -89,19 +103,16 @@ def whole_graph_query(e, u, w):
     clone of every whole level and builds H on the whole top sparsifier.
     Returns the answer and the query_stats entry it would record, and
     leaves the engine untouched."""
-    sched, mds = e.schedule, e.current
+    mds = e.current
     au, aw = e.reduction.anchor(u), e.reduction.anchor(w)
     seq = [InsertVertex(_ATTACH_A), InsertVertex(_ATTACH_B),
            InsertEdge(au, _ATTACH_A, e.c + 1),
            InsertEdge(aw, _ATTACH_B, e.c + 1)]
-    target = sched.chain[mds.round + 1]
-    phi = sched.phi_at(mds.round + 1)
+    phi = e.schedule.phi_at(mds.round + 1)
     expansion = [len(seq)]
-    top = build_sparsifier(mds.levels[-1], sched.gamma)
+    top = build_sparsifier(mds.levels[-1])
     for ods in mds.levels:
-        level = ods.clone()
-        _, seq = cut_partition_update(level, seq, phi, target, sched.t,
-                                      sched.gamma, level.params)
+        _, seq = cut_partition_update(ods.clone(), seq, phi)
         expansion.append(len(seq))
     h = apply_seq(top, seq)
     stats = {"levels": len(mds.levels), "h_vertices": h.vertex_count(),
