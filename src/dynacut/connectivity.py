@@ -60,9 +60,13 @@ class StackDS:
     scheduler a serve's graph differs from the previous serve's only in
     the components its newest op touched.  So batch_update reads `inst`
     only when nothing is held (before any initialize, or after a raise).
-    It preprocesses only the components of its graph that hold a vertex
-    whose adjacency differs from the held graph, and splices that part
-    into the held instance.  It rebuilds the whole graph instead, through
+    Its graph is the post-batch graph `g_after` it is handed; it applies
+    no op itself.  It preprocesses only the components of that graph that
+    hold a vertex whose adjacency differs from the held graph, and splices
+    that part into the held instance.  Under the scheduler both graphs come
+    from one lineage of copies, so they share every neighbour dict but the
+    ones the newest op wrote, and changed_vertices compares only those by
+    value.  It rebuilds the whole graph instead, through
     initialize with nothing held, when the batch touches every component
     (on a one-component graph every change is a change of everything),
     when the part's level count differs from the held instance's, or when
@@ -96,11 +100,11 @@ class StackDS:
         return self.held
 
     def batch_update(self, inst: MultiLevelDS, g_before: MultiGraph,
-                     seq: UpdateSeq) -> MultiLevelDS:
+                     seq: UpdateSeq, g_after: MultiGraph) -> MultiLevelDS:
         if self.held is None:   # before any initialize, or after a raise
             self.held = inst
         named = named_vertices(seq)
-        g = apply_seq(g_before.copy(), seq)
+        g = g_after
         # Each op names the vertices whose edges it changes, and a touched
         # component that splits keeps a named vertex in every piece, so the
         # batch touches exactly the post-batch components that hold a named

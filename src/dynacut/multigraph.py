@@ -259,9 +259,17 @@ def splice_graph(base: MultiGraph, drop, part: MultiGraph) -> MultiGraph:
 def changed_vertices(g: MultiGraph, base: MultiGraph
                      ) -> Tuple[Set[VertexId], Set[VertexId]]:
     """(changed, gone): the vertices of g whose adjacency differs from
-    base's, those base lacks included, and the vertices of base g lacks."""
+    base's, those base lacks included, and the vertices of base g lacks.
+
+    A vertex whose neighbour dict is the same object in both graphs has
+    the same adjacency in both, since a dict equals itself; only the other
+    vertices are compared by value.  So the result is the by-value one,
+    and when g and base come from one lineage of copies (copy-on-write,
+    see the module docstring), the value comparisons are those of the
+    dicts written since the two graphs parted."""
     old = base._adj
-    changed = {v for v, nbrs in g._adj.items() if old.get(v) != nbrs}
+    changed = {v for v, nbrs in g._adj.items()
+               if (was := old.get(v)) is not nbrs and was != nbrs}
     return changed, old.keys() - g._adj.keys()
 
 

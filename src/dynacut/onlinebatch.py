@@ -14,7 +14,16 @@ steps) is measured when its window opens and charged to the window's ticks
 at ceil(total/len) per tick; results install when the window closes.
 Snapshots are shared, never mutated: a closing task installs its result by
 reference into every target copy, and "reverse back" clones the parent
-snapshot only for the batch update that starts from it.
+snapshot's instance only for the batch update that starts from it.
+
+The scheduler is the one place that applies an update to a graph.  Each
+step applies the new update once, to a copy of the previous step's graph,
+and that graph G_now is never written again: copies share adjacency until
+they write it (see multigraph), so a step copies only the dicts its update
+writes.  A batch update gets its post-batch graph from this one lineage
+instead of re-applying its batch: a serve gets G_now, and the window of
+state (i, j) gets G at t(i, j), which the scheduler keeps from step
+t(i, j) until the window opens.
 """
 
 from __future__ import annotations
@@ -23,7 +32,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Tuple
 
 from .errors import RejectedOp, RejectedSchedule
-from .multigraph import MultiGraph, UpdateOp, UpdateSeq, apply_seq
+from .multigraph import (MultiGraph, UpdateOp, UpdateSeq, apply_seq,
+                         apply_update)
 
 
 class BatchableDS(Protocol):
@@ -35,12 +45,18 @@ class BatchableDS(Protocol):
     `inst` (the scheduler hands it a clone) but must leave `g_before`
     unchanged: snapshots share their graphs.  A caller may not change `g`
     after initialize either, since the instance may read it later.
+
+    batch_update also gets the post-batch graph: `g_after` equals
+    apply_seq(g_before.copy(), seq), so the callee need not apply `seq`
+    to any graph.  The callee may hold `g_after`, and nobody writes it
+    afterwards; the callee must not write it either.
     """
     steps: int
 
     def initialize(self, g: MultiGraph): ...
 
-    def batch_update(self, inst, g_before: MultiGraph, seq: UpdateSeq): ...
+    def batch_update(self, inst, g_before: MultiGraph, seq: UpdateSeq,
+                     g_after: MultiGraph): ...
 
     def clone(self, inst): ...
 
@@ -130,8 +146,9 @@ class ReferenceExecutor:
             jp = lattice_parent(j, self.s)
             pg, pinst = self.state(i - 1, jp)
             seq = self.updates[self._t(i - 1, jp):self._t(i, j)]
-            inst = self.impl.batch_update(self.impl.clone(pinst), pg, seq)
-            out = (apply_seq(pg.copy(), seq), inst)
+            g = apply_seq(pg.copy(), seq)
+            out = (g, self.impl.batch_update(self.impl.clone(pinst), pg,
+                                             seq, g))
         self._memo[key] = out
         return out
 
@@ -192,6 +209,11 @@ class Scheduler:
         base = impl.initialize(g)
         self.preprocess_steps = impl.steps - before
         self._pinned = _State(g.copy(), base, ())
+        # G_now, the graph after every update so far; each step replaces
+        # it with a written copy and never writes it again
+        self.g = self._pinned.g
+        # level i -> G at t(i, j), kept until the window of (i, j) opens
+        self._window_g: Dict[int, MultiGraph] = {}
         # copy beta -> its level snapshots {level: state}
         self.copies: Dict[Tuple[int, ...], Dict[int, _State]] = {}
         for length in range(1, xi + 2):
@@ -252,12 +274,11 @@ class Scheduler:
     def _open(self, i: int, j: int) -> None:
         start = self._t(i, j) + self.d[i] // 2 + 1
         end = self._t(i, j + 1)
+        g_new = self._window_g.pop(i)       # G at t(i, j)
         if i == 0:
             parity = j % 2
             targets = tuple(sorted(b for b in self.copies if b[0] == parity))
             seq = self._updates(self._t(0, j - 2), self._t(0, j))
-            base = self.copies[targets[0]].get(0, self._pinned)
-            g_new = apply_seq(base.g.copy(), seq)
             (inst, cost) = self._measure(
                 lambda: self.impl.initialize(g_new))
             result = _State(g_new, inst, ())
@@ -272,8 +293,7 @@ class Scheduler:
             seq = self._updates(self._t(i - 1, jp), self._t(i, j))
             inst = self.impl.clone(parent.inst)
             (inst, cost) = self._measure(
-                lambda: self.impl.batch_update(inst, parent.g, seq))
-            g_new = apply_seq(parent.g.copy(), seq)
+                lambda: self.impl.batch_update(inst, parent.g, seq, g_new))
             result = _State(g_new, inst, parent.batches + (len(seq),))
             total = (cost + len(seq)) * len(targets)
         self.tasks.append(_Task(i, j, start, end, total,
@@ -285,6 +305,7 @@ class Scheduler:
 
     def step(self, op: UpdateOp):
         """Consume one update; return the instance equal to D_{xi, now}."""
+        self.g = g = apply_update(self.g.copy(), op)
         self.updates.append(op)
         self.now += 1
         tau = self.now
@@ -303,13 +324,18 @@ class Scheduler:
             else:
                 remaining.append(task)
         self.tasks = remaining
-        # serve level xi: revert to the parent snapshot and apply the tail
+        # keep G_now for the windows of the states (i, j) at t(i, j) = now
+        for i in range(self.xi):
+            if tau % self.d[i] == 0:
+                self._window_g[i] = g
+        # serve level xi: batch the tail onto a clone of the parent
+        # snapshot, with G_now as the post-batch graph
         parent = self._parent_state(self.xi, tau)
         jp = lattice_parent(tau, self.s)
         seq = self._updates(self._t(self.xi - 1, jp), tau)
         inst = self.impl.clone(parent.inst)
         (inst, cost) = self._measure(
-            lambda: self.impl.batch_update(inst, parent.g, seq))
+            lambda: self.impl.batch_update(inst, parent.g, seq, g))
         charged += cost + len(seq)
         batches = parent.batches + (len(seq),)
         self.steps_per_update.append(charged)

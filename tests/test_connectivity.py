@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from dynacut import (connectivity, cutpartition, cutprimitives, multilevel,
-                     repair)
+from dynacut import (connectivity, cutpartition, cutprimitives, multigraph,
+                     multilevel, onlinebatch, repair)
 from dynacut.connectivity import (
     StackDS, edge_connectivity, engine_preprocess, engine_query,
     engine_update, offline_oracle,
@@ -21,9 +21,10 @@ from dynacut.cutprimitives import component_of, components
 from dynacut.dynforest import GraphDS, InsertTerminal
 from dynacut.errors import RejectedOp
 from dynacut.harness import gen_workload
-from dynacut.multigraph import (DeleteEdge, DeleteVertex, InsertEdge,
-                                InsertVertex, MultiGraph, apply_update,
-                                induced_subgraph)
+from dynacut.multigraph import (CompositeOp, DeleteEdge, DeleteVertex,
+                                InsertEdge, InsertVertex, MultiGraph,
+                                apply_update, induced_subgraph,
+                                named_vertices)
 from dynacut.multilevel import make_schedule, preprocess_multi_level
 from dynacut.onlinebatch import Scheduler
 
@@ -208,7 +209,8 @@ def test_equal_layers_are_one_shared_object(monkeypatch):
             [9] * inst.level_count()
         assert _distinct_layers(inst) == [1] * inst.level_count()
     inst = impl.initialize(g.copy())
-    spliced = impl.batch_update(inst, g, [DeleteEdge(*g.edge_keys()[0])])
+    op = DeleteEdge(*g.edge_keys()[0])
+    spliced = impl.batch_update(inst, g, [op], apply_update(g.copy(), op))
     assert calls == {"splice": 1, "full": 0}
     assert _distinct_layers(spliced) == [1] * spliced.level_count()
 
@@ -220,7 +222,7 @@ def test_equal_layers_are_one_shared_object(monkeypatch):
     assert _distinct_layers(inst)[0] == 3
     _check_sharing_is_equality(inst)
     op = DeleteEdge(10, 11)
-    spliced = impl.batch_update(inst, two, [op])
+    spliced = impl.batch_update(inst, two, [op], apply_update(two.copy(), op))
     assert calls == {"splice": 2, "full": 0}
     assert spliced.fingerprint() == \
         preprocess_multi_level(apply_update(two.copy(), op), sched
@@ -440,7 +442,7 @@ def test_stack_splice_on_a_two_level_schedule(monkeypatch):
     held = [(inst, inst.fingerprint())]
     for op, path in steps:
         before = dict(calls)
-        inst = impl.batch_update(inst, g, [op])
+        inst = impl.batch_update(inst, g, [op], apply_update(g.copy(), op))
         apply_update(g, op)
         assert calls == {**before, path: before[path] + 1}
         assert _stack_state(inst) == \
@@ -455,7 +457,7 @@ def test_stack_splice_on_a_two_level_schedule(monkeypatch):
         preprocess_multi_level(apply_update(g.copy(), op), sched)
     before = dict(calls)
     with pytest.raises(RejectedOp):
-        impl.batch_update(inst, g, [op])
+        impl.batch_update(inst, g, [op], apply_update(g.copy(), op))
     assert calls == {**before, "full": before["full"] + 1}
 
 
@@ -546,7 +548,7 @@ def test_stack_from_any_base_matches_preprocess_fuzz(case, monkeypatch):
         # of the first batch has another level count than the held stack
         g1 = apply_update(g.copy(), DeleteEdge(12, 13))
         history.append((g1, impl.batch_update(history[0][1], g,
-                                              [DeleteEdge(12, 13)])))
+                                              [DeleteEdge(12, 13)], g1)))
         assert calls == {"splice": 0, "full": 1}
         g2 = apply_update(g1.copy(), DeleteEdge(2, 3))
         start = len(made)
@@ -559,10 +561,12 @@ def test_stack_from_any_base_matches_preprocess_fuzz(case, monkeypatch):
         op = DeleteEdge(4, 5)
         for j, full in ((2, 2), (1, 3)):
             with pytest.raises(RejectedOp):
-                impl.batch_update(history[1][1], g1, [InsertEdge(0, 4, 1)])
+                impl.batch_update(history[1][1], g1, [InsertEdge(0, 4, 1)],
+                                  apply_update(g1.copy(), InsertEdge(0, 4, 1)))
             assert calls == {"splice": full - 2, "full": full}
             g_j, inst_j = history[j]
-            out = impl.batch_update(inst_j, g_j, [op])
+            out = impl.batch_update(inst_j, g_j, [op],
+                                    apply_update(g_j.copy(), op))
             assert calls == {"splice": full - 1, "full": full}
             assert _stack_state(out) == _stack_state(
                 preprocess_multi_level(apply_update(g_j.copy(), op), sched))
@@ -593,11 +597,11 @@ def test_stack_from_any_base_matches_preprocess_fuzz(case, monkeypatch):
             want = preprocess_multi_level(g_new, sched)
         except RejectedOp:
             with pytest.raises(RejectedOp):
-                impl.batch_update(inst_j, g_j, seq)
+                impl.batch_update(inst_j, g_j, seq, g_new)
             seen["raise"] += 1
             continue
         seen["older"] += j < len(history) - 1
-        out = impl.batch_update(inst_j, g_j, seq)
+        out = impl.batch_update(inst_j, g_j, seq, g_new)
         assert _stack_state(out) == _stack_state(want)
         history.append((g_new, out))
         outputs.append((out, out.fingerprint()))
@@ -1164,3 +1168,55 @@ def test_queries_copy_few_adjacency_dicts(monkeypatch):
     assert len(per_query) == 24 and min(per_query) > 0
     assert sum(per_query) < 100 * len(per_query)
     assert unshared == [0, 0] and min(shares) > 0
+
+
+def test_each_update_is_applied_to_a_graph_once(monkeypatch):
+    """On the seed-1 op streams of both benchmark workloads, engine_update
+    applies each image op to two graphs only: the reduction image and the
+    scheduler's graph.  So neither a serve nor a window re-applies its
+    batch.  The served graph shares every neighbour dict with the held one
+    but the dicts of the vertices the newest op names, so changed_vertices
+    compares at most those by value.  engine_preprocess applies ops to the
+    reduction image only, and to no scheduler graph."""
+    applied = []            # the graph of every leaf op applied
+    compared = []           # dicts changed_vertices compares by value
+    apply_update = multigraph.apply_update
+    changed_vertices = connectivity.changed_vertices
+
+    def spy_apply(g, op):
+        if not isinstance(op, CompositeOp):
+            applied.append(g)
+        return apply_update(g, op)
+
+    def spy_changed(g, base):
+        compared.append(sum(nbrs is not base._adj.get(v)
+                            for v, nbrs in g._adj.items()))
+        return changed_vertices(g, base)
+
+    for mod in (multigraph, onlinebatch):
+        monkeypatch.setattr(mod, "apply_update", spy_apply)
+    monkeypatch.setattr(connectivity, "changed_vertices", spy_changed)
+    bench = _benchmark_workloads()
+    for wl in bench.WORKLOADS.values():
+        stream = bench.OpStream(wl, 1)
+        applied.clear()
+        e = engine_preprocess(MultiGraph.from_edges(stream.initial_vertices,
+                                                    stream.initial_edges),
+                              wl.c)
+        assert applied and all(g is e.reduction.multigraph for g in applied)
+        rounds = stream.rounds()
+        updates = 0
+        for _ in range(8):
+            for kind, u, v in next(rounds):
+                if kind == "query":
+                    continue
+                applied.clear()
+                compared.clear()
+                engine_update(e, (DeleteEdge if kind == "delete"
+                                  else InsertEdge)(u, v))
+                updates += 1
+                newest = e.scheduler.updates[-1]
+                assert len(applied) <= 2 * len(newest.ops)
+                assert len(compared) <= 1
+                assert sum(compared) <= len(named_vertices([newest]))
+        assert updates > 0

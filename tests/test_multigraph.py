@@ -7,8 +7,8 @@ from dynacut.connectivity import edge_connectivity
 from dynacut.cutprimitives import components
 from dynacut.multigraph import (
     DeleteEdge, DeleteVertex, InsertEdge, MultiGraph, ReductionImage,
-    apply_update, degree_reduce, gadget_id, induced_subgraph, simple_view,
-    splice_graph,
+    apply_update, changed_vertices, degree_reduce, gadget_id,
+    induced_subgraph, simple_view, splice_graph,
 )
 
 from util import complete_graph, random_multigraph, random_simple_graph
@@ -273,6 +273,62 @@ def test_copy_on_write_aliasing_fuzz():
             for h, h_ref in pool:
                 _check_against(h, h_ref)
     assert copies > 500 and writes > 1000
+
+
+def _changed_by_value(g, base):
+    """changed_vertices(g, base) by value alone, through the public API."""
+    changed = {v for v in g.vertices
+               if not base.has_vertex(v)
+               or dict(g.incident(v)) != dict(base.incident(v))}
+    return changed, base.vertices - g.vertices
+
+
+def test_changed_vertices_matches_by_value_fuzz():
+    """Over a pool of graphs linked by copy, restrict, splice_graph and
+    edge and vertex ops, changed_vertices(a, b) equals the by-value
+    answer for every ordered pair of graphs in the pool.  The pairs cover
+    vertices whose dicts are one object, distinct objects with equal
+    adjacency (a deleted edge put back, a fresh induced_subgraph), and
+    unequal adjacency."""
+    rng = random.Random(29)
+    seen = {"shared": 0, "equal": 0, "differ": 0}
+    for _ in range(30):
+        pool = [random_multigraph(rng, rng.randint(0, 8), 0.3, 2)]
+        for _ in range(40):
+            g = rng.choice(pool)
+            kind = rng.choice((0, 1, 2, 3, 3, 4, 4, 5))
+            if kind == 0:
+                pool.append(g.copy())
+            elif kind == 1:
+                pool.append(g.restrict(_union_of_components(rng, g)))
+            elif kind == 2:
+                drop = _union_of_components(rng, g)
+                kept = g.vertices - drop
+                h = rng.choice(pool)
+                part = h.restrict(set().union(*(
+                    comp for comp in components(h) if kept.isdisjoint(comp))))
+                pool.append(splice_graph(g, drop, part))
+            elif kind == 5:
+                pool.append(induced_subgraph(g, g.vertices))
+            else:
+                vs = g.vertex_list()
+                absent = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]
+                          if not g.has_edge(u, v)]
+                if kind == 3 and absent:
+                    g.add_edge(*rng.choice(absent), rng.randint(1, 2))
+                elif g.distinct_edge_count():
+                    g.remove_edge(*rng.choice(g.edge_keys()))
+                else:
+                    g.add_vertex(max(vs, default=-1) + 1)
+            del pool[:-8]
+            for a in pool:
+                for b in pool:
+                    assert changed_vertices(a, b) == _changed_by_value(a, b)
+                    for v, nbrs in a._adj.items():
+                        was = b._adj.get(v)
+                        seen["shared" if was is nbrs else
+                             "equal" if was == nbrs else "differ"] += 1
+    assert min(seen.values()) > 1000
 
 
 def test_restrict_copies_a_union_of_components():

@@ -25,7 +25,8 @@ class CounterDS:
         self.steps += g.vertex_count() + g.distinct_edge_count() + 1
         return (tuple(sorted(g.edge_items())), ())
 
-    def batch_update(self, inst, g_before, seq):
+    def batch_update(self, inst, g_before, seq, g_after):
+        assert g_after == apply_seq(g_before.copy(), seq)
         self.steps += len(seq) + 1
         base, batches = inst
         return (base, batches + (tuple(repr(op) for op in seq),))
@@ -47,11 +48,12 @@ class CloneCountDS(CounterDS):
         self.batches = 0
         self._fresh = None
 
-    def batch_update(self, inst, g_before, seq):
+    def batch_update(self, inst, g_before, seq, g_after):
+        assert g_after == apply_seq(g_before.copy(), seq)
         assert inst is self._fresh, "batch_update got an uncloned instance"
         self._fresh = None
         self.batches += 1
-        return super().batch_update(inst, g_before, seq)
+        return super().batch_update(inst, g_before, seq, g_after)
 
     def clone(self, inst):
         assert self._fresh is None, "clone not followed by batch_update"
@@ -70,7 +72,8 @@ class SortedEdgeListDS:
         self.steps += g.distinct_edge_count() + 1
         return sorted(g.edge_items())
 
-    def batch_update(self, inst, g_before, seq):
+    def batch_update(self, inst, g_before, seq, g_after):
+        assert g_after == apply_seq(g_before.copy(), seq)
         self.steps += len(seq) + 1
         g = g_before.copy()
         for op in seq:
@@ -101,7 +104,8 @@ class MultiLevelMock:
         self.steps += m + g.vertex_count() + 1
         return preprocess_multi_level(g, sched)
 
-    def batch_update(self, inst, g_before, seq):
+    def batch_update(self, inst, g_before, seq, g_after):
+        assert g_after == apply_seq(g_before.copy(), seq)
         self.steps += len(seq) + 1
         g = apply_seq(g_before.copy(), seq)
         return self.initialize(g)
