@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .cutpartition import (CutPartitionDS, build_sparsifier,
                            cut_partition_update, update_layer_indices)
-from .cutprimitives import _capped_maxflow, component_of, touched_components
+from .cutprimitives import _capped_maxflow, component_of
 from .errors import RejectedOp
 from .multigraph import (CompositeOp, DeleteEdge, InsertEdge, InsertVertex,
                          MultiGraph, ReductionImage, UpdateOp, UpdateSeq,
@@ -49,6 +49,16 @@ class _Deferred(MultiLevelDS):
         return preprocess_multi_level(self.g, self.schedule).levels
 
 
+def _component_record(g: MultiGraph, v: VertexId
+                      ) -> Tuple[Set[VertexId], int]:
+    """v's component of g and that component's distinct edge count, read
+    off g when the component is the whole graph."""
+    comp = component_of(g, v)
+    if len(comp) == g.vertex_count():
+        return comp, g.distinct_edge_count()
+    return comp, sum(map(g.degree, comp)) // 2
+
+
 class StackDS:
     """Batchable wrapper over the sparsifier stack.  It holds one instance:
     the output of its latest batch_update, or of its first initialize
@@ -62,84 +72,116 @@ class StackDS:
     only when nothing is held (before any initialize, or after a raise).
     Its graph is the post-batch graph `g_after` it is handed; it applies
     no op itself.  It preprocesses only the components of that graph that
-    hold a vertex whose adjacency differs from the held graph, and splices
-    that part into the held instance.  Under the scheduler both graphs come
-    from one lineage of copies, so they share every neighbour dict but the
-    ones the newest op wrote, and changed_vertices compares only those by
-    value.  It rebuilds the whole graph instead, through
-    initialize with nothing held, when the batch touches every component
-    (on a one-component graph every change is a change of everything),
-    when the part's level count differs from the held instance's, or when
-    the part alone fails to preprocess.
+    hold a changed vertex, one whose adjacency differs from the held
+    graph's, and splices that part into the held instance.  Under the
+    scheduler both graphs come from one lineage of copies, so they share
+    every neighbour dict but the ones the newest op wrote, and
+    changed_vertices compares only those by value.  It rebuilds the whole
+    graph instead, through initialize with nothing held, when the batch
+    touches every component (on a one-component graph every change is a
+    change of everything), when the part's level count differs from the
+    held instance's, or when the part alone fails to preprocess.
+
+    `index` maps vertices of the held graph to one record per component:
+    the component's vertex set and its distinct edge count.  It holds
+    whole components only, and not every component.  A held component
+    with no changed vertex and no vertex that g_after lacks keeps every
+    adjacency, so it is a component of g_after too.  Every other
+    component of g_after holds a changed vertex: a piece of a held
+    component without one would be closed under the held adjacency, so
+    it would be the whole held component.  So batch_update walks g_after
+    once, from the changed vertices only, and that walk is the part.  It
+    reads every other component it needs from the index, and walks only
+    the ones the index lacks.  After a splice it drops the vertices
+    g_after lacks and records every component it walked.  That drops
+    every stale record: each other vertex of a held component with a
+    changed or gone vertex lies in a component of g_after with a changed
+    vertex, which the walk recorded anew.  The index is emptied whenever
+    batch_update takes `inst` and whenever initialize preprocesses with
+    nothing held, and a raise leaves it as it was.
 
     initialize with nothing held preprocesses g and holds the result.  Any
     other initialize is a level-0 re-initialize, whose output is read only
     after a raise, so it returns an instance that preprocesses g the first
     time it is read (and raises then if g does not preprocess).
 
-    The step charge does not depend on what is held or deferred.
+    The step charge does not depend on what is held, deferred or indexed.
     initialize charges the vertices and distinct edges of its graph plus
     1.  batch_update charges len(seq) plus the vertices and distinct edges
     of the post-batch components that hold a vertex seq names, which is
-    what rebuilding the touched components costs; when those are the
-    whole graph it charges an initialize instead, and on the last two
-    fallbacks an initialize more.  The desk schedules have no spare update
-    rounds, so rebuilding is the deterministic batch rule; the
-    round-consuming update path is what queries exercise."""
+    what rebuilding the touched components costs; it reads each of them
+    from the walk or the index.  When those are the whole graph it
+    charges an initialize instead, and on the last two fallbacks an
+    initialize more.  The desk schedules have no spare update rounds, so
+    rebuilding is the deterministic batch rule; the round-consuming update
+    path is what queries exercise."""
 
     def __init__(self, sched: ParamSchedule):
         self.sched = sched
         self.steps = 0
         self.held: Optional[MultiLevelDS] = None
+        self.index: Dict[VertexId, Tuple[Set[VertexId], int]] = {}
 
     def initialize(self, g: MultiGraph) -> MultiLevelDS:
         self.steps += g.vertex_count() + g.distinct_edge_count() + 1
         if self.held is not None:
             return _Deferred(g, self.sched)
         self.held = preprocess_multi_level(g, self.sched)
+        self.index = {}
         return self.held
 
     def batch_update(self, inst: MultiLevelDS, g_before: MultiGraph,
                      seq: UpdateSeq, g_after: MultiGraph) -> MultiLevelDS:
         if self.held is None:   # before any initialize, or after a raise
-            self.held = inst
-        named = named_vertices(seq)
-        g = g_after
+            self.held, self.index = inst, {}
+        g, index = g_after, self.index
+        changed, gone = changed_vertices(g, self.held.graph)
+        walked: Dict[VertexId, Tuple[Set[VertexId], int]] = {}
+        for v in changed:
+            if v not in walked:
+                rec = _component_record(g, v)
+                walked.update(dict.fromkeys(rec[0], rec))
+        part = set(walked)
         # Each op names the vertices whose edges it changes, and a touched
         # component that splits keeps a named vertex in every piece, so the
         # batch touches exactly the post-batch components that hold a named
         # vertex.
-        touched = [comp for comp, _ in touched_components(
-            g, [v for v in named if g.has_vertex(v)])]
-        size = sum(map(len, touched))
+        touched = {}        # id -> record of each touched component
+        for v in named_vertices(seq):
+            if not g.has_vertex(v):
+                continue
+            rec = walked.get(v) or index.get(v)
+            if rec is None:
+                rec = _component_record(g, v)
+                walked.update(dict.fromkeys(rec[0], rec))
+            touched[id(rec)] = rec
+        size = sum(len(comp) for comp, _ in touched.values())
         self.steps += len(seq)
         out = None
         if size < g.vertex_count():
-            self.steps += size + sum(g.degree(v) for comp in touched
-                                     for v in comp) // 2
-            out = self._splice(g, touched)
+            self.steps += size + sum(m for _, m in touched.values())
+            out = self._splice(g, part, gone)
         if out is None:
             # the batch touches every component, or the held instance is
             # no base for g: rebuild whole, through an initialize that has
             # nothing held
             self.held = None
             out = self.initialize(g)
+        else:
+            for v in gone:
+                index.pop(v, None)
+            index.update(walked)
         self.held = out
         return out
 
-    def _splice(self, g: MultiGraph, touched: List[Set[VertexId]]
-                ) -> Optional[MultiLevelDS]:
-        """g's stack, spliced into the held instance: the changed part of
-        g preprocessed, and the held graph's vertices that g lacks dropped.
-        `touched` are components of g found already, not searched again.
-        None when the part's level count differs from the held instance's,
-        or when the part fails to preprocess."""
+    def _splice(self, g: MultiGraph, part: Set[VertexId],
+                gone: Set[VertexId]) -> Optional[MultiLevelDS]:
+        """g's stack, spliced into the held instance: `part`, the
+        components of g that hold a changed vertex, preprocessed, and
+        `gone`, the held graph's vertices that g lacks, dropped.  None when
+        the part's level count differs from the held instance's, or when
+        the part fails to preprocess."""
         held = self.held
-        changed, gone = changed_vertices(g, held.graph)
-        part = set().union(*(comp for comp in touched
-                             if not comp.isdisjoint(changed)))
-        for comp, _ in touched_components(g, changed - set().union(*touched)):
-            part |= comp
         if not part and not gone:
             return held
         try:

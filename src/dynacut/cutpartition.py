@@ -231,7 +231,7 @@ def splice_partition(parent: CutPartitionDS, drop: Set[VertexId],
     edges, and a preprocess of the spliced graph shares it too."""
     gone = [v for v in drop if parent.g.has_vertex(v)]
     # every layer has parent.g's vertices and a subset of its edges
-    cut = {edge_key(u, v) for u in gone for v in parent.g.neighbors(u)}
+    cut = {edge_key(u, v) for u in gone for v in parent.g.adjacent(u)}
     spliced: Dict[Tuple[int, int], GraphDS] = {}
     layers = []
     for old, new in zip(parent.layers, part.layers):

@@ -19,9 +19,9 @@ neighbours in the order a walk over the source does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import (Dict, ItemsView, Iterator, KeysView, List, Optional, Set,
-                    Tuple, Union)
+from dataclasses import dataclass, field
+from typing import (Dict, FrozenSet, ItemsView, Iterable, Iterator, KeysView,
+                    List, Optional, Set, Tuple, Union)
 
 from .errors import RejectedOp
 
@@ -311,8 +311,15 @@ class DeleteVertex:
 
 @dataclass(frozen=True)
 class CompositeOp:
-    """Several ops applied as one unit of an op stream."""
+    """Several ops applied as one unit of an op stream.  `names` is the set
+    of vertices its ops name, nested CompositeOps included, found once when
+    the op is made; it takes no part in equality, hashing or repr."""
     ops: Tuple["UpdateOp", ...]
+    names: FrozenSet[VertexId] = field(init=False, compare=False,
+                                       repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "names", frozenset(_names(self.ops)))
 
 
 UpdateOp = Union[InsertEdge, DeleteEdge, InsertVertex, DeleteVertex,
@@ -338,20 +345,23 @@ def apply_update(g: MultiGraph, op: UpdateOp) -> MultiGraph:
     return g
 
 
-def named_vertices(seq: UpdateSeq) -> List[VertexId]:
-    """The vertices the ops of seq name, CompositeOps flattened, sorted."""
+def _names(seq: Iterable[UpdateOp]) -> Set[VertexId]:
     out: Set[VertexId] = set()
-    stack = list(seq)
-    while stack:
-        op = stack.pop()
+    for op in seq:
         if isinstance(op, CompositeOp):
-            stack.extend(op.ops)
+            out |= op.names
         elif isinstance(op, (InsertEdge, DeleteEdge)):
             out.add(op.u)
             out.add(op.v)
         else:
             out.add(op.v)
-    return sorted(out)
+    return out
+
+
+def named_vertices(seq: UpdateSeq) -> List[VertexId]:
+    """The vertices the ops of seq name, sorted.  A CompositeOp gives the
+    names it recorded when it was made, so its ops are not walked again."""
+    return sorted(_names(seq))
 
 
 def apply_seq(g: MultiGraph, seq: UpdateSeq) -> MultiGraph:

@@ -4,6 +4,8 @@ import hashlib
 import importlib.util
 import itertools
 import random
+import re
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -506,6 +508,41 @@ def _random_batch(rng, g, seen, cap):
     return seq, h
 
 
+def _leaf_names(seq):
+    """The vertices the leaf ops of seq name."""
+    return {x for op in seq for x in ((op.u, op.v) if hasattr(op, "u")
+                                      else (op.v,))}
+
+
+def _check_index_and_charge(impl, steps, full, g_after, seq):
+    """After one StackDS call: every indexed vertex's record is its
+    component of the held graph and that component's distinct edge count,
+    and the call charged impl.steps - steps as the rule below, which walks
+    g_after whole.  An initialize (seq None) charges the vertices and
+    distinct edges of g_after plus 1.  A batch charges len(seq), plus the
+    vertices and distinct edges of every component of g_after that holds a
+    vertex seq names when those are not the whole graph, plus an
+    initialize for each of the `full` whole rebuilds it ran."""
+    if impl.held is not None:
+        held = impl.held.graph
+        for v, (comp, edges) in impl.index.items():
+            assert held.has_vertex(v) and comp == component_of(held, v)
+            assert edges == sum(held.degree(u) for u in comp) // 2
+    n, m = g_after.vertex_count(), g_after.distinct_edge_count()
+    if seq is None:
+        want = n + m + 1
+    else:
+        touched = set().union(*(
+            component_of(g_after, v) for v in _leaf_names(seq)
+            if g_after.has_vertex(v)))
+        want = len(seq) + full * (n + m + 1)
+        if len(touched) < n:
+            want += len(touched) + sum(map(g_after.degree, touched)) // 2
+        else:
+            assert full == 1
+    assert impl.steps - steps == want
+
+
 @pytest.mark.parametrize("case", ["flat", "two-level"])
 def test_stack_from_any_base_matches_preprocess_fuzz(case, monkeypatch):
     """StackDS builds each result from the instance it holds, not from the
@@ -518,7 +555,9 @@ def test_stack_from_any_base_matches_preprocess_fuzz(case, monkeypatch):
     read.  On the two-level schedule the level-count fallback fires in a
     batch, batches raise, one of them on that fallback, and a raise leaves
     nothing held, so the next batch reads its base: once a re-initialize's
-    unread output, once an older batch output."""
+    unread output, once an older batch output.  After every call, raises
+    included, the component index is exact and the step charge is the one
+    a walk of the whole post-batch graph gives."""
     calls = _spy_stack(monkeypatch)
     made = []
     preprocess = connectivity.preprocess_multi_level
@@ -541,18 +580,34 @@ def test_stack_from_any_base_matches_preprocess_fuzz(case, monkeypatch):
                                               "phi": Fraction(2, 5)})
         cap, rounds = 13, 40
     impl = StackDS(sched)
-    history = [(g, impl.initialize(g.copy()))]
+
+    def checked(call, g_after, seq=None):
+        steps, full = impl.steps, calls["full"]
+        try:
+            return call()
+        finally:
+            _check_index_and_charge(impl, steps, calls["full"] - full,
+                                    g_after, seq)
+
+    def initialize(h):
+        return checked(lambda: impl.initialize(h), h)
+
+    def batch_update(inst, g_before, seq, g_after):
+        return checked(lambda: impl.batch_update(inst, g_before, seq,
+                                                 g_after), g_after, seq)
+
+    history = [(g, initialize(g.copy()))]
     reinits = []
     if case == "two-level":
         # a barbell stacks two levels and two triangles one, so the part
         # of the first batch has another level count than the held stack
         g1 = apply_update(g.copy(), DeleteEdge(12, 13))
-        history.append((g1, impl.batch_update(history[0][1], g,
-                                              [DeleteEdge(12, 13)], g1)))
+        history.append((g1, batch_update(history[0][1], g,
+                                         [DeleteEdge(12, 13)], g1)))
         assert calls == {"splice": 0, "full": 1}
         g2 = apply_update(g1.copy(), DeleteEdge(2, 3))
         start = len(made)
-        history.append((g2, impl.initialize(g2)))
+        history.append((g2, initialize(g2)))
         reinits.append(g2)
         assert made[start:] == [] and calls == {"splice": 0, "full": 1}
         # the part raises, and so does the whole rebuild; nothing is held
@@ -561,17 +616,30 @@ def test_stack_from_any_base_matches_preprocess_fuzz(case, monkeypatch):
         op = DeleteEdge(4, 5)
         for j, full in ((2, 2), (1, 3)):
             with pytest.raises(RejectedOp):
-                impl.batch_update(history[1][1], g1, [InsertEdge(0, 4, 1)],
-                                  apply_update(g1.copy(), InsertEdge(0, 4, 1)))
+                batch_update(history[1][1], g1, [InsertEdge(0, 4, 1)],
+                             apply_update(g1.copy(), InsertEdge(0, 4, 1)))
             assert calls == {"splice": full - 2, "full": full}
             g_j, inst_j = history[j]
-            out = impl.batch_update(inst_j, g_j, [op],
-                                    apply_update(g_j.copy(), op))
+            out = batch_update(inst_j, g_j, [op],
+                               apply_update(g_j.copy(), op))
             assert calls == {"splice": full - 1, "full": full}
             assert _stack_state(out) == _stack_state(
                 preprocess_multi_level(apply_update(g_j.copy(), op), sched))
         assert history[2][1].level_count() == 1
         history.append((apply_update(g1.copy(), op), out))
+        # the index records the rejoined barbell on 10..15, a raise keeps
+        # it, and the next batch takes a base on which 10..15 are two
+        # triangles, so it must take an empty index with it
+        g3, inst3 = history[-1]
+        g4 = apply_update(g3.copy(), InsertEdge(12, 13, 1))
+        batch_update(inst3, g3, [InsertEdge(12, 13, 1)], g4)
+        assert impl.index.keys() >= set(range(10, 16))
+        with pytest.raises(RejectedOp):
+            batch_update(impl.held, g4, [InsertEdge(10, 14, 1)],
+                         apply_update(g4.copy(), InsertEdge(10, 14, 1)))
+        assert calls == {"splice": 3, "full": 4}
+        batch_update(history[1][1], g1, [op], g3)
+        assert calls == {"splice": 4, "full": 4}
     outputs = [(inst, inst.fingerprint()) for _, inst in history]
     graphs = [(h, sorted(h.edge_items())) for h, _ in history]
     for h, inst in history:
@@ -584,7 +652,7 @@ def test_stack_from_any_base_matches_preprocess_fuzz(case, monkeypatch):
         g_j, inst_j = history[j]
         if rng.random() < 0.25:
             h = g_j.copy()
-            out = impl.initialize(h)
+            out = initialize(h)
             reinits.append(h)
             seen["behind"] += j < len(history) - 3
             assert _stack_state(out) == \
@@ -597,11 +665,11 @@ def test_stack_from_any_base_matches_preprocess_fuzz(case, monkeypatch):
             want = preprocess_multi_level(g_new, sched)
         except RejectedOp:
             with pytest.raises(RejectedOp):
-                impl.batch_update(inst_j, g_j, seq, g_new)
+                batch_update(inst_j, g_j, seq, g_new)
             seen["raise"] += 1
             continue
         seen["older"] += j < len(history) - 1
-        out = impl.batch_update(inst_j, g_j, seq, g_new)
+        out = batch_update(inst_j, g_j, seq, g_new)
         assert _stack_state(out) == _stack_state(want)
         history.append((g_new, out))
         outputs.append((out, out.fingerprint()))
@@ -1063,6 +1131,29 @@ def test_benchmark_stream_replay_is_unchanged(name, want):
     assert script.digest(bench, bench.WORKLOADS[name], 1, 8) == want
 
 
+def test_ab_timing_script_runs_both_trees():
+    """scripts/ab_timing.py with this tree on both sides, for 2 rounds:
+    exit 0, one line per side with four times and the step count, equal
+    steps (the same engine replayed the same ops), and a ratio line."""
+    root = Path(__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "ab_timing.py"), str(root),
+         str(root), "--rounds", "2"],
+        capture_output=True, text=True, timeout=300, check=True).stdout
+    head, a, b, ratio = out.splitlines()
+    assert head == ("workload=churn-communities seed=1 rounds=2 updates=12 "
+                    "queries=4")
+    num = r"(\d+\.\d{3})"
+    side = (rf"update_p50={num} update_p90={num} query_p50={num} "
+            rf"query_p90={num} ms steps=(\d+) tree=(.+)")
+    got = [re.fullmatch(rf"{label} {side}", line)
+           for label, line in (("A", a), ("B", b))]
+    assert all(got)
+    assert got[0][5] == got[1][5] and int(got[0][5]) > 0
+    assert re.fullmatch(rf"B/A median per-op ratio: update={num} "
+                        rf"query={num}", ratio)
+
+
 def test_setup_and_updates_run_none_of_the_query_path_changes(monkeypatch):
     """On the seed-1 op streams of both benchmark workloads,
     engine_preprocess and engine_update call neither the capped max-flow
@@ -1220,3 +1311,70 @@ def test_each_update_is_applied_to_a_graph_once(monkeypatch):
                 assert len(compared) <= 1
                 assert sum(compared) <= len(named_vertices([newest]))
         assert updates > 0
+
+
+def test_serve_walks_only_the_components_its_batch_changed(monkeypatch):
+    """On the seed-1 op streams of both benchmark workloads, count the
+    vertices the component walks (cutprimitives._reachable) visit inside
+    StackDS.batch_update but outside preprocess_multi_level.  No serve
+    walks a component twice, and on churn-communities a serve walks fewer
+    than 30 vertices on average: the components of the vertices the newest
+    op changed, not every one its window of up to 12 updates names (122.0
+    a serve when those were all walked).  On query-dense the image is one
+    component: each serve walks it once, rebuilds it whole and records
+    nothing in the index."""
+    walks = []              # the vertex sets walked in the current serve
+    active = [False]
+    reachable = cutprimitives._reachable
+    batch_update = StackDS.batch_update
+    preprocess = connectivity.preprocess_multi_level
+
+    def spy_reachable(*args, **kwargs):
+        out = reachable(*args, **kwargs)
+        if active[0]:
+            walks.append(out)
+        return out
+
+    def spy_batch_update(self, *args):
+        active[0] = True
+        try:
+            return batch_update(self, *args)
+        finally:
+            active[0] = False
+
+    def spy_preprocess(*args):
+        was, active[0] = active[0], False
+        try:
+            return preprocess(*args)
+        finally:
+            active[0] = was
+
+    monkeypatch.setattr(cutprimitives, "_reachable", spy_reachable)
+    monkeypatch.setattr(StackDS, "batch_update", spy_batch_update)
+    monkeypatch.setattr(connectivity, "preprocess_multi_level",
+                        spy_preprocess)
+    bench = _benchmark_workloads()
+    mean = {}
+    for name, wl in bench.WORKLOADS.items():
+        stream = bench.OpStream(wl, 1)
+        e = engine_preprocess(MultiGraph.from_edges(stream.initial_vertices,
+                                                    stream.initial_edges),
+                              wl.c)
+        rounds = stream.rounds()
+        per_update = []
+        for _ in range(8):
+            for kind, u, v in next(rounds):
+                if kind == "query":
+                    continue
+                walks.clear()
+                engine_update(e, (DeleteEdge if kind == "delete"
+                                  else InsertEdge)(u, v))
+                walked = set().union(*walks)
+                assert sum(map(len, walks)) == len(walked)
+                per_update.append(len(walked))
+                if name == "query-dense":
+                    assert walks == [e.current.graph.vertices]
+                    assert e.scheduler.impl.index == {}
+        mean[name] = sum(per_update) / len(per_update)
+    assert mean["churn-communities"] <= 30
+    assert mean["query-dense"] == 99

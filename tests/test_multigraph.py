@@ -6,9 +6,10 @@ from dynacut.errors import RejectedOp
 from dynacut.connectivity import edge_connectivity
 from dynacut.cutprimitives import components
 from dynacut.multigraph import (
-    DeleteEdge, DeleteVertex, InsertEdge, MultiGraph, ReductionImage,
-    apply_update, changed_vertices, degree_reduce, gadget_id,
-    induced_subgraph, simple_view, splice_graph,
+    CompositeOp, DeleteEdge, DeleteVertex, InsertEdge, InsertVertex,
+    MultiGraph, ReductionImage, apply_update, changed_vertices,
+    degree_reduce, gadget_id, induced_subgraph, named_vertices, simple_view,
+    splice_graph,
 )
 
 from util import complete_graph, random_multigraph, random_simple_graph
@@ -339,3 +340,18 @@ def test_restrict_copies_a_union_of_components():
     assert sorted(out.pairs()) == [(0, 1), (1, 2)]
     out.add_edge(0, 2, 1)
     assert not g.has_edge(0, 2) and g.distinct_edge_count() == 3
+
+
+def test_composite_op_records_the_vertices_it_names():
+    """A CompositeOp's names are the vertices its leaf ops name, nested
+    CompositeOps included; named_vertices reads them, mixed with leaf ops,
+    and names take no part in equality, hashing or repr."""
+    inner = CompositeOp((InsertVertex(7), InsertEdge(7, 2, 3)))
+    op = CompositeOp((DeleteEdge(1, 2), inner, DeleteVertex(9)))
+    assert inner.names == {2, 7} and op.names == {1, 2, 7, 9}
+    assert named_vertices([op, InsertEdge(4, 1)]) == [1, 2, 4, 7, 9]
+    twin = CompositeOp((DeleteEdge(1, 2), inner, DeleteVertex(9)))
+    assert twin == op and hash(twin) == hash(op)
+    assert repr(op) == ("CompositeOp(ops=(DeleteEdge(u=1, v=2), "
+                        "CompositeOp(ops=(InsertVertex(v=7), "
+                        "InsertEdge(u=7, v=2, mult=3))), DeleteVertex(v=9)))")
