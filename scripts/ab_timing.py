@@ -16,7 +16,8 @@ runs cannot show.
 Prints each side's update and query p50 and p90 in ms, the median over
 ops of B's time divided by A's for updates and for queries, and each
 side's scheduler.impl.steps at the end.  Exits 1 if the two engines answer
-a query differently.
+a query differently, or record it differently: the h_vertices, h_edges and
+expansion of each query's Engine.query_stats entry must agree.
 """
 
 import argparse
@@ -46,6 +47,9 @@ def load_engine(tree: Path, name: str):
             importlib.import_module(f"{name}.multigraph"))
 
 
+STATS = ("h_vertices", "h_edges", "expansion")
+
+
 class Side:
     """One engine of the pair and the times of its calls, in seconds."""
 
@@ -58,7 +62,8 @@ class Side:
         self.times = {"update": [], "query": []}
 
     def run(self, kind: str, u: int, v: int):
-        """Time one op; returns a query's answer, None for an update."""
+        """Time one op; returns a query's answer and the STATS of its
+        query_stats entry, None for an update."""
         if kind != "query":
             op = (self.mg.InsertEdge if kind == "insert"
                   else self.mg.DeleteEdge)(u, v)
@@ -70,7 +75,10 @@ class Side:
             out = self.conn.engine_update(self.engine, op)
         dt = perf_counter() - t0
         self.times["query" if kind == "query" else "update"].append(dt)
-        return out
+        if kind != "query":
+            return None
+        entry = self.engine.query_stats[-1]
+        return out, tuple(entry[k] for k in STATS)
 
 
 def _ms(samples, q: int) -> str:
@@ -103,8 +111,10 @@ def main() -> int:
                 answers[i] = sides[i].run(kind, u, v)
             n += 1
             if answers[0] != answers[1]:
-                print(f"op {n}: {kind}({u},{v}) answered {answers[0]} on A "
-                      f"and {answers[1]} on B", flush=True)
+                (ans_a, stats_a), (ans_b, stats_b) = answers
+                print(f"op {n}: {kind}({u},{v}) answered {ans_a} with "
+                      f"{dict(zip(STATS, stats_a))} on A and {ans_b} with "
+                      f"{dict(zip(STATS, stats_b))} on B", flush=True)
                 return 1
     a, b = sides
     print(f"workload={args.workload} seed={args.seed} rounds={args.rounds} "

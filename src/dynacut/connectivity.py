@@ -282,7 +282,14 @@ def engine_query(e: Engine, u: VertexId, w: VertexId) -> bool:
     every stage of the update works per component, so the copies emit the
     sequences that copies of the whole levels would (see
     CutPartitionDS.restrict).  The copies are discarded, so the engine state
-    is untouched."""
+    is untouched.
+
+    C is found without a walk when level 0's layer 0 is one tree: its
+    forest spans it with n - 1 edges, for n the vertices of the image, and
+    layer 0 is a spanning subgraph of the image, so the image is connected
+    and C is all of it.  Otherwise C is walked from u's anchor.  The copies'
+    own components are read off their forests too (see
+    cut_partition_update and update_partition)."""
     if not (e.reduction.simple.has_vertex(u) and
             e.reduction.simple.has_vertex(w)):
         raise RejectedOp("engine-query", f"vertex {u} or {w} absent")
@@ -293,7 +300,11 @@ def engine_query(e: Engine, u: VertexId, w: VertexId) -> bool:
     seq: UpdateSeq = [InsertVertex(_ATTACH_A), InsertVertex(_ATTACH_B),
                       InsertEdge(au, _ATTACH_A, e.c + 1),
                       InsertEdge(aw, _ATTACH_B, e.c + 1)]
-    comp = component_of(mds.graph, au)
+    g = mds.graph
+    if len(mds.levels[0].layers[0].forest) == g.vertex_count() - 1:
+        comp = g.vertices
+    else:
+        comp = component_of(g, au)
     if aw not in comp:
         e.query_stats.append({"levels": len(mds.levels), "h_vertices": 0,
                               "h_edges": 0, "expansion": (len(seq),)})

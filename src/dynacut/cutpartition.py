@@ -327,7 +327,18 @@ def update_partition(ods: CutPartitionDS, r_edges
     The layers at update_layer_indices(c) are read and updated in place,
     and no other index is read, so a non-empty R is refused unless each of
     those layers is held at no other index, as clone() and restrict() give.
-    An empty R updates no layer."""
+    An empty R updates no layer.
+
+    R must refine the partition: no edge of R may have both ends in one
+    component of layer 0 minus R.  An end whose layer-0 edges all lie in R
+    is isolated there, a component of its own, so its edge refines
+    trivially; the components are labelled only when some edge of R has
+    both ends keeping a layer-0 edge outside R.  The repair sets start
+    from the components of layer h that hold an end of R, which
+    GraphDS.touched_components reads off the layer's forest: once the
+    edges of R are deleted, ends with no edge left are singletons, and
+    when the rest of the layer is one tree it needs no walk (on a query,
+    R holds every edge at both anchors)."""
     params, gamma = ods.params, ods.gamma
     if not params.strict:
         raise RejectedOp("update-partition", "need a strict structure")
@@ -335,7 +346,11 @@ def update_partition(ods: CutPartitionDS, r_edges
     r_cur = {edge_key(u, v) for u, v in r_edges}
     g0 = ods.layers[0].g
     present = {e for e in r_cur if g0.has_edge(*e)}
-    if present:
+
+    def kept(x: VertexId) -> bool:      # x keeps a g0 edge outside R
+        return any(edge_key(x, y) not in present for y in g0.adjacent(x))
+
+    if any(kept(u) and kept(v) for u, v in present):
         label = component_labels(g0, present)
         for u, v in present:
             if label[u] == label[v]:
@@ -360,7 +375,7 @@ def update_partition(ods: CutPartitionDS, r_edges
                 ds_h2i.ds_update(DeleteEdge(*e))
         # each comp is a component of layer h, so a union of components of
         # its subgraph h + 2i as well
-        for comp, xs in touched_components(ds_h.g, _ends(r_next)):
+        for comp, xs in ds_h.touched_components(_ends(r_next)):
             r_next |= repair_set(ds_h.g.restrict(comp), ds_h.terminals & comp,
                                  ds_h2i.g.restrict(comp), xs, i,
                                  params.t_at(h),
@@ -418,13 +433,19 @@ def cut_partition_update(ods: CutPartitionDS, seq: UpdateSeq, phi: Fraction
     singleton cluster via pruning + re-decomposition, rebuild the layer
     chain with update_partition, then replay the batch on the base graph.
     update_partition refuses a plain structure before it changes any
-    layer."""
+    layer.
+
+    The clusters the batch touches are the components of layer 0 that hold
+    a vertex it names, read off the layer's forest by
+    GraphDS.touched_components: exactly the components a walk would find,
+    with no walk when the layer is one tree apart from isolated named
+    vertices, as a query's copy of one component is."""
     phi = Fraction(phi)
     touched = named_vertices(seq)
     ds0 = ods.layers[0]
     r: Set[EdgeKey] = set()
-    for comp, w_id in touched_components(
-            ds0.g, [x for x in touched if ds0.g.has_vertex(x)]):
+    for comp, w_id in ds0.touched_components(
+            [x for x in touched if ds0.g.has_vertex(x)]):
         d_id = {edge_key(u, v) for u in w_id for v in ds0.g.adjacent(u)}
         r_id = decremental_single_expander(ds0.g.restrict(comp), phi, d_id)
         r |= r_id | d_id

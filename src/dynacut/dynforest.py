@@ -11,7 +11,10 @@ one into the other.
 
 It keeps the graph, the terminals and the forest, and nothing derived from
 them but the contraction, which is built when first read after a change.
-A caller that needs components searches the graph (cutprimitives).
+The forest spans every component of the graph with one tree, so the graph
+has vertex_count - len(forest) components, read in O(1).  touched_components
+answers from that count, and walks the graph (cutprimitives) only when the
+count leaves the answer open.
 
 An edge op walks the forest on the smaller side only: the trees of its two
 ends are searched in lockstep until one search runs out (the balanced search
@@ -23,9 +26,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .cutprimitives import components
+from .cutprimitives import components, touched_components
 from .errors import RejectedOp
 from .multigraph import (
     DeleteEdge, DeleteVertex, EdgeKey, InsertEdge, InsertVertex, MultiGraph,
@@ -140,6 +143,29 @@ class GraphDS:
                     stack.append(y)
                 if not stack:
                     return side
+
+    def touched_components(self, xs: Iterable[VertexId]
+                           ) -> List[Tuple[Set[VertexId], Set[VertexId]]]:
+        """What cutprimitives.touched_components(self.g, xs) returns: each
+        component of g that holds a vertex of xs, with the vertices of xs
+        it holds, in the order of the components' least vertices.
+
+        The forest spans every component of g with one tree, so g has
+        vertex_count - len(forest) components.  Each isolated vertex of xs
+        is one of them.  When at most one is left besides those, and xs
+        holds a vertex that is not isolated, that vertex's component is the
+        one left, and it holds every vertex of g but the isolated ones of
+        xs: so no walk is needed.  Otherwise g is walked from xs."""
+        g = self.g
+        left = set(xs)
+        alone = {x for x in left if g.is_isolated(x)}
+        if g.vertex_count() - len(self.forest) - len(alone) > 1:
+            return touched_components(g, left)
+        out = [({x}, {x}) for x in alone]
+        if len(left) > len(alone):
+            out.append((g.vertices - alone, left - alone))
+        out.sort(key=lambda item: min(item[0]))
+        return out
 
     # -- contraction ------------------------------------------------------
     def contracted(self) -> MultiGraph:

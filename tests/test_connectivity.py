@@ -5,6 +5,7 @@ import importlib.util
 import itertools
 import random
 import re
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -1133,8 +1134,9 @@ def test_benchmark_stream_replay_is_unchanged(name, want):
 
 def test_ab_timing_script_runs_both_trees():
     """scripts/ab_timing.py with this tree on both sides, for 2 rounds:
-    exit 0, one line per side with four times and the step count, equal
-    steps (the same engine replayed the same ops), and a ratio line."""
+    exit 0 (every query answered and recorded alike), one line per side
+    with four times and the step count, equal steps (the same engine
+    replayed the same ops), and a ratio line."""
     root = Path(__file__).resolve().parent.parent
     out = subprocess.run(
         [sys.executable, str(root / "scripts" / "ab_timing.py"), str(root),
@@ -1152,6 +1154,30 @@ def test_ab_timing_script_runs_both_trees():
     assert got[0][5] == got[1][5] and int(got[0][5]) > 0
     assert re.fullmatch(rf"B/A median per-op ratio: update={num} "
                         rf"query={num}", ratio)
+
+
+def test_ab_timing_script_fails_on_differing_query_stats(tmp_path):
+    """scripts/ab_timing.py exits 1 when the two trees answer alike but
+    record a query differently: here tree B's engine counts one H edge
+    more in every query_stats entry."""
+    root = Path(__file__).resolve().parent.parent
+    pkg = tmp_path / "src" / "dynacut"
+    shutil.copytree(root / "src" / "dynacut", pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    conn = pkg / "connectivity.py"
+    text = conn.read_text()
+    assert text.count('"h_edges": ') == 2
+    conn.write_text(text.replace('"h_edges": ', '"h_edges": 1 + '))
+    run = subprocess.run(
+        [sys.executable, str(root / "scripts" / "ab_timing.py"), str(root),
+         str(tmp_path), "--rounds", "2"],
+        capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1
+    line, = run.stdout.splitlines()
+    got = re.fullmatch(r"op \d+: query\(\d+,\d+\) answered (True|False) "
+                        r"with \{.*'h_edges': (\d+).*\} on A and \1 with "
+                        r"\{.*'h_edges': (\d+).*\} on B", line)
+    assert got and int(got[3]) == int(got[2]) + 1
 
 
 def test_setup_and_updates_run_none_of_the_query_path_changes(monkeypatch):
@@ -1378,3 +1404,54 @@ def test_serve_walks_only_the_components_its_batch_changed(monkeypatch):
         mean[name] = sum(per_update) / len(per_update)
     assert mean["churn-communities"] <= 30
     assert mean["query-dense"] == 99
+
+
+def test_query_walks_read_components_off_the_forests(monkeypatch):
+    """Over the seed-1 query-dense queries of 60 rounds, count the vertices
+    the component walks (cutprimitives._reachable) visit per query.  The
+    query path reads the components of the image and of the layer copies
+    off their spanning forests, and walks only where a forest's tree count
+    leaves a component open: at most 180 vertices a query on average
+    (177.9 measured; 634.8 when the query walked the whole component four
+    times before any cut work).  engine_query walks for the anchors'
+    component only when level 0's layer 0 is not one tree."""
+    walked = []
+    engine_walks = []
+    reachable = cutprimitives._reachable
+    component_of_ = connectivity.component_of
+
+    def spy_reachable(*args, **kwargs):
+        out = reachable(*args, **kwargs)
+        walked.append(len(out))
+        return out
+
+    def spy_component_of(*args):
+        engine_walks.append(args)
+        return component_of_(*args)
+
+    monkeypatch.setattr(cutprimitives, "_reachable", spy_reachable)
+    monkeypatch.setattr(connectivity, "component_of", spy_component_of)
+    bench = _benchmark_workloads()
+    wl = bench.WORKLOADS["query-dense"]
+    stream = bench.OpStream(wl, 1)
+    e = engine_preprocess(MultiGraph.from_edges(stream.initial_vertices,
+                                                stream.initial_edges), wl.c)
+    rounds = stream.rounds()
+    per_query = []
+    one_tree = 0
+    for _ in range(60):
+        for kind, u, v in next(rounds):
+            if kind != "query":
+                engine_update(e, (DeleteEdge if kind == "delete"
+                                  else InsertEdge)(u, v))
+                continue
+            layer0 = e.current.levels[0].layers[0]
+            tree = len(layer0.forest) == e.current.graph.vertex_count() - 1
+            walked.clear()
+            engine_walks.clear()
+            engine_query(e, u, v)
+            per_query.append(sum(walked))
+            assert len(engine_walks) == (0 if tree else 1)
+            one_tree += tree
+    assert len(per_query) == 180 and one_tree >= 150
+    assert sum(per_query) / len(per_query) <= 180

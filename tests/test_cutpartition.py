@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dynacut import cutpartition
 from dynacut.connectivity import edge_connectivity
 from dynacut.cutpartition import (CutPartitionDS, LayerParams,
                                   build_sparsifier, cut_partition_preprocess,
@@ -195,6 +196,33 @@ def test_update_partition_rejects_non_refining_r():
     assert len(ods.partition()) == 1
     with pytest.raises(RejectedOp, match="refine"):
         update_partition(ods, {(0, 2)})
+
+
+def test_update_partition_accepts_r_isolating_a_vertex_unlabelled(
+        monkeypatch):
+    """R holds every edge at vertex 1 of the chorded 4-cycle, so each edge
+    of R has an end that is isolated once R is removed: R refines the
+    partition without the components being labelled."""
+    labelled = []
+    monkeypatch.setattr(cutpartition, "component_labels",
+                        lambda *args: labelled.append(args))
+    g = MultiGraph.from_edges(range(4),
+                              [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    ods = _strict_ods(g, 1, 4)
+    new_ods, seq = update_partition(ods.clone(), {(0, 1), (1, 2)})
+    assert labelled == []
+    assert build_sparsifier(new_ods) == apply_seq(build_sparsifier(ods), seq)
+
+
+def test_update_partition_rejects_chord_beside_an_isolating_edge():
+    """Edges of R with an isolated end do not excuse the rest of R: R
+    holds (0, 1) and (1, 2), which leave vertex 1 isolated, and the
+    4-cycle chord (0, 2), whose ends stay joined through vertex 3."""
+    g = MultiGraph.from_edges(range(4),
+                              [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    ods = _strict_ods(g, 1, 4)
+    with pytest.raises(RejectedOp, match="refine"):
+        update_partition(ods.clone(), {(0, 1), (1, 2), (0, 2)})
 
 
 def test_update_partition_refuses_shared_layers():

@@ -3,6 +3,7 @@ from collections import deque
 
 import pytest
 
+from dynacut import cutprimitives, dynforest
 from dynacut.dynforest import (
     DeleteTerminal, GraphDS, InsertTerminal, contracted_diff,
 )
@@ -148,6 +149,58 @@ def test_forest_matches_one_sided_rule_fuzz(seed):
         assert ds.g == ref_g
         assert ds.forest == ref_forest
     assert replaced >= 3 and joined >= 3
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_touched_components_match_the_walk_fuzz(monkeypatch, seed):
+    """After every op of a random stream on a random multigraph (edge
+    inserts, deletes of every edge at a vertex, single deletes and terminal
+    ops), GraphDS.touched_components equals the walk of
+    cutprimitives.touched_components as a list, for random vertex lists
+    with repeats that often hold an isolated vertex.  Both the branch that
+    reads the forest's tree count and the walk fallback run."""
+    calls = {"read": 0, "walk": 0}
+    walk = dynforest.touched_components
+
+    def spy_walk(g, xs):
+        calls["walk"] += 1
+        return walk(g, xs)
+
+    monkeypatch.setattr(dynforest, "touched_components", spy_walk)
+    rng = random.Random(700 + seed)
+    n = rng.randint(6, 16)
+    g = random_multigraph(rng, n, rng.uniform(0.1, 0.35))
+    if seed % 2:
+        for v in range(1, n):
+            if not g.has_edge(v - 1, v):
+                g.add_edge(v - 1, v, rng.randint(1, 3))
+    ds = GraphDS(g, set(rng.sample(range(n), 2)))
+    for _ in range(120):
+        choice = rng.random()
+        x = rng.randrange(n)
+        if choice < 0.25:
+            for y in ds.g.neighbors(x):
+                ds.ds_update(DeleteEdge(x, y))
+        elif choice < 0.45 and ds.g.distinct_edge_count():
+            ds.ds_update(DeleteEdge(*rng.choice(ds.g.edge_keys())))
+        elif choice < 0.8:
+            y = rng.randrange(n)
+            if y != x and not ds.g.has_edge(x, y):
+                ds.ds_update(InsertEdge(x, y, rng.randint(1, 3)))
+        elif choice < 0.9:
+            ds.ds_update(InsertTerminal(x))
+        else:
+            ds.ds_update(DeleteTerminal(x))
+        alone = [v for v in range(n) if ds.g.is_isolated(v)]
+        for _ in range(3):
+            xs = rng.choices(range(n), k=rng.randint(0, 4))
+            if alone and rng.random() < 0.6:
+                xs.append(rng.choice(alone))
+            walks = calls["walk"]
+            got = ds.touched_components(xs)
+            calls["read"] += calls["walk"] == walks
+            assert got == cutprimitives.touched_components(ds.g, xs)
+    assert calls["read"] > 0 and calls["walk"] > 0
 
 
 def _adjacency_reads(monkeypatch, ds, op):
