@@ -14,7 +14,7 @@ from .errors import RejectedOp
 from .multigraph import (CompositeOp, DeleteEdge, InsertEdge, InsertVertex,
                          MultiGraph, ReductionImage, UpdateOp, UpdateSeq,
                          VertexId, apply_seq, changed_vertices, degree_reduce,
-                         named_vertices)
+                         gadget_id, named_vertices)
 from .multilevel import (MultiLevelDS, ParamSchedule, make_schedule,
                          preprocess_multi_level, splice_multi_level)
 from .onlinebatch import Scheduler
@@ -224,6 +224,7 @@ class Engine:
     query_stats: List[Dict[str, int]] = field(default_factory=list)
 
     def fingerprint(self) -> Tuple:
+        """Test oracle: the engine's state; a query leaves it unchanged."""
         return (tuple(sorted(self.reduction.simple.edge_items())),
                 tuple(sorted(self.reduction.multigraph.edge_items())),
                 self.current.fingerprint(),
@@ -246,10 +247,16 @@ def engine_preprocess(g: MultiGraph, c: int,
 
 def engine_update(e: Engine, op: UpdateOp) -> None:
     """Apply one simple-graph edge op: translate it to the constant-size
-    image sequence and feed that, op by op, through the scheduler."""
+    image sequence and feed that, op by op, through the scheduler.  An
+    insert is refused before any state changes when it is a self-loop, has
+    an id outside the 32-bit range or would exceed n_cap."""
     seq: UpdateSeq = []
     if isinstance(op, (InsertEdge, DeleteEdge)):
         if isinstance(op, InsertEdge):
+            if op.u == op.v:
+                raise RejectedOp("engine", f"insert ({op.u},{op.v}) is a "
+                                 f"self-loop")
+            gadget_id(op.u, op.v)   # refuses an id outside the 32-bit range
             simple = e.reduction.simple
             new = [v for v in dict.fromkeys((op.u, op.v))
                    if not simple.has_vertex(v)]

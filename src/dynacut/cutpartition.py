@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .cutprimitives import (component_labels, components,
-                            touched_components)
+from .cutprimitives import CutSearch, components, touched_components
 from .dynforest import DeleteTerminal, GraphDS, InsertTerminal, contracted_diff
 from .errors import RejectedOp
 from .expander import decremental_single_expander, expander_decomposition
@@ -150,6 +149,7 @@ class CutPartitionDS:
                               self.gamma)
 
     def fingerprint(self) -> Tuple:
+        """Test oracle: the structure's state, compared by value."""
         graph = (tuple(sorted(self.g.edge_items())),
                  tuple(self.g.vertex_list()))
         return (graph, tuple(ds.fingerprint() for ds in self.layers))
@@ -332,13 +332,14 @@ def update_partition(ods: CutPartitionDS, r_edges
     R must refine the partition: no edge of R may have both ends in one
     component of layer 0 minus R.  An end whose layer-0 edges all lie in R
     is isolated there, a component of its own, so its edge refines
-    trivially; the components are labelled only when some edge of R has
-    both ends keeping a layer-0 edge outside R.  The repair sets start
-    from the components of layer h that hold an end of R, which
-    GraphDS.touched_components reads off the layer's forest: once the
-    edges of R are deleted, ends with no edge left are singletons, and
-    when the rest of the layer is one tree it needs no walk (on a query,
-    R holds every edge at both anchors)."""
+    trivially.  Only when some edge of R has both ends keeping a layer-0
+    edge outside R is a CutSearch of layer 0 asked for the piece of each
+    edge's first end, which walks only the pieces holding an end of R.
+    The repair sets start from the components of layer h that hold an end
+    of R, which GraphDS.touched_components reads off the layer's forest:
+    once the edges of R are deleted, ends with no edge left are
+    singletons, and when the rest of the layer is one tree it needs no
+    walk (on a query, R holds every edge at both anchors)."""
     params, gamma = ods.params, ods.gamma
     if not params.strict:
         raise RejectedOp("update-partition", "need a strict structure")
@@ -351,9 +352,9 @@ def update_partition(ods: CutPartitionDS, r_edges
         return any(edge_key(x, y) not in present for y in g0.adjacent(x))
 
     if any(kept(u) and kept(v) for u, v in present):
-        label = component_labels(g0, present)
+        cs, e0 = CutSearch(g0), frozenset(present)
         for u, v in present:
-            if label[u] == label[v]:
+            if v in cs.piece(e0, u):
                 raise RejectedOp("update-partition",
                                  f"edge ({u},{v}) does not refine the "
                                  f"partition")

@@ -14,8 +14,8 @@ cut size of each side a search found, the pieces of the graph minus each
 edge set, and each side's boundary and the subsets of it that induce an
 atomic cut.
 repair_set builds one for the length of one call; the enumeration and
-atomic-cut functions read it when it is passed and build a throwaway one
-when it is not.
+atomic-cut functions take it as their first argument and read g off it, so
+each has one code path.
 
 One search serves every narrower ask.  The sides of the simple-cut search
 (x, c, t, E) are the connected sides holding x with cut size <= c, at most
@@ -81,6 +81,7 @@ def _reachable(g: MultiGraph, start: VertexId, banned_edges: Set[EdgeKey],
 
 
 def is_connected_subset(g: MultiGraph, side: Iterable[VertexId]) -> bool:
+    """Test oracle: `side` is nonempty and induces a connected subgraph."""
     s = set(side)
     if not s:
         return False
@@ -118,14 +119,13 @@ def components(g: MultiGraph, banned_edges: Set[EdgeKey] = frozenset()
     return out
 
 
-def component_labels(g: MultiGraph, banned_edges: Set[EdgeKey] = frozenset()
-                     ) -> Dict[VertexId, VertexId]:
-    """Each vertex mapped to the least vertex of its component of g minus
-    the banned edges."""
+def component_labels(g: MultiGraph) -> Dict[VertexId, VertexId]:
+    """Test oracle: each vertex mapped to the least vertex of its component
+    (the engine asks CutSearch.piece, and repair labels DS3 lazily)."""
     label: Dict[VertexId, VertexId] = {}
     for v in g.vertex_list():
         if v not in label:
-            label.update(dict.fromkeys(_reachable(g, v, banned_edges), v))
+            label.update(dict.fromkeys(component_of(g, v), v))
     return label
 
 
@@ -267,10 +267,10 @@ class CutSearch:
 
     g must not change while the object is in use.  repair_set builds one
     per call, passes it to every helper, and drops it when it returns, so
-    nothing is kept between calls or shared between engines.  The functions
-    below that take a `search` read it instead of redoing the work; without
-    one they build their own, which lives for that call only.  Every result
-    it keeps is immutable, since each caller that asks gets the same one."""
+    nothing is kept between calls or shared between engines;
+    update_partition builds one for its refinement check.  Every function
+    below takes one in place of g and reads g off it.  Every result it
+    keeps is immutable, since each caller that asks gets the same one."""
 
     def __init__(self, g: MultiGraph):
         self.g = g
@@ -289,8 +289,8 @@ class CutSearch:
 
     def simple_cuts(self, x: VertexId, c: int, t: int,
                     excluded: Iterable[VertexId] = ()) -> FrozenSet[VertexSet]:
-        """enumerate_simple_cuts(g, x, c, t, excluded), the same object for
-        a repeated ask.  Every budget t >= |V(g)| gives the sides of
+        """enumerate_simple_cuts(self, x, c, t, excluded), the same object
+        for a repeated ask.  Every budget t >= |V(g)| gives the sides of
         t = |V(g)|, so all such budgets share one key.  An earlier result
         for x at (c0 >= c, t0 >= t, a subset of excluded) is filtered; only
         an ask that none covers runs a search."""
@@ -306,8 +306,7 @@ class CutSearch:
                     and len(v) <= max(t, 1) and v.isdisjoint(shut))
                 break
         else:
-            found = frozenset(enumerate_simple_cuts(self.g, x, c, t, shut,
-                                                    search=self))
+            found = frozenset(enumerate_simple_cuts(self, x, c, t, shut))
         self._simple[key] = found
         return found
 
@@ -366,21 +365,20 @@ class CutSearch:
             subsets = (frozenset(combo) for r in range(1, len(es) + 1)
                        for combo in itertools.combinations(es, r))
             self._atomic[key] = tuple(
-                e for e in subsets if induces_atomic_cut(self.g, e, self))
+                e for e in subsets if induces_atomic_cut(self, e))
         return self._atomic[key]
 
 
 # -- atomic cuts -----------------------------------------------------------
 
-def induces_atomic_cut(g: MultiGraph, e0: Iterable[EdgeKey],
-                       search: Optional[CutSearch] = None) -> bool:
+def induces_atomic_cut(cs: CutSearch, e0: Iterable[EdgeKey]) -> bool:
     """True iff e0 is the cut-set of an atomic cut of some connected
-    component: removing e0 from that component leaves exactly two pieces,
-    and every edge of e0 joins them."""
+    component of cs.g: removing e0 from that component leaves exactly two
+    pieces, and every edge of e0 joins them."""
+    g, piece = cs.g, cs.piece
     edges = frozenset(edge_key(u, v) for u, v in e0)
     if not edges or not all(g.has_vertex(x) for e in edges for x in e):
         return False
-    piece = (search or CutSearch(g)).piece
     # the pieces of g minus e0 met so far; a piece lies in one component
     sides: List[VertexSet] = []
     for u, v in edges:
@@ -397,37 +395,35 @@ def induces_atomic_cut(g: MultiGraph, e0: Iterable[EdgeKey],
     return any(g.has_edge(u, v) for u, v in edges)
 
 
-def induced_cut_side(g: MultiGraph, e0: Iterable[EdgeKey],
-                     inner: Iterable[VertexId],
-                     search: Optional[CutSearch] = None) -> Set[VertexId]:
+def induced_cut_side(cs: CutSearch, e0: Iterable[EdgeKey],
+                     inner: Iterable[VertexId]) -> Set[VertexId]:
     """The side L of the cut induced by e0 that contains `inner`: the union
     of the pieces of g minus e0 that hold a vertex of `inner`.  `inner` lies
     in one component of g (every caller passes a connected side), and a
     piece lies in one component, so L does too."""
     edges = frozenset(edge_key(u, v) for u, v in e0)
-    piece = (search or CutSearch(g)).piece
     side: Set[VertexId] = set()
     for v in inner:
         if v not in side:
-            side |= piece(edges, v)
+            side |= cs.piece(edges, v)
     return side
 
 
 # -- bounded cut enumeration ----------------------------------------------
 
-def enumerate_simple_cuts(g: MultiGraph, x: VertexId, c: int, t: int,
-                          excluded: Iterable[VertexId] = (),
-                          search: Optional[CutSearch] = None
+def enumerate_simple_cuts(cs: CutSearch, x: VertexId, c: int, t: int,
+                          excluded: Iterable[VertexId] = ()
                           ) -> Set[VertexSet]:
-    """All V' with x in V', |V'| <= t, G[V'] connected, cut size <= c,
-    and V' disjoint from `excluded` (x itself may be listed there).
+    """All V' of g = cs.g with x in V', |V'| <= t, G[V'] connected, cut
+    size <= c, and V' disjoint from `excluded` (x itself may be listed
+    there).
 
     No cut of size <= c crosses an edge of multiplicity above c, so every
     such V' is a union of heavy classes: the components of the edges heavier
     than c, such as the gadget's path edges and the query pendants.  The
-    search therefore runs on the quotient by those edges, the one `search`
-    keeps for c when given.  A class weighs its vertex count towards t, and
-    it is shut when it holds a vertex of `excluded`.  Include/exclude
+    search therefore runs on the quotient by those edges, the one cs keeps
+    for c.  A class weighs its vertex count towards t, and it is shut when
+    it holds a vertex of `excluded`.  Include/exclude
     branching on the next undecided neighbor class of the grown side, with
     the remaining multiplicity budget tracked incrementally: every valid
     side is one leaf, and any branch whose committed boundary already
@@ -435,9 +431,8 @@ def enumerate_simple_cuts(g: MultiGraph, x: VertexId, c: int, t: int,
     once, when its second end is decided, so a leaf's cut size is c minus
     the budget left; it is recorded in the search.
     """
-    if not g.has_vertex(x):
+    if not cs.g.has_vertex(x):
         raise RejectedOp("enumerate-simple-cuts", f"vertex {x} absent")
-    cs = search or CutSearch(g)
     owner, members, nbrs = cs.quotient(c)
     sizes = cs._sizes
     shut: Set[int] = {owner[v] for v in excluded if v != x and v in owner}
@@ -480,14 +475,13 @@ def enumerate_simple_cuts(g: MultiGraph, x: VertexId, c: int, t: int,
     return out
 
 
-def enumerate_anchored_cuts(g: MultiGraph, anchors: Iterable[VertexId], c: int,
-                            t: int, search: Optional[CutSearch] = None
+def enumerate_anchored_cuts(cs: CutSearch, anchors: Iterable[VertexId],
+                            c: int, t: int
                             ) -> List[Tuple[VertexId, VertexSet]]:
     """Every simple (t, c)-cut side meeting `anchors` at least once, listed
     once, tagged with the smallest anchor it contains and ordered by
     (anchor, side).  Matches the union of per-anchor enumerations processed
     with first-hit deduplication."""
-    cs = search or CutSearch(g)
     out: List[Tuple[VertexId, VertexSet]] = []
     done: List[VertexId] = []
     for x in sorted(set(anchors)):
@@ -498,10 +492,10 @@ def enumerate_anchored_cuts(g: MultiGraph, anchors: Iterable[VertexId], c: int,
     return out
 
 
-def enumerate_cuts(g: MultiGraph, terms: Iterable[VertexId],
-                   t_prime: Iterable[VertexId], c: int, t: int,
-                   search: Optional[CutSearch] = None) -> Set[VertexSet]:
-    """All (T', terms \\ T', t, c)-cut sides V' of g such that every
+def enumerate_cuts(cs: CutSearch, terms: Iterable[VertexId],
+                   t_prime: Iterable[VertexId], c: int, t: int
+                   ) -> Set[VertexSet]:
+    """All (T', terms \\ T', t, c)-cut sides V' of cs.g such that every
     connected component of G[V'] contains a vertex of T'.  `terms` are the
     terminals of DS1 and DS2 together.  Empty if |T'| > t."""
     tp = frozenset(t_prime)
@@ -510,9 +504,8 @@ def enumerate_cuts(g: MultiGraph, terms: Iterable[VertexId],
     terms = frozenset(terms)
     if not tp <= terms:
         raise RejectedOp("enumerate-cuts", "T' not within the terminal sets")
-    cs = search or CutSearch(g)
     universe: Set[VertexSet] = {
-        side for _, side in enumerate_anchored_cuts(g, tp, c, t, cs)}
+        side for _, side in enumerate_anchored_cuts(cs, tp, c, t)}
     # keep only pieces whose terminal trace stays within T'
     pieces = [v for v in universe if (v & terms) <= tp]
     out: Set[VertexSet] = set()
@@ -547,7 +540,7 @@ class RealizablePair:
     @classmethod
     def of(cls, edges: Iterable[EdgeKey], side: Iterable[VertexId]
            ) -> "RealizablePair":
-        """Test helper: a pair from edges given as pairs in either order
+        """Test oracle: a pair from edges given as pairs in either order
         and any iterable side."""
         return cls(frozenset(edge_key(u, v) for u, v in edges),
                    frozenset(side))

@@ -300,6 +300,7 @@ class GraphDS:
         return GraphDS.from_forest(g, self.terminals & verts, kept)
 
     def fingerprint(self) -> Tuple:
+        """Test oracle: the structure's state, compared by value."""
         return (tuple(sorted((e, m) for e, m in self.g.edge_items())),
                 tuple(self.g.vertex_list()),
                 tuple(sorted(self.terminals)),

@@ -408,6 +408,7 @@ class ReductionImage:
         return gadget_id(u, u)
 
     def neighbor_order(self, u: VertexId) -> List[VertexId]:
+        """Test oracle: the neighbours on u's gadget path, anchor first."""
         out = []
         w = self._succ[u][u]
         while w is not None:
@@ -483,6 +484,7 @@ class ReductionImage:
 
     # -- invariant checking -----------------------------------------------
     def check_invariants(self) -> None:
+        """Test oracle: the image is the gadget of the tracked graph."""
         g = self.multigraph
         expect_vertices = set()
         for u in self.simple.vertex_list():

@@ -272,6 +272,7 @@ def _num_out(x):
 
 
 def _num_in(x):
+    """Test oracle: a number as dump_schedule writes it, read back."""
     if isinstance(x, str):
         p, q = x.split("/")
         return Fraction(int(p), int(q))
@@ -347,6 +348,7 @@ class MultiLevelDS:
                             self.schedule, self.round)
 
     def fingerprint(self) -> Tuple:
+        """Test oracle: the stack's state, compared by value."""
         return (self.round, tuple(ods.fingerprint() for ods in self.levels))
 
 

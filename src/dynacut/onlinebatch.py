@@ -78,7 +78,8 @@ def lattice_parent(j: int, s: int) -> int:
 
 
 def dependency_chain(xi: int, j: int, s: int) -> List[Tuple[int, int]]:
-    """[(xi, j), (xi-1, j'), ...] down to level 0 per the lattice."""
+    """Test oracle: [(xi, j), (xi-1, j'), ...] down to level 0 per the
+    lattice."""
     chain = [(xi, j)]
     for i in range(xi, 0, -1):
         j = lattice_parent(j, s)

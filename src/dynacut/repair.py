@@ -10,14 +10,16 @@ via an elimination procedure over realizable pairs.
 
 The repair set reads plain graphs and terminal sets and mutates none of
 them: a step that deletes edges from g keeps them in a set, and a probe
-of g minus those edges is a BFS that skips them.
+of g minus those edges is CutSearch.piece, which walks from the vertices
+asked about only.
 
 Every helper of one repair_set call reads its graph g through one
 CutSearch (see cutprimitives), built when the call starts and dropped when
 it returns: each heavy-class quotient, simple-cut search, piece of g minus
 an edge set, boundary of a side and list of the side's boundary subsets
 that induce an atomic cut is then computed once per call, however many
-helpers ask for it.  A helper called on its own builds its own.
+helpers ask for it.  Every helper takes that CutSearch as its first
+argument in place of g.
 
 A realizable pair (E', V') is a simple small cut side V' with a subset E'
 of its boundary that induces an atomic cut; every helper reads the E' of a
@@ -31,8 +33,9 @@ paths (a capped max-flow, cutprimitives._capped_maxflow).  Type three skips
 its first part when all of its terminals lie in one component of g of at
 most t vertices, and its second when T is empty.  Type two returns the
 empty set at once for an empty T.  repair_set hands the typed sets DS3's
-component labels as a mapping that labels g3 on its first read, so a call
-whose typed sets all return early labels nothing.
+component labels as a dict that walks and labels a component of g3 only
+when a vertex of it is first read, so a call whose typed sets all return
+early labels nothing, and a component no typed set reads is never walked.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .cutprimitives import (
     RealizablePair,
     _capped_maxflow,
     boundary,
-    component_labels,
+    component_of,
     components,
     enumerate_cuts,
     enumerate_anchored_cuts,
@@ -83,6 +86,7 @@ def recording() -> Iterator[List[Tuple[int, int, int]]]:
 
 @dataclass(frozen=True)
 class IAParams:
+    """Test oracle: the parameters of an IA set, checked when made."""
     t: int
     q: int
     d: int
@@ -130,26 +134,25 @@ def _separates(cs: CutSearch, e0: EdgeSet, side: Iterable[VertexId],
     return cs.piece(e0, x).isdisjoint(side)
 
 
-class _LazyLabels(Mapping):
-    """component_labels(g), computed on the first read."""
+def _split(cs: CutSearch, e0: EdgeSet, ends: Iterable[VertexId]) -> bool:
+    """Some two of `ends` fall in different components of g minus e0;
+    CutSearch.piece gives one object for every vertex of a piece."""
+    return len({id(cs.piece(e0, x)) for x in ends}) > 1
+
+
+class _ComponentLabels(dict):
+    """Each vertex of g mapped to the least vertex of its component, as
+    component_labels(g) maps it; a component is walked and labelled when a
+    vertex of it is first read."""
 
     def __init__(self, g: MultiGraph):
+        super().__init__()
         self.g = g
-        self.labels: Optional[Dict[VertexId, VertexId]] = None
 
-    def _read(self) -> Dict[VertexId, VertexId]:
-        if self.labels is None:
-            self.labels = component_labels(self.g)
-        return self.labels
-
-    def __getitem__(self, x: VertexId) -> VertexId:
-        return self._read()[x]
-
-    def __iter__(self) -> Iterator[VertexId]:
-        return iter(self._read())
-
-    def __len__(self) -> int:
-        return len(self._read())
+    def __missing__(self, x: VertexId) -> VertexId:
+        comp = component_of(self.g, x)
+        self.update(dict.fromkeys(comp, min(comp)))
+        return self[x]
 
 
 def _label_of(comp: Labels, ends: Iterable[VertexId]) -> Optional[VertexId]:
@@ -161,30 +164,28 @@ def _label_of(comp: Labels, ends: Iterable[VertexId]) -> Optional[VertexId]:
 
 # -- elimination procedure -------------------------------------------------
 
-def elimination(g: MultiGraph, terms: Terminals,
-                gamma: Iterable[RealizablePair],
-                search: Optional[CutSearch] = None) -> Set[EdgeKey]:
+def elimination(cs: CutSearch, terms: Terminals,
+                gamma: Iterable[RealizablePair]) -> Set[EdgeKey]:
     """Boundary edges of a maximal chain of pairs from `gamma`; the output
     intercepts a small terminal-separating cut for every pair.  `terms` are
     the terminals of DS1 and DS2 together.  Each chosen pair's edges are
-    deleted, cumulatively, from g, and a pair leaves the pool once some
-    witness cut's ends fall in different components of what is left.
+    deleted, cumulatively, from g = cs.g, and a pair leaves the pool once
+    some witness cut's ends fall in different components of what is left.
     Neither the order of `gamma` nor a pair listed twice changes the
     output."""
     remaining = sorted(set(gamma), key=_canon)
     if not remaining:
         return set()
     terms = frozenset(terms)
-    cs = search or CutSearch(g)
     w: Set[EdgeKey] = set()
     # witness cuts per pair: boundary endpoint sets in the original graph
     witness: Dict[RealizablePair, List[Tuple[VertexId, ...]]] = {}
     for pair in remaining:
-        cuts = enumerate_cuts(g, terms, pair.side & terms,
-                              cs.cut_size(pair.side), len(pair.side), cs)
+        cuts = enumerate_cuts(cs, terms, pair.side & terms,
+                              cs.cut_size(pair.side), len(pair.side))
         witness[pair] = [tuple(sorted(_ends(cs.boundary(v)))) for v in
                          sorted(cuts, key=lambda s: tuple(sorted(s)))]
-    removed: Set[EdgeKey] = set()      # the chosen pairs' edges
+    removed: EdgeSet = frozenset()     # the chosen pairs' edges
     while remaining:
         chosen = None
         for cand in remaining:
@@ -197,18 +198,15 @@ def elimination(g: MultiGraph, terms: Terminals,
         w |= cs.boundary(chosen.side) - removed
         removed |= chosen.edges
         remaining.remove(chosen)
-        if remaining:
-            comp = component_labels(g, removed)
-            remaining = [pair for pair in remaining
-                         if not any(len({comp[x] for x in ends}) > 1
-                                    for ends in witness[pair])]
+        remaining = [pair for pair in remaining
+                     if not any(_split(cs, removed, ends)
+                                for ends in witness[pair])]
     return w
 
 
 # -- bipartition system ----------------------------------------------------
 
-def bipartition_system(g: MultiGraph, s: Terminals, c: int, t: int,
-                       search: Optional[CutSearch] = None
+def bipartition_system(cs: CutSearch, s: Terminals, c: int, t: int
                        ) -> BipartitionSystem:
     """A maximal pairwise-laminar family of realizable pairs splitting the
     terminal set S nontrivially; at most 2(|S|-1) pairs.
@@ -226,21 +224,20 @@ def bipartition_system(g: MultiGraph, s: Terminals, c: int, t: int,
     its cut is no larger, and it has at most 3t vertices, which fits every
     replacement budget q + t that repair_set serves (it requires q >= 2t).
 
-    The boundary of each held pair is deleted from g, and a later pair is
-    skipped when the ends of its boundary in what is left fall in different
-    components of it.
+    The boundary of each held pair is deleted from g = cs.g, and a later
+    pair is skipped when the ends of its boundary in what is left fall in
+    different components of it.
 
     A side that holds all of S is skipped before its boundary subsets are
     tested: the side a subset induces contains the side, so its trace is S.
     """
     s = frozenset(s)
-    cs = search or CutSearch(g)
     u: List[Tuple[RealizablePair, FrozenSet[VertexId]]] = []
-    for _, side in enumerate_anchored_cuts(g, s, c, t, cs):
+    for _, side in enumerate_anchored_cuts(cs, s, c, t):
         if s <= side:
             continue
         for e_sub in cs.atomic_subsets(side):
-            trace = s & induced_cut_side(g, e_sub, side, cs)
+            trace = s & induced_cut_side(cs, e_sub, side)
             if trace and trace != s:
                 u.append((RealizablePair(e_sub, side), trace))
     u.sort(key=lambda item: _canon(item[0]))
@@ -252,14 +249,12 @@ def bipartition_system(g: MultiGraph, s: Terminals, c: int, t: int,
     alive = [True] * len(u)
     pairs: List[RealizablePair] = []
     traces: List[FrozenSet[VertexId]] = []
-    removed: Set[EdgeKey] = set()      # the held pairs' boundaries
-    comp: Optional[Labels] = None      # labels of g - removed, when needed
+    removed: EdgeSet = frozenset()     # the held pairs' boundaries
     for i, (pair, trace) in enumerate(u):
         if not alive[i]:
             continue
         b = cs.boundary(pair.side) - removed
-        comp = comp or component_labels(g, removed)
-        if len({comp[x] for x in _ends(b)}) > 1:
+        if _split(cs, removed, _ends(b)):
             continue
         if trace in traces:
             continue
@@ -277,7 +272,6 @@ def bipartition_system(g: MultiGraph, s: Terminals, c: int, t: int,
         pairs.append(pair)
         traces.append(trace)
         removed |= b
-        comp = None
         for j in equivalent[i]:
             alive[j] = False
     return BipartitionSystem(pairs, traces, u)
@@ -320,9 +314,8 @@ def _one_small_component(g: MultiGraph, terms: FrozenSet[VertexId],
     return not missing and len(seen) <= t
 
 
-def type_one_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
-                        comp3: Labels, c: int, t: int,
-                        search: Optional[CutSearch] = None) -> Set[EdgeKey]:
+def type_one_repair_set(cs: CutSearch, s: Terminals, t_set: Terminals,
+                        comp3: Labels, c: int, t: int) -> Set[EdgeKey]:
     """Repair edges for terminal bipartitions that split S nontrivially.
 
     A held pair's candidates are the bipartition system's candidates with
@@ -338,12 +331,11 @@ def type_one_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
     so E' (or no edge at all, across components) separates some x and y
     of S, and lambda(x, y) <= c."""
     s = frozenset(s)
-    if not s or _s_unsplittable(g, s, c):
+    if not s or _s_unsplittable(cs.g, s, c):
         return set()
-    cs = search or CutSearch(g)
     terms = s | frozenset(t_set)
     held = {comp3[x] for x in s}
-    system = bipartition_system(g, s, c, t, cs)
+    system = bipartition_system(cs, s, c, t)
     w1: Set[EdgeKey] = set()
     for pair, trace in zip(system.pairs, system.traces):
         buckets: Dict[VertexId, List[RealizablePair]] = defaultdict(list)
@@ -355,13 +347,13 @@ def type_one_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
                 buckets[cid].append(cand)
         w1 |= set(cs.boundary(pair.side))
         for cid in sorted(buckets):
-            w1 |= elimination(g, terms, buckets[cid], cs)
+            w1 |= elimination(cs, terms, buckets[cid])
     return w1
 
 
-def type_two_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
-                        comp3: Labels, c: int, t: int, q: int,
-                        search: Optional[CutSearch] = None) -> Set[EdgeKey]:
+def type_two_repair_set(cs: CutSearch, s: Terminals, t_set: Terminals,
+                        comp3: Labels, c: int, t: int, q: int
+                        ) -> Set[EdgeKey]:
     """Repair edges for terminal bipartitions avoiding S entirely.  Each
     vertex of S collects the terminals of T it reaches, a subset of T, so
     an empty T gives the empty set at once."""
@@ -370,35 +362,32 @@ def type_two_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
         return set()
     s = frozenset(s)
     terms = s | t_set
-    cs = search or CutSearch(g)
     w2: Set[EdgeKey] = set()
     for s_v in sorted(s):
         reach: Set[VertexId] = set()
         for side in cs.simple_cuts(s_v, c, q):
             reach |= (side & t_set)
         gamma: List[RealizablePair] = []
-        for _, side in enumerate_anchored_cuts(g, reach, c, t, cs):
+        for _, side in enumerate_anchored_cuts(cs, reach, c, t):
             if side & s:
                 continue
             b = cs.boundary(side)
             if _label_of(comp3, _ends(b)) != comp3[s_v]:
                 continue
-            alts = enumerate_cuts(g, terms, side & t_set, cs.cut_size(side),
-                                  q, cs)
+            alts = enumerate_cuts(cs, terms, side & t_set, cs.cut_size(side),
+                                  q)
             if any(len({comp3[y] for y in _ends(cs.boundary(alt))}) > 1
                    for alt in alts):
                 continue
             gamma.extend(RealizablePair(e_sub, side)
                          for e_sub in cs.atomic_subsets(side)
                          if _separates(cs, e_sub, side, s_v))
-        w2 |= elimination(g, terms, gamma, cs)
+        w2 |= elimination(cs, terms, gamma)
     return w2
 
 
-def type_three_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
-                          comp3: Labels, c: int, t: int,
-                          search: Optional[CutSearch] = None
-                          ) -> Set[EdgeKey]:
+def type_three_repair_set(cs: CutSearch, s: Terminals, t_set: Terminals,
+                          comp3: Labels, c: int, t: int) -> Set[EdgeKey]:
     """Repair edges for terminal bipartitions containing all of S.
 
     Certificates, each tested before its part's search.  Part one adds
@@ -412,10 +401,9 @@ def type_three_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
     s = frozenset(s)
     t_set = frozenset(t_set)
     terms = s | t_set
-    cs = search or CutSearch(g)
     w3: Set[EdgeKey] = set()
-    if 0 < len(terms) <= t and not _one_small_component(g, terms, t):
-        h = enumerate_cuts(g, terms, terms, c, t, cs)
+    if 0 < len(terms) <= t and not _one_small_component(cs.g, terms, t):
+        h = enumerate_cuts(cs, terms, terms, c, t)
         if h:
             best = min(h, key=lambda v: (cs.cut_size(v), tuple(sorted(v))))
             w3 |= set(cs.boundary(best))
@@ -455,7 +443,7 @@ def type_three_repair_set(g: MultiGraph, s: Terminals, t_set: Terminals,
                      if root not in side
                      for e_sub in cs.atomic_subsets(side)
                      if _separates(cs, e_sub, side, root)]
-            w3 |= elimination(g, terms, gamma, cs)
+            w3 |= elimination(cs, terms, gamma)
     return w3
 
 
@@ -470,8 +458,8 @@ def repair_set(g: MultiGraph, t2: Terminals, g3: MultiGraph,
     vertices; q >= 2t is required (see bipartition_system).  The helpers
     share one CutSearch over g, which is dropped when the call returns.
     A repair set is a set of g's edges, so an edgeless g gets the empty set
-    without a search.  DS3's labels are computed only if a typed set reads
-    them (see the module docstring)."""
+    without a search.  DS3's labels are computed only for the components
+    of g3 a typed set reads (see the module docstring)."""
     if q < 2 * t:
         raise RejectedOp("repair-set", f"need q >= 2t, got q={q} t={t}")
     s_set = frozenset(s)
@@ -481,11 +469,11 @@ def repair_set(g: MultiGraph, t2: Terminals, g3: MultiGraph,
     w: Set[EdgeKey] = set()
     if g.distinct_edge_count():
         t_set = frozenset(t2) - s_set
-        comp3 = _LazyLabels(g3)
+        comp3 = _ComponentLabels(g3)
         cs = CutSearch(g)
-        w = type_one_repair_set(g, s_set, t_set, comp3, c, t, cs)
-        w |= type_two_repair_set(g, s_set, t_set, comp3, c, t, q, cs)
-        w |= type_three_repair_set(g, s_set, t_set, comp3, c, t, cs)
+        w = type_one_repair_set(cs, s_set, t_set, comp3, c, t)
+        w |= type_two_repair_set(cs, s_set, t_set, comp3, c, t, q)
+        w |= type_three_repair_set(cs, s_set, t_set, comp3, c, t)
     for log in _LOGS:
         log.append((len(s_set), len(w), c))
     return w
@@ -559,6 +547,7 @@ def verify_ia(g: MultiGraph, t_verts: Iterable[VertexId],
 
 
 def _verify_ia_component(g, comp, t_comp, edges, params):
+    """Test oracle: verify_ia's check of one component."""
     if len(t_comp) < 2:
         return True
     verts = sorted(comp)

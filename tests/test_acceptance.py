@@ -21,7 +21,7 @@ from dynacut import repair
 from dynacut.connectivity import edge_connectivity, offline_oracle
 from dynacut.cutpartition import build_sparsifier, cut_partition_preprocess
 from dynacut.cutprimitives import (
-    Cut, boundary, component_labels, components, cut_size,
+    Cut, CutSearch, boundary, component_labels, components, cut_size,
     enumerate_simple_cuts, intercepts, is_atomic_cut, is_connected_subset,
 )
 from dynacut.harness import gen_workload, run_trace
@@ -77,9 +77,9 @@ def test_repair_set_size_bounds():
         for u, v in ia2:
             h.remove_edge(u, v)
         comp3 = component_labels(h)
-        w1 = type_one_repair_set(g, s, t_set, comp3, c, t)
-        w2 = type_two_repair_set(g, s, t_set, comp3, c, t, q)
-        w3 = type_three_repair_set(g, s, t_set, comp3, c, t)
+        w1 = type_one_repair_set(CutSearch(g), s, t_set, comp3, c, t)
+        w2 = type_two_repair_set(CutSearch(g), s, t_set, comp3, c, t, q)
+        w3 = type_three_repair_set(CutSearch(g), s, t_set, comp3, c, t)
         ns = len(s)
         assert len(w1) <= ns * (16 * c ** 3 + 16 * c ** 2 + 2 * c)
         assert len(w2) <= ns * (4 * c ** 3 + 4 * c ** 2)
@@ -115,7 +115,7 @@ def test_cut_enumeration_matches_brute_force():
         c = rng.randint(1, 3)
         t = rng.randint(2, 5)
         x = rng.choice(g.vertex_list())
-        got = enumerate_simple_cuts(g, x, c, t)
+        got = enumerate_simple_cuts(CutSearch(g), x, c, t)
         assert len(got) <= t ** c
         assert got == brute_simple_cuts(g, x, c, t), (i, n, c, t)
 
@@ -129,7 +129,7 @@ def test_bipartition_system_size_bound():
         g = random_connected_graph(rng, n, rng.randint(0, n))
         s = set(rng.sample(g.vertex_list(), rng.randint(2, min(6, n))))
         c = rng.randint(1, 2)
-        bs = bipartition_system(g, s, c, rng.randint(3, 5))
+        bs = bipartition_system(CutSearch(g), s, c, rng.randint(3, 5))
         assert len(bs.pairs) <= 2 * (len(s) - 1)
 
 

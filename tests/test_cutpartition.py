@@ -202,9 +202,9 @@ def test_update_partition_accepts_r_isolating_a_vertex_unlabelled(
         monkeypatch):
     """R holds every edge at vertex 1 of the chorded 4-cycle, so each edge
     of R has an end that is isolated once R is removed: R refines the
-    partition without the components being labelled."""
+    partition without a CutSearch being built to check it."""
     labelled = []
-    monkeypatch.setattr(cutpartition, "component_labels",
+    monkeypatch.setattr(cutpartition, "CutSearch",
                         lambda *args: labelled.append(args))
     g = MultiGraph.from_edges(range(4),
                               [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])

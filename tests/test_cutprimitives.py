@@ -139,36 +139,37 @@ def test_simple_but_not_atomic():
 def test_atomic_verify_c4_opposite_edges():
     g = cycle_graph(4)
     before = g.copy()
-    assert induces_atomic_cut(g, {edge_key(0, 1), edge_key(2, 3)})
+    assert induces_atomic_cut(CutSearch(g), {edge_key(0, 1), edge_key(2, 3)})
     assert g == before
 
 
 def test_atomic_verify_c4_single_edge():
-    assert not induces_atomic_cut(cycle_graph(4), {edge_key(0, 1)})
+    assert not induces_atomic_cut(CutSearch(cycle_graph(4)), {edge_key(0, 1)})
 
 
 def test_atomic_verify_star_two_edges():
     g = _mg([(0, 1, 1), (0, 2, 1), (0, 3, 1)])
-    assert not induces_atomic_cut(g, {edge_key(0, 1), edge_key(0, 2)})
+    assert not induces_atomic_cut(CutSearch(g),
+                                  {edge_key(0, 1), edge_key(0, 2)})
 
 
 def test_atomic_verify_cross_component_false():
     g = _mg([(0, 1, 1), (2, 3, 1)])
-    assert not induces_atomic_cut(g, {(0, 1), (2, 3)})
+    assert not induces_atomic_cut(CutSearch(g), {(0, 1), (2, 3)})
 
 
 def test_atomic_verify_pair_across_components_false():
     """A pair that is no edge of g and joins two components names no cut,
     though removing it leaves exactly two pieces."""
     g = _mg([(0, 1, 1), (2, 3, 1)])
-    assert not induces_atomic_cut(g, {(1, 2)})
-    assert induces_atomic_cut(g, {(0, 1)})
+    assert not induces_atomic_cut(CutSearch(g), {(1, 2)})
+    assert induces_atomic_cut(CutSearch(g), {(0, 1)})
 
 
 def test_atomic_verify_absent_endpoint_false():
     g = cycle_graph(4)
-    assert not induces_atomic_cut(g, {(7, 8)})
-    assert not induces_atomic_cut(g, {(0, 1), (2, 9)})
+    assert not induces_atomic_cut(CutSearch(g), {(7, 8)})
+    assert not induces_atomic_cut(CutSearch(g), {(0, 1), (2, 9)})
 
 
 def _brute_induces_atomic_cut(g, e0):
@@ -189,19 +190,20 @@ def test_induces_atomic_cut_matches_brute_force_fuzz():
         keys = [k for k, _ in g.edge_items()]
         e0 = frozenset(rng.sample(keys,
                                   rng.randrange(1, min(4, len(keys)) + 1)))
-        assert induces_atomic_cut(g, e0) == _brute_induces_atomic_cut(g, e0)
+        assert (induces_atomic_cut(CutSearch(g), e0)
+                == _brute_induces_atomic_cut(g, e0))
 
 
 # -- enumerate_simple_cuts -------------------------------------------------
 
 def test_enumerate_k2():
     g = _mg([(0, 1, 1)])
-    assert enumerate_simple_cuts(g, 0, 1, 1) == {frozenset({0})}
+    assert enumerate_simple_cuts(CutSearch(g), 0, 1, 1) == {frozenset({0})}
 
 
 def test_enumerate_c4():
     g = cycle_graph(4)
-    got = enumerate_simple_cuts(g, 0, 2, 2)
+    got = enumerate_simple_cuts(CutSearch(g), 0, 2, 2)
     assert got == {frozenset({0}), frozenset({0, 1}), frozenset({0, 3})}
     assert len(got) <= 2 ** 2
 
@@ -225,7 +227,7 @@ def test_enumerate_ring_of_cliques_empty():
         nxt = ((i + 1) % n_cliques) * k
         for j in range(c):
             g.add_edge(base + j, nxt + j)
-    assert enumerate_simple_cuts(g, 2, c, 5) == set()
+    assert enumerate_simple_cuts(CutSearch(g), 2, c, 5) == set()
 
 
 def test_enumerate_matches_bruteforce_fuzz():
@@ -236,14 +238,14 @@ def test_enumerate_matches_bruteforce_fuzz():
         x = rng.randrange(n)
         c = rng.randrange(1, 4)
         t = rng.randrange(1, 6)
-        got = enumerate_simple_cuts(g, x, c, t)
+        got = enumerate_simple_cuts(CutSearch(g), x, c, t)
         assert got == brute_simple_cuts(g, x, c, t)
         assert len(got) <= t ** c
 
 
 def test_enumerate_bound_with_multiplicities():
     g = _mg([(0, 1, 2), (1, 2, 1), (2, 0, 1)])
-    got = enumerate_simple_cuts(g, 0, 2, 2)
+    got = enumerate_simple_cuts(CutSearch(g), 0, 2, 2)
     # {0} has size 3, excluded; {0,1} has boundary mult 2
     assert got == {frozenset({0, 1})}
 
@@ -278,7 +280,7 @@ def test_enumerate_on_gadget_images_matches_bruteforce_fuzz():
         if rng.random() < 0.5:
             excluded.add(x)
         for t in (3, len(verts)):
-            got = enumerate_simple_cuts(g, x, c, t, excluded)
+            got = enumerate_simple_cuts(CutSearch(g), x, c, t, excluded)
             assert got == brute_simple_cuts(g, x, c, t, excluded), (trial, t)
             multi_vertex += sum(len(side) > 1 for side in got)
     assert multi_vertex > 0
@@ -287,40 +289,41 @@ def test_enumerate_on_gadget_images_matches_bruteforce_fuzz():
 def test_enumerate_heavy_class_of_x_larger_than_t():
     # 0-1 is heavier than c, so every side holds both
     g = _mg([(0, 1, 3), (1, 2, 1), (2, 0, 1)])
-    assert enumerate_simple_cuts(g, 0, 2, 1) == set()
-    assert enumerate_simple_cuts(g, 0, 2, 2) == {frozenset({0, 1})}
+    assert enumerate_simple_cuts(CutSearch(g), 0, 2, 1) == set()
+    assert enumerate_simple_cuts(CutSearch(g), 0, 2, 2) == {frozenset({0, 1})}
 
 
 def test_enumerate_excluded_heavy_neighbor_of_x():
     g = _mg([(0, 1, 3), (1, 2, 1), (2, 0, 1)])
-    assert enumerate_simple_cuts(g, 0, 2, 3, excluded={0, 1}) == set()
-    assert enumerate_simple_cuts(g, 0, 2, 3, excluded={0, 2}) == \
+    assert enumerate_simple_cuts(CutSearch(g), 0, 2, 3,
+                                 excluded={0, 1}) == set()
+    assert enumerate_simple_cuts(CutSearch(g), 0, 2, 3, excluded={0, 2}) == \
         {frozenset({0, 1})}
-    assert enumerate_simple_cuts(g, 0, 2, 3, excluded={0, 7}) == \
+    assert enumerate_simple_cuts(CutSearch(g), 0, 2, 3, excluded={0, 7}) == \
         {frozenset({0, 1}), frozenset({0, 1, 2})}
 
 
 def test_anchored_cuts_two_anchors_in_one_heavy_class():
     # every side holding anchor 1 holds anchor 0, so all are tagged 0
     g = _mg([(0, 1, 3), (1, 2, 1), (2, 0, 1), (2, 3, 1)])
-    assert enumerate_anchored_cuts(g, [1, 0], 2, 4) == [
+    assert enumerate_anchored_cuts(CutSearch(g), [1, 0], 2, 4) == [
         (0, frozenset({0, 1})),
         (0, frozenset({0, 1, 2})),
         (0, frozenset({0, 1, 2, 3})),
     ]
-    assert enumerate_simple_cuts(g, 1, 2, 4, excluded=[0]) == set()
+    assert enumerate_simple_cuts(CutSearch(g), 1, 2, 4, excluded=[0]) == set()
 
 
 # -- enumerate_cuts --------------------------------------------------------
 
 def test_enumerate_cuts_large_tprime_empty():
     g = cycle_graph(4)
-    assert enumerate_cuts(g, {0, 1, 2}, {0, 1, 2}, 4, 2) == set()
+    assert enumerate_cuts(CutSearch(g), {0, 1, 2}, {0, 1, 2}, 4, 2) == set()
 
 
 def test_enumerate_cuts_c4_opposite_terminals():
     g = cycle_graph(4)
-    got = enumerate_cuts(g, {0, 2}, {0, 2}, 4, 2)
+    got = enumerate_cuts(CutSearch(g), {0, 2}, {0, 2}, 4, 2)
     assert frozenset({0, 2}) in got
 
 
@@ -334,7 +337,7 @@ def test_enumerate_cuts_matches_bruteforce_fuzz():
         terms = sorted(t1 | t2)
         tp = frozenset(rng.sample(terms, rng.randrange(1, len(terms) + 1)))
         before = g.copy()
-        got = enumerate_cuts(g, t1 | t2, tp, 2, 3)
+        got = enumerate_cuts(CutSearch(g), t1 | t2, tp, 2, 3)
         assert got == brute_enumerate_cuts(g, t1, t2, tp, 2, 3)
         assert g == before
 
@@ -462,15 +465,16 @@ def _random_e0(rng, g):
 
 def _atomic_boundary_subsets(g, side):
     """The nonempty subsets of the sorted boundary of `side`, by size, that
-    induce an atomic cut, each tested without a search."""
+    induce an atomic cut, each tested on a fresh CutSearch."""
     es = sorted(boundary(g, side))
     return [frozenset(e) for r in range(1, len(es) + 1)
-            for e in itertools.combinations(es, r) if induces_atomic_cut(g, e)]
+            for e in itertools.combinations(es, r)
+            if induces_atomic_cut(CutSearch(g), e)]
 
 
 def test_shared_search_matches_fresh_calls_fuzz():
     """On one CutSearch per graph, every call, made in random order and
-    some twice, equals the same call without the search: the simple-cut,
+    some twice, equals the same call on a fresh CutSearch: the simple-cut,
     anchored and T'-cut enumerations, the atomic-cut tests, boundaries and
     the atomic boundary subsets of a connected side, on multigraphs with
     edges heavier than c, terminals and `excluded` sets.  A repeated
@@ -515,7 +519,10 @@ def test_shared_search_matches_fresh_calls_fuzz():
         rng.shuffle(calls)
         cs = CutSearch(g)
         for fn, args in calls:
-            want = fn(g, *args)
+            if fn in (boundary, _atomic_boundary_subsets):
+                want = fn(g, *args)
+            else:
+                want = fn(CutSearch(g), *args)
             if fn is boundary:
                 assert cs.boundary(*args) == want
                 continue
@@ -525,7 +532,7 @@ def test_shared_search_matches_fresh_calls_fuzz():
                 assert cs.atomic_subsets(*args) is got
                 seen["subsets"] += len(want)
                 continue
-            assert fn(g, *args, search=cs) == want, (fn.__name__, args)
+            assert fn(cs, *args) == want, (fn.__name__, args)
             if fn is induces_atomic_cut:
                 seen["atomic" if want else "not_atomic"] += 1
             if fn is enumerate_simple_cuts:
@@ -535,7 +542,8 @@ def test_shared_search_matches_fresh_calls_fuzz():
                 c2, t2 = narrow.randrange(1, c + 1), narrow.randrange(t + 1)
                 excluded2 = excluded + narrow.sample(verts,
                                                      narrow.randrange(3))
-                fresh = enumerate_simple_cuts(g, x, c2, t2, excluded2)
+                fresh = enumerate_simple_cuts(CutSearch(g), x, c2, t2,
+                                              excluded2)
                 got = cs.simple_cuts(x, c2, t2, excluded2)
                 assert got == fresh, (args, c2, t2, excluded2)
                 assert cs.simple_cuts(x, c2, t2, excluded2) is got
@@ -594,9 +602,10 @@ def test_sides_meeting_s_and_p_fuzz():
         for _ in range(5):
             p = frozenset(rng.sample(verts, rng.randrange(1, 5)))
             c, t = rng.randrange(1, 4), rng.randrange(1, len(verts) + 2)
-            want = {side for _, side in enumerate_anchored_cuts(g, p, c, t)
+            want = {side for _, side
+                    in enumerate_anchored_cuts(CutSearch(g), p, c, t)
                     if side & s}
-            got = {side for _, side in enumerate_anchored_cuts(g, s, c, t, cs)
+            got = {side for _, side in enumerate_anchored_cuts(cs, s, c, t)
                    if side & p}
             assert got == want, (s, p, c, t)
             found += len(want)
@@ -610,9 +619,9 @@ def test_budgets_past_vertex_count_share_one_search(monkeypatch):
     run = cutprimitives.enumerate_simple_cuts
     budgets = []
 
-    def spy(g, x, c, t, excluded=(), search=None):
+    def spy(cs, x, c, t, excluded=()):
         budgets.append(t)
-        return run(g, x, c, t, excluded, search)
+        return run(cs, x, c, t, excluded)
 
     monkeypatch.setattr(cutprimitives, "enumerate_simple_cuts", spy)
     rng = random.Random(79)
@@ -628,7 +637,8 @@ def test_budgets_past_vertex_count_share_one_search(monkeypatch):
         sides = cs.simple_cuts(x, c, t, excluded)
         assert cs.simple_cuts(x, c, q, excluded) is sides
         assert budgets == [n]
-        assert sides == run(g, x, c, t, excluded) == run(g, x, c, q, excluded)
+        assert sides == run(CutSearch(g), x, c, t, excluded) == \
+            run(CutSearch(g), x, c, q, excluded)
         found += len(sides)
     assert found > 40
 

@@ -7,6 +7,7 @@ import pytest
 
 from dynacut import cutprimitives, repair
 from dynacut.cutprimitives import (
+    CutSearch,
     RealizablePair,
     boundary,
     component_labels,
@@ -48,14 +49,14 @@ def _rand_graph(rng, lo, hi, extra=None):
 
 def test_elimination_empty():
     g = barbell()
-    assert elimination(g, {0, 4}, []) == set()
+    assert elimination(CutSearch(g), {0, 4}, []) == set()
 
 
 def test_elimination_singleton_gives_boundary():
     g = barbell()
     before = g.copy()
     p = RealizablePair.of({(2, 3)}, {0, 1, 2})
-    assert elimination(g, {0, 4}, [p]) == {(2, 3)}
+    assert elimination(CutSearch(g), {0, 4}, [p]) == {(2, 3)}
     assert g == before
 
 
@@ -73,18 +74,17 @@ def test_elimination_intercepts_every_pair():
         if not gamma:
             continue
         terms = s | t_set
-        w = elimination(g, terms, gamma)
+        w = elimination(CutSearch(g), terms, gamma)
         for pair in gamma:
             tr = pair.side & terms
-            cuts = enumerate_cuts(g, terms, tr, cut_size(g, pair.side),
-                                  len(pair.side))
+            cuts = enumerate_cuts(CutSearch(g), terms, tr,
+                                  cut_size(g, pair.side), len(pair.side))
             assert any(intercepts(g, w, boundary(g, v)) for v in cuts), \
                 "no intercepted witness cut for a pair"
         done += 1
 
 
 def _conforming_gamma(rng, g, c, t, terms):
-    from dynacut.cutprimitives import induces_atomic_cut, induced_cut_side
     verts = g.vertex_list()
     anchor = max(verts)
     out = []
@@ -100,8 +100,8 @@ def _conforming_gamma(rng, g, c, t, terms):
             found = None
             for combo in itertools.combinations(b, r):
                 e = frozenset(combo)
-                if induces_atomic_cut(g, e) and \
-                        anchor not in induced_cut_side(g, e, side):
+                if induces_atomic_cut(CutSearch(g), e) and \
+                        anchor not in induced_cut_side(CutSearch(g), e, side):
                     found = e
                     break
             if found:
@@ -116,14 +116,14 @@ def _conforming_gamma(rng, g, c, t, terms):
 
 def test_bipartition_single_terminal_empty():
     g = barbell()
-    bs = bipartition_system(g, {2}, 2, 3)
+    bs = bipartition_system(CutSearch(g), {2}, 2, 3)
     assert bs.pairs == []
 
 
 def test_bipartition_barbell_bridge_pair():
     g = barbell()
     before = g.copy()
-    bs = bipartition_system(g, {2, 3}, 1, 3)
+    bs = bipartition_system(CutSearch(g), {2, 3}, 1, 3)
     assert len(bs.pairs) <= 2 * (2 - 1)
     assert any(p.edges == frozenset({(2, 3)}) for p in bs.pairs)
     assert g == before
@@ -144,9 +144,9 @@ def _brute_candidates(g, s, c, t):
             es = sorted(boundary(g, side))
             for k in range(1, len(es) + 1):
                 for e in map(frozenset, itertools.combinations(es, k)):
-                    if not induces_atomic_cut(g, e):
+                    if not induces_atomic_cut(CutSearch(g), e):
                         continue
-                    trace = s & induced_cut_side(g, e, side)
+                    trace = s & induced_cut_side(CutSearch(g), e, side)
                     if trace and trace != s:
                         out.add((RealizablePair(e, side), trace))
     return out
@@ -160,7 +160,7 @@ def test_bipartition_size_bound_fuzz():
     for _ in range(25):
         g = _rand_graph(rng, 5, 13)
         s = set(rng.sample(g.vertex_list(), rng.randrange(2, 5)))
-        bs = bipartition_system(g, s, 2, 4)
+        bs = bipartition_system(CutSearch(g), s, 2, 4)
         assert len(bs.pairs) <= 2 * (len(s) - 1)
         # all held traces nontrivial and distinct
         assert len(bs.traces) == len(bs.pairs)
@@ -219,8 +219,10 @@ def _repair_scenario(rng, c=1, n_lo=6, n_hi=13):
 def test_type_sets_empty_s():
     g = barbell()
     comp3 = component_labels(g)
-    assert type_one_repair_set(g, set(), {0, 4}, comp3, 1, 3) == set()
-    assert type_two_repair_set(g, set(), {0, 4}, comp3, 1, 3, 6) == set()
+    assert type_one_repair_set(CutSearch(g), set(), {0, 4}, comp3,
+                               1, 3) == set()
+    assert type_two_repair_set(CutSearch(g), set(), {0, 4}, comp3,
+                               1, 3, 6) == set()
     assert repair_set(g, {0, 4}, g, set(), 1, 3, 6) == set()
 
 
@@ -249,9 +251,9 @@ def test_repair_set_size_bounds_fuzz():
             h.remove_edge(u, v)
         inputs = (g.copy(), h.copy(), frozenset(s), frozenset(t2))
         comp3 = component_labels(h)
-        w1 = type_one_repair_set(g, s, t_set, comp3, c, t)
-        w2 = type_two_repair_set(g, s, t_set, comp3, c, t, q)
-        w3 = type_three_repair_set(g, s, t_set, comp3, c, t)
+        w1 = type_one_repair_set(CutSearch(g), s, t_set, comp3, c, t)
+        w2 = type_two_repair_set(CutSearch(g), s, t_set, comp3, c, t, q)
+        w3 = type_three_repair_set(CutSearch(g), s, t_set, comp3, c, t)
         ns = len(s)
         assert len(w1) <= ns * (16 * c ** 3 + 16 * c ** 2 + 2 * c)
         assert len(w2) <= ns * (4 * c ** 3 + 4 * c ** 2)
@@ -366,9 +368,9 @@ def test_repair_set_runs_each_search_once(monkeypatch):
     ask = cutprimitives.CutSearch.simple_cuts
     init = cutprimitives.CutSearch.__init__
 
-    def spy_search(g, x, c, t, excluded=(), search=None):
+    def spy_search(cs, x, c, t, excluded=()):
         searches.append((x, c, t, frozenset(excluded) - {x}))
-        return run_search(g, x, c, t, excluded, search)
+        return run_search(cs, x, c, t, excluded)
 
     def spy_quotient(g, c):
         quotients.append(c)
@@ -423,11 +425,12 @@ def test_bipartition_skips_sides_holding_s(monkeypatch):
         s = frozenset(rng.sample(g.vertex_list(), rng.randrange(1, 4)))
         c, t = rng.randrange(1, 4), rng.randrange(2, 6)
         del asked[:]
-        bipartition_system(g, s, c, t)
+        bipartition_system(CutSearch(g), s, c, t)
         assert not any(s <= side for side in asked)
         tested += len(asked)
         holding += sum(s <= side for _, side in
-                       cutprimitives.enumerate_anchored_cuts(g, s, c, t))
+                       cutprimitives.enumerate_anchored_cuts(CutSearch(g), s,
+                                                             c, t))
     assert tested > 20 and holding > 20
 
 
@@ -447,8 +450,52 @@ def test_type_two_with_empty_t_runs_no_search(monkeypatch):
         g = _rand_graph(rng, 4, 11)
         s = set(rng.sample(g.vertex_list(), rng.randrange(1, 4)))
         comp3 = component_labels(g)
-        assert type_two_repair_set(g, s, set(), comp3, 2, 3, 6) == set()
+        assert type_two_repair_set(CutSearch(g), s, set(), comp3,
+                                   2, 3, 6) == set()
     assert not searches
+
+
+def test_ds3_labels_walk_only_the_components_read(monkeypatch):
+    """DS3's graph g3 has two components, and S, T and every boundary of g
+    lie in the first: repair_set walks g3 only inside it, and gives what
+    the typed sets give on every component's labels."""
+    walked = []
+    reachable = cutprimitives._reachable
+
+    def spy(g, start, *args, **kwargs):
+        out = reachable(g, start, *args, **kwargs)
+        walked.append((g, out))
+        return out
+
+    monkeypatch.setattr(cutprimitives, "_reachable", spy)
+    rng = random.Random(97)
+    read = 0
+    for _ in range(20):
+        a = _rand_graph(rng, 5, 10)
+        other = random_connected_graph(rng, rng.randrange(3, 7), 2)
+        b = {v: 100 + v for v in other.vertex_list()}
+        g = MultiGraph.from_edges(
+            a.vertex_list() + sorted(b.values()),
+            a.edge_keys() + [(b[u], b[v]) for u, v in other.edge_keys()])
+        g3 = g.copy()
+        for u, v in rng.sample(a.edge_keys(), rng.randrange(0, 2)):
+            g3.remove_edge(u, v)
+        s = set(rng.sample(a.vertex_list(), rng.randrange(1, 3)))
+        t2 = s | set(rng.sample(a.vertex_list(), 2))
+        c, t = rng.randrange(1, 3), rng.randrange(2, 4)
+        del walked[:]
+        w = repair_set(g, t2, g3, s, c, t, 2 * t)
+        on_g3 = [comp for h, comp in walked if h is g3]
+        assert all(comp <= set(a.vertex_list()) for comp in on_g3)
+        read += bool(on_g3)
+        comp3 = component_labels(g3)
+        t_set = t2 - s
+        assert w == (type_one_repair_set(CutSearch(g), s, t_set, comp3, c, t)
+                     | type_two_repair_set(CutSearch(g), s, t_set, comp3,
+                                           c, t, 2 * t)
+                     | type_three_repair_set(CutSearch(g), s, t_set, comp3,
+                                             c, t))
+    assert read >= 10
 
 
 def test_repair_set_on_edgeless_graph_searches_nothing(monkeypatch):
@@ -458,18 +505,18 @@ def test_repair_set_on_edgeless_graph_searches_nothing(monkeypatch):
     agree."""
     built, labelled = [], []
     init = cutprimitives.CutSearch.__init__
-    labels = repair.component_labels
+    labels = repair.component_of
 
     def spy_init(self, g):
         built.append(g)
         init(self, g)
 
-    def spy_labels(g):
+    def spy_labels(g, x):
         labelled.append(g)
-        return labels(g)
+        return labels(g, x)
 
     monkeypatch.setattr(cutprimitives.CutSearch, "__init__", spy_init)
-    monkeypatch.setattr(repair, "component_labels", spy_labels)
+    monkeypatch.setattr(repair, "component_of", spy_labels)
     for n, s, t2 in ((1, {0}, {0}), (4, {0, 2}, {0, 1, 2, 3})):
         g = MultiGraph.from_edges(range(n), [])
         g3 = g.copy()
@@ -481,9 +528,12 @@ def test_repair_set_on_edgeless_graph_searches_nothing(monkeypatch):
         assert not built and not labelled
         comp3 = component_labels(g3)
         t_set = t2 - s
-        assert type_one_repair_set(g, s, t_set, comp3, 2, 3) == set()
-        assert type_two_repair_set(g, s, t_set, comp3, 2, 3, 6) == set()
-        assert type_three_repair_set(g, s, t_set, comp3, 2, 3) == set()
+        assert type_one_repair_set(CutSearch(g), s, t_set, comp3,
+                                   2, 3) == set()
+        assert type_two_repair_set(CutSearch(g), s, t_set, comp3,
+                                   2, 3, 6) == set()
+        assert type_three_repair_set(CutSearch(g), s, t_set, comp3,
+                                     2, 3) == set()
         with pytest.raises(RejectedOp):
             repair_set(g, t2, g3, s, 2, 3, 5)
         with pytest.raises(RejectedOp):
@@ -534,8 +584,8 @@ def test_typed_set_certificates_are_exact_fuzz(monkeypatch):
         for u, v in rng.sample(g.edge_keys(), rng.randrange(0, 3)):
             g3.remove_edge(u, v)
         comp3 = component_labels(g3)
-        w1 = type_one_repair_set(g, s, t_set, comp3, c, t)
-        w3 = type_three_repair_set(g, s, t_set, comp3, c, t)
+        w1 = type_one_repair_set(CutSearch(g), s, t_set, comp3, c, t)
+        w3 = type_three_repair_set(CutSearch(g), s, t_set, comp3, c, t)
         if len(s) > 1:
             cert = unsplittable(g, s, c)
             seen["one"][not cert] += 1
@@ -547,8 +597,10 @@ def test_typed_set_certificates_are_exact_fuzz(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(repair, "_s_unsplittable", lambda *args: False)
             m.setattr(repair, "_one_small_component", lambda *args: False)
-            assert type_one_repair_set(g, s, t_set, comp3, c, t) == w1
-            assert type_three_repair_set(g, s, t_set, comp3, c, t) == w3
+            assert type_one_repair_set(CutSearch(g), s, t_set, comp3,
+                                       c, t) == w1
+            assert type_three_repair_set(CutSearch(g), s, t_set, comp3,
+                                         c, t) == w3
     assert min(seen["one"]) >= 20 and min(seen["three"]) >= 20
     assert len(shapes) == 12
 
@@ -584,7 +636,7 @@ def test_certified_repair_set_searches_nothing(monkeypatch):
     init = cutprimitives.CutSearch.__init__
     search = cutprimitives.enumerate_simple_cuts
     quotient = cutprimitives._heavy_quotient
-    labels = repair.component_labels
+    labels = repair.component_of
 
     def spy_init(self, g):
         built.append(g)
@@ -605,7 +657,7 @@ def test_certified_repair_set_searches_nothing(monkeypatch):
     monkeypatch.setattr(cutprimitives.CutSearch, "__init__", spy_init)
     monkeypatch.setattr(cutprimitives, "enumerate_simple_cuts", spy_search)
     monkeypatch.setattr(cutprimitives, "_heavy_quotient", spy_quotient)
-    monkeypatch.setattr(repair, "component_labels", spy_labels)
+    monkeypatch.setattr(repair, "component_of", spy_labels)
     # a 6-cycle of double edges: every pair is 4-edge connected
     g = MultiGraph.from_edges(range(6), [(i, (i + 1) % 6, 2)
                                          for i in range(6)])
