@@ -14,7 +14,7 @@ from .errors import RejectedOp
 from .multigraph import (CompositeOp, DeleteEdge, InsertEdge, InsertVertex,
                          MultiGraph, ReductionImage, UpdateOp, UpdateSeq,
                          VertexId, apply_seq, changed_vertices, degree_reduce,
-                         gadget_id, named_vertices)
+                         gadget_id, name_set)
 from .multilevel import (MultiLevelDS, ParamSchedule, make_schedule,
                          preprocess_multi_level, splice_multi_level)
 from .onlinebatch import Scheduler
@@ -73,14 +73,12 @@ class StackDS:
     Its graph is the post-batch graph `g_after` it is handed; it applies
     no op itself.  It preprocesses only the components of that graph that
     hold a changed vertex, one whose adjacency differs from the held
-    graph's, and splices that part into the held instance.  Under the
-    scheduler both graphs come from one lineage of copies, so they share
-    every neighbour dict but the ones the newest op wrote, and
-    changed_vertices compares only those by value.  It rebuilds the whole
-    graph instead, through initialize with nothing held, when the batch
-    touches every component (on a one-component graph every change is a
-    change of everything), when the part's level count differs from the
-    held instance's, or when the part alone fails to preprocess.
+    graph's, and splices that part into the held instance.  It rebuilds
+    the whole graph instead, through initialize with nothing held, when
+    the batch touches every component (on a one-component graph every
+    change is a change of everything), when the part's level count
+    differs from the held instance's, or when the part alone fails to
+    preprocess.
 
     `index` maps vertices of the held graph to one record per component:
     the component's vertex set and its distinct edge count.  It holds
@@ -99,6 +97,17 @@ class StackDS:
     vertex, which the walk recorded anew.  The index is emptied whenever
     batch_update takes `inst` and whenever initialize preprocesses with
     nothing held, and a raise leaves it as it was.
+
+    `source` is the graph the held instance was built from: initialize's g
+    or the latest batch's g_after, and None while the held instance is a
+    batch's `inst`.  The held graph equals source by value, and nobody
+    writes source once it is handed over (see BatchableDS).  So when
+    copy() made g_after from source, every vertex outside g_after's log
+    (MultiGraph.log_since) has the held graph's adjacency, and
+    changed_vertices compares only the logged vertices; otherwise it
+    compares every vertex of g_after.  Under the scheduler each serve's
+    g_after is a copy of the previous serve's, so a serve compares only
+    the vertices its newest op wrote.
 
     initialize with nothing held preprocesses g and holds the result.  Any
     other initialize is a level-0 re-initialize, whose output is read only
@@ -120,22 +129,24 @@ class StackDS:
         self.sched = sched
         self.steps = 0
         self.held: Optional[MultiLevelDS] = None
+        self.source: Optional[MultiGraph] = None
         self.index: Dict[VertexId, Tuple[Set[VertexId], int]] = {}
 
     def initialize(self, g: MultiGraph) -> MultiLevelDS:
         self.steps += g.vertex_count() + g.distinct_edge_count() + 1
         if self.held is not None:
             return _Deferred(g, self.sched)
-        self.held = preprocess_multi_level(g, self.sched)
+        self.held, self.source = preprocess_multi_level(g, self.sched), g
         self.index = {}
         return self.held
 
     def batch_update(self, inst: MultiLevelDS, g_before: MultiGraph,
                      seq: UpdateSeq, g_after: MultiGraph) -> MultiLevelDS:
         if self.held is None:   # before any initialize, or after a raise
-            self.held, self.index = inst, {}
+            self.held, self.source, self.index = inst, None, {}
         g, index = g_after, self.index
-        changed, gone = changed_vertices(g, self.held.graph)
+        changed, gone = changed_vertices(g, self.held.graph,
+                                         g.log_since(self.source))
         walked: Dict[VertexId, Tuple[Set[VertexId], int]] = {}
         for v in changed:
             if v not in walked:
@@ -147,7 +158,7 @@ class StackDS:
         # batch touches exactly the post-batch components that hold a named
         # vertex.
         touched = {}        # id -> record of each touched component
-        for v in named_vertices(seq):
+        for v in name_set(seq):
             if not g.has_vertex(v):
                 continue
             rec = walked.get(v) or index.get(v)
@@ -171,7 +182,7 @@ class StackDS:
             for v in gone:
                 index.pop(v, None)
             index.update(walked)
-        self.held = out
+        self.held, self.source = out, g
         return out
 
     def _splice(self, g: MultiGraph, part: Set[VertexId],

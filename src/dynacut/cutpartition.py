@@ -186,9 +186,13 @@ def cut_partition_preprocess(g: MultiGraph, phi: Fraction,
 
     A layer with no witness edges equals the layer before it, so it is the
     same GraphDS object: it gets no graph copy and no forest of its own.
-    On the flat schedule no layer has witness edges, so each level holds
-    one distinct layer and runs one BFS.  The result is read-only (see
-    CutPartitionDS)."""
+    With no intercluster edges layer 0's graph equals g, so it is the
+    structure's graph too: g is copied once.  On the flat schedule there
+    are no intercluster and no witness edges, so each level holds one
+    graph and one distinct layer, and runs one BFS.  The result is
+    read-only (see CutPartitionDS): clone() and restrict() copy the graph
+    and every layer apart, so an in-place update of a layer never reaches
+    the graph of its copy."""
     if gamma <= params.c:
         raise RejectedOp("cut-partition", f"need gamma > c, got {gamma}")
     phi = Fraction(phi)
@@ -196,7 +200,8 @@ def cut_partition_preprocess(g: MultiGraph, phi: Fraction,
     deco = expander_decomposition(g, phi)
     inter = deco.intercluster
     n = params.layer_count()
-    # _remove_edges returns a fresh graph that only the layer then holds
+    # _remove_edges returns a fresh graph that only the layer and, with
+    # no intercluster edges, the structure then hold
     cur = _remove_edges(g, inter)
     terms = _ends(inter)
     layers = [GraphDS(cur, terms)]
@@ -209,7 +214,8 @@ def cut_partition_preprocess(g: MultiGraph, phi: Fraction,
             layers.append(GraphDS(cur, terms))
         else:
             layers.append(layers[-1])
-    return CutPartitionDS(g.copy(), layers, params, gamma)
+    return CutPartitionDS(g.copy() if inter else layers[0].g, layers, params,
+                          gamma)
 
 
 def splice_partition(parent: CutPartitionDS, drop: Set[VertexId],
@@ -228,7 +234,11 @@ def splice_partition(parent: CutPartitionDS, drop: Set[VertexId],
     Each distinct (old, new) layer pair is spliced once, and every index
     that holds that pair shares the result.  So the result shares a layer
     only where both inputs do, where no component of either has witness
-    edges, and a preprocess of the spliced graph shares it too."""
+    edges, and a preprocess of the spliced graph shares it too.  Likewise
+    the structure's graph is layer 0's spliced graph when both inputs'
+    graphs are their layer 0's, where neither has intercluster edges, as
+    in a preprocess of the spliced graph; otherwise it is spliced
+    apart."""
     gone = [v for v in drop if parent.g.has_vertex(v)]
     # every layer has parent.g's vertices and a subset of its edges
     cut = {edge_key(u, v) for u in gone for v in parent.g.adjacent(u)}
@@ -242,8 +252,11 @@ def splice_partition(parent: CutPartitionDS, drop: Set[VertexId],
                 (old.terminals - drop) | new.terminals,
                 (old.forest - cut) | new.forest)
         layers.append(spliced[key])
-    return CutPartitionDS(splice_graph(parent.g, gone, part.g), layers,
-                          parent.params, parent.gamma)
+    if parent.g is parent.layers[0].g and part.g is part.layers[0].g:
+        g = layers[0].g
+    else:
+        g = splice_graph(parent.g, gone, part.g)
+    return CutPartitionDS(g, layers, parent.params, parent.gamma)
 
 
 def build_sparsifier(ods: CutPartitionDS) -> MultiGraph:

@@ -15,10 +15,20 @@ a copy never shows in the other.  add_edge and remove_edge copy a vertex's
 dict before their first write to it, and add_vertex owns the dict it makes.
 A copied dict keeps its insertion order, so every walk over a copy reads
 neighbours in the order a walk over the source does.
+
+A graph that copy() made also keeps that method's modification log: a weak
+reference to the graph it was copied from, and the vertices it has written
+since.  A write is the first write of a vertex's dict (the copy in
+_unshare), add_vertex and remove_vertex; later writes to a dict the graph
+owns are writes to a logged vertex.  So while the source is not written,
+every vertex outside the log has the source's adjacency (see log_since).
+A graph that copy() did not make carries no log: splice_graph's results
+and restrict()'s copies of part of a graph among them.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, ItemsView, Iterable, Iterator, KeysView,
                     List, Optional, Set, Tuple, Union)
@@ -36,13 +46,18 @@ def edge_key(u: VertexId, v: VertexId) -> EdgeKey:
 class MultiGraph:
     """Vertices plus unordered-pair edges with multiplicity >= 1."""
 
-    __slots__ = ("_adj", "_distinct_edges", "_own")
+    __slots__ = ("_adj", "_distinct_edges", "_own", "_log", "_source",
+                 "__weakref__")
 
     def __init__(self) -> None:
         self._adj: Dict[VertexId, Dict[VertexId, int]] = {}
         self._distinct_edges = 0
         # the vertices whose neighbour dict this graph owns; None: all
         self._own: Optional[Set[VertexId]] = None
+        # on a graph copy() made: the vertices written since, and a weak
+        # reference to the graph it was copied from; None on any other
+        self._log: Optional[Set[VertexId]] = None
+        self._source: Optional[weakref.ref] = None
 
     # -- queries ----------------------------------------------------------
     @property
@@ -113,6 +128,8 @@ class MultiGraph:
         self._adj[v] = {}
         if self._own is not None:
             self._own.add(v)
+            if self._log is not None:
+                self._log.add(v)
 
     def remove_vertex(self, v: VertexId) -> None:
         if v not in self._adj:
@@ -120,6 +137,8 @@ class MultiGraph:
         if self._adj[v]:
             raise RejectedOp("delete-vertex", f"vertex {v} not isolated")
         del self._adj[v]
+        if self._log is not None:
+            self._log.add(v)
 
     def add_edge(self, u: VertexId, v: VertexId, mult: int = 1) -> None:
         if u == v:
@@ -150,23 +169,38 @@ class MultiGraph:
 
     def _unshare(self, u: VertexId, v: VertexId) -> None:
         """Copy the neighbour dicts of u and v that this graph does not
-        own, and own them.  Its callers test ownership inline first, so a
-        write to dicts the graph owns costs no call."""
-        own = self._own
+        own, own them and log them.  Its callers test ownership inline
+        first, so a write to dicts the graph owns costs no call."""
+        own, log = self._own, self._log
         for x in (u, v):
             if x not in own:
                 self._adj[x] = dict(self._adj[x])
                 own.add(x)
+                if log is not None:
+                    log.add(x)
 
     # -- misc -------------------------------------------------------------
     def copy(self) -> "MultiGraph":
         """A copy that shares every neighbour dict until either side
-        writes it; both may be mutated."""
+        writes it; both may be mutated.  The copy logs its writes from
+        now on (see log_since)."""
         g = MultiGraph()
         g._adj = dict(self._adj)
         g._distinct_edges = self._distinct_edges
         g._own, self._own = set(), set()
+        g._log, g._source = set(), weakref.ref(self)
         return g
+
+    def log_since(self, source: "MultiGraph") -> Optional[Set[VertexId]]:
+        """The vertices this graph has written since copy() made it from
+        `source`, or None when copy() did not make it from that graph.
+        While source is not written, every other vertex has source's
+        adjacency, and every vertex of source this graph lacks is in the
+        log.  The source is held by a weak reference, not by its id, so a
+        graph that reuses a dead source's id never matches."""
+        if self._source is None or self._source() is not source:
+            return None
+        return self._log
 
     def restrict(self, verts: Set[VertexId]) -> "MultiGraph":
         """A copy of the graph on the vertices of the set `verts` it has,
@@ -256,10 +290,18 @@ def splice_graph(base: MultiGraph, drop, part: MultiGraph) -> MultiGraph:
     return g
 
 
-def changed_vertices(g: MultiGraph, base: MultiGraph
+def changed_vertices(g: MultiGraph, base: MultiGraph,
+                     among: Optional[Iterable[VertexId]] = None
                      ) -> Tuple[Set[VertexId], Set[VertexId]]:
     """(changed, gone): the vertices of g whose adjacency differs from
     base's, those base lacks included, and the vertices of base g lacks.
+
+    `among`, when given, must hold every vertex of g whose adjacency
+    differs from base's and every vertex of base that g lacks; then only
+    those vertices are compared, and `gone` is read off them too.  The
+    log of g's writes since copy() made it from a graph that equals base
+    by value, and that nobody wrote since, is such a set (see
+    MultiGraph.log_since).  Without it every vertex of g is compared.
 
     A vertex whose neighbour dict is the same object in both graphs has
     the same adjacency in both, since a dict equals itself; only the other
@@ -267,10 +309,20 @@ def changed_vertices(g: MultiGraph, base: MultiGraph
     and when g and base come from one lineage of copies (copy-on-write,
     see the module docstring), the value comparisons are those of the
     dicts written since the two graphs parted."""
-    old = base._adj
-    changed = {v for v, nbrs in g._adj.items()
-               if (was := old.get(v)) is not nbrs and was != nbrs}
-    return changed, old.keys() - g._adj.keys()
+    old, new = base._adj, g._adj
+    if among is None:
+        changed = {v for v, nbrs in new.items()
+                   if (was := old.get(v)) is not nbrs and was != nbrs}
+        return changed, old.keys() - new.keys()
+    changed, gone = set(), set()
+    for v in among:
+        nbrs = new.get(v)
+        if nbrs is None:
+            if v in old:
+                gone.add(v)
+        elif (was := old.get(v)) is not nbrs and was != nbrs:
+            changed.add(v)
+    return changed, gone
 
 
 def simple_view(g: MultiGraph) -> MultiGraph:
@@ -319,7 +371,7 @@ class CompositeOp:
                                        repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "names", frozenset(_names(self.ops)))
+        object.__setattr__(self, "names", frozenset(name_set(self.ops)))
 
 
 UpdateOp = Union[InsertEdge, DeleteEdge, InsertVertex, DeleteVertex,
@@ -345,7 +397,10 @@ def apply_update(g: MultiGraph, op: UpdateOp) -> MultiGraph:
     return g
 
 
-def _names(seq: Iterable[UpdateOp]) -> Set[VertexId]:
+def name_set(seq: Iterable[UpdateOp]) -> Set[VertexId]:
+    """The vertices the ops of seq name, in no fixed order.  A CompositeOp
+    gives the names it recorded when it was made, so its ops are not
+    walked again."""
     out: Set[VertexId] = set()
     for op in seq:
         if isinstance(op, CompositeOp):
@@ -359,9 +414,8 @@ def _names(seq: Iterable[UpdateOp]) -> Set[VertexId]:
 
 
 def named_vertices(seq: UpdateSeq) -> List[VertexId]:
-    """The vertices the ops of seq name, sorted.  A CompositeOp gives the
-    names it recorded when it was made, so its ops are not walked again."""
-    return sorted(_names(seq))
+    """name_set(seq), sorted."""
+    return sorted(name_set(seq))
 
 
 def apply_seq(g: MultiGraph, seq: UpdateSeq) -> MultiGraph:

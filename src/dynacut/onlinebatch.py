@@ -44,12 +44,17 @@ class BatchableDS(Protocol):
     initialize must leave `g` unchanged, and batch_update may consume
     `inst` (the scheduler hands it a clone) but must leave `g_before`
     unchanged: snapshots share their graphs.  A caller may not change `g`
-    after initialize either, since the instance may read it later.
+    after initialize either, since the instance may read it later: the
+    scheduler initializes from its own pinned copy, never from the graph
+    its caller handed it.
 
     batch_update also gets the post-batch graph: `g_after` equals
     apply_seq(g_before.copy(), seq), so the callee need not apply `seq`
     to any graph.  The callee may hold `g_after`, and nobody writes it
-    afterwards; the callee must not write it either.
+    afterwards; the callee must not write it either.  So every graph the
+    callee is handed stays as it was handed, and the callee may bound
+    what differs between two of them by the write log of a copy (see
+    MultiGraph.log_since).
     """
     steps: int
 
@@ -206,10 +211,14 @@ class Scheduler:
         self.updates: List[UpdateOp] = []
         self.dropped = 0
         self.now = 0
+        # the caller may write g after this (engine_preprocess hands over
+        # the reduction image, which every engine update writes), so
+        # initialize reads the pinned copy, which nobody writes
+        pinned = g.copy()
         before = impl.steps
-        base = impl.initialize(g)
+        base = impl.initialize(pinned)
         self.preprocess_steps = impl.steps - before
-        self._pinned = _State(g.copy(), base, ())
+        self._pinned = _State(pinned, base, ())
         # G_now, the graph after every update so far; each step replaces
         # it with a written copy and never writes it again
         self.g = self._pinned.g

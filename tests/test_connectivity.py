@@ -26,13 +26,12 @@ from dynacut.errors import RejectedOp
 from dynacut.harness import gen_workload
 from dynacut.multigraph import (CompositeOp, DeleteEdge, DeleteVertex,
                                 InsertEdge, InsertVertex, MultiGraph,
-                                apply_update, induced_subgraph,
-                                named_vertices)
+                                apply_update, induced_subgraph)
 from dynacut.multilevel import make_schedule, preprocess_multi_level
 from dynacut.onlinebatch import Scheduler
 
 from util import (barbell, complete_graph, cycle_graph,
-                  random_connected_graph, whole_graph_query)
+                  random_connected_graph, two_barbells, whole_graph_query)
 
 
 def brute_connectivity(g, x, y, cap_at):
@@ -415,15 +414,6 @@ def test_engine_splice_matches_full_rebuild_fuzz(c, monkeypatch):
     assert calls["splice"] > 0 and calls["full"] > 0
 
 
-def _two_barbells():
-    g = barbell()
-    for v in range(10, 16):
-        g.add_vertex(v)
-    for (u, v), _ in barbell().edge_items():
-        g.add_edge(u + 10, v + 10, 1)
-    return g
-
-
 def test_stack_splice_on_a_two_level_schedule(monkeypatch):
     """On a desk schedule that stacks two levels, a batch whose touched
     components need another level count is rebuilt whole, the others are
@@ -432,7 +422,7 @@ def test_stack_splice_on_a_two_level_schedule(monkeypatch):
     calls = _spy_stack(monkeypatch)
     sched = make_schedule(1, 12, "desk", {"rounds": 1, "t": 20, "n_max": 20,
                                           "phi": Fraction(2, 5)})
-    g = _two_barbells()
+    g = two_barbells()
     impl = StackDS(sched)
     inst = impl.initialize(g.copy())
     assert inst.level_count() == 2
@@ -575,7 +565,7 @@ def test_stack_from_any_base_matches_preprocess_fuzz(case, monkeypatch):
         sched = connectivity._flat_schedule(2, 40)
         cap, rounds = 40, 150
     else:     # the exact conductance check keeps these graphs small
-        g = _two_barbells()
+        g = two_barbells()
         sched = make_schedule(1, 12, "desk", {"rounds": 1, "t": 20,
                                               "n_max": 20,
                                               "phi": Fraction(2, 5)})
@@ -807,7 +797,7 @@ def test_derived_forests_equal_a_fresh_bfs(monkeypatch):
     assert seen == {"witness": 0, "split": 0, "kept": 0}
     sched = make_schedule(1, 12, "desk", {"rounds": 1, "t": 20, "n_max": 20,
                                           "phi": Fraction(2, 5)})
-    assert preprocess_multi_level(_two_barbells(), sched).level_count() == 2
+    assert preprocess_multi_level(two_barbells(), sched).level_count() == 2
     rng = random.Random(42)
     for phi in (Fraction(2, 5), Fraction(1, 3)):
         sched = make_schedule(1, 40, "desk", {"rounds": 1, "t": 40,
@@ -972,7 +962,7 @@ def test_restrict_on_a_two_level_schedule():
     levels also emit the query sequences that clones of whole levels do."""
     sched = make_schedule(1, 12, "desk", {"rounds": 1, "t": 20, "n_max": 20,
                                           "phi": Fraction(2, 5)})
-    g = _two_barbells()
+    g = two_barbells()
     mds = preprocess_multi_level(g, sched)
     assert mds.level_count() == 2
     assert any(ds.terminals for ds in mds.levels[0].layers)
@@ -1042,7 +1032,7 @@ def test_cross_component_query_answers_without_an_update(monkeypatch):
         return update(*args, **kwargs)
 
     monkeypatch.setattr(connectivity, "cut_partition_update", spy)
-    e = engine_preprocess(_two_barbells(), 2)
+    e = engine_preprocess(two_barbells(), 2)
     assert engine_query(e, 0, 1)
     assert calls and e.query_stats[-1]["h_vertices"] >= 2
     keys = set(e.query_stats[-1])
@@ -1316,12 +1306,15 @@ def test_each_update_is_applied_to_a_graph_once(monkeypatch):
     """On the seed-1 op streams of both benchmark workloads, engine_update
     applies each image op to two graphs only: the reduction image and the
     scheduler's graph.  So neither a serve nor a window re-applies its
-    batch.  The served graph shares every neighbour dict with the held one
-    but the dicts of the vertices the newest op names, so changed_vertices
-    compares at most those by value.  engine_preprocess applies ops to the
-    reduction image only, and to no scheduler graph."""
+    batch.  Every serve's graph is a copy of the graph the held instance
+    was built from, the first serve's included, so changed_vertices never
+    scans the whole graph: it compares only the copy's write log, which
+    holds at most the vertices the newest op names, and of those it
+    compares by value only the dicts the held graph does not share.
+    engine_preprocess applies ops to the reduction image only, and to no
+    scheduler graph."""
     applied = []            # the graph of every leaf op applied
-    compared = []           # dicts changed_vertices compares by value
+    compared = []           # (among, dicts compared by value) per call
     apply_update = multigraph.apply_update
     changed_vertices = connectivity.changed_vertices
 
@@ -1330,10 +1323,10 @@ def test_each_update_is_applied_to_a_graph_once(monkeypatch):
             applied.append(g)
         return apply_update(g, op)
 
-    def spy_changed(g, base):
-        compared.append(sum(nbrs is not base._adj.get(v)
-                            for v, nbrs in g._adj.items()))
-        return changed_vertices(g, base)
+    def spy_changed(g, base, among=None):
+        compared.append((among, sum(nbrs is not base._adj.get(v)
+                                    for v, nbrs in g._adj.items())))
+        return changed_vertices(g, base, among)
 
     for mod in (multigraph, onlinebatch):
         monkeypatch.setattr(mod, "apply_update", spy_apply)
@@ -1360,7 +1353,9 @@ def test_each_update_is_applied_to_a_graph_once(monkeypatch):
                 newest = e.scheduler.updates[-1]
                 assert len(applied) <= 2 * len(newest.ops)
                 assert len(compared) <= 1
-                assert sum(compared) <= len(named_vertices([newest]))
+                for among, by_value in compared:
+                    assert among is not None and among <= newest.names
+                    assert by_value <= len(among)
         assert updates > 0
 
 

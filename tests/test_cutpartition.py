@@ -8,16 +8,18 @@ from dynacut import cutpartition
 from dynacut.connectivity import edge_connectivity
 from dynacut.cutpartition import (CutPartitionDS, LayerParams,
                                   build_sparsifier, cut_partition_preprocess,
-                                  cut_partition_update, update_layer_indices,
-                                  update_partition)
+                                  cut_partition_update, splice_partition,
+                                  update_layer_indices, update_partition)
 from dynacut.cutprimitives import boundary, components, cut_size, \
     is_connected_subset
 from dynacut.dynforest import GraphDS
 from dynacut.errors import RejectedOp
 from dynacut.multigraph import (DeleteEdge, InsertEdge, InsertVertex,
-                                MultiGraph, apply_seq, edge_key, simple_view)
+                                MultiGraph, apply_seq, edge_key, simple_view,
+                                splice_graph)
 
-from util import barbell, default_params, random_connected_graph
+from util import (barbell, default_params, random_connected_graph,
+                  two_barbells)
 
 
 def _ends(edges):
@@ -360,6 +362,47 @@ def test_restrict_gives_shared_layers_distinct_copies():
                     assert [ds.fingerprint() for ds in copied[1:]] == others
                 assert ods.fingerprint() == before
     assert shared >= 20
+
+
+def test_one_graph_per_flat_level(monkeypatch):
+    """With no intercluster edges layer 0 is the whole input graph, and a
+    structure holds it once: its graph is layer 0's graph, in a preprocess
+    and in a splice of two such structures.  With intercluster edges the
+    two are different objects, in both too.  A restrict() copy holds its
+    graph apart from its layers, so the edges R that cut_partition_update
+    deletes from the copy's layers all stay in the copy's graph, and the
+    source is unchanged."""
+    g = two_barbells()
+    h = g.restrict(set(range(6)))
+    h.remove_edge(0, 1)
+    for phi, flat in ((Fraction(1, 1000), True), (Fraction(2, 5), False)):
+        ods = _strict_ods(g, 1, 4, phi)
+        part = _strict_ods(h, 1, 4, phi)
+        out = splice_partition(ods, set(range(6)), part)
+        assert out.fingerprint() == _strict_ods(
+            out.g.copy(), 1, 4, phi).fingerprint()
+        assert ods.g == g and part.g == h
+        assert out.g == splice_graph(g, set(range(6)), h)
+        for s in (ods, part, out):
+            assert (s.g is s.layers[0].g) == flat
+    ods = _strict_ods(g, 1, 4, Fraction(1, 1000))
+    before = ods.fingerprint()
+    seen = []
+    update = cutpartition.update_partition
+
+    def spy(ods, r_edges):
+        seen.append(set(r_edges))
+        return update(ods, r_edges)
+
+    monkeypatch.setattr(cutpartition, "update_partition", spy)
+    cut = ods.restrict(set(range(6)), update_layer_indices(1))
+    assert cut.g is not cut.layers[0].g
+    new_ods, _ = cut_partition_update(
+        cut, [InsertVertex(-1), InsertEdge(2, -1, 2)], Fraction(1, 1000))
+    (r,) = seen
+    assert r and all(new_ods.g.has_edge(*e) for e in r)
+    assert not any(new_ods.layers[0].g.has_edge(*e) for e in r)
+    assert ods.fingerprint() == before
 
 
 def test_update_partition_reads_only_its_layer_indices():

@@ -290,16 +290,26 @@ def test_changed_vertices_matches_by_value_fuzz():
     answer for every ordered pair of graphs in the pool.  The pairs cover
     vertices whose dicts are one object, distinct objects with equal
     adjacency (a deleted edge put back, a fresh induced_subgraph), and
-    unequal adjacency."""
+    unequal adjacency.
+
+    Every graph a that copy() made is checked on its write log too: for
+    each graph b equal by value to a's source as it was copied (a frozen
+    copy of it, and any graph of the pool still equal to it),
+    changed_vertices(a, b, a.log_since(source)) equals the by-value
+    answer.  The writes include vertex deletes, so the log must name the
+    vertices a lost as well as the dicts it wrote."""
     rng = random.Random(29)
     seen = {"shared": 0, "equal": 0, "differ": 0}
+    logged = {"changed": 0, "gone": 0}
     for _ in range(30):
         pool = [random_multigraph(rng, rng.randint(0, 8), 0.3, 2)]
+        made = []   # (a graph copy() made, its source, the source as copied)
         for _ in range(40):
             g = rng.choice(pool)
-            kind = rng.choice((0, 1, 2, 3, 3, 4, 4, 5))
+            kind = rng.choice((0, 1, 2, 3, 3, 4, 4, 5, 6))
             if kind == 0:
                 pool.append(g.copy())
+                made.append((pool[-1], g, induced_subgraph(g, g.vertices)))
             elif kind == 1:
                 pool.append(g.restrict(_union_of_components(rng, g)))
             elif kind == 2:
@@ -311,6 +321,12 @@ def test_changed_vertices_matches_by_value_fuzz():
                 pool.append(splice_graph(g, drop, part))
             elif kind == 5:
                 pool.append(induced_subgraph(g, g.vertices))
+            elif kind == 6:
+                isolated = [v for v in g.vertex_list() if g.is_isolated(v)]
+                if isolated:
+                    g.remove_vertex(rng.choice(isolated))
+                else:
+                    g.add_vertex(max(g.vertices, default=-1) + 1)
             else:
                 vs = g.vertex_list()
                 absent = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]
@@ -329,7 +345,18 @@ def test_changed_vertices_matches_by_value_fuzz():
                         was = b._adj.get(v)
                         seen["shared" if was is nbrs else
                              "equal" if was == nbrs else "differ"] += 1
+            made = [m for m in made if any(m[0] is a for a in pool)]
+            for a, source, frozen in made:
+                log = a.log_since(source)
+                assert log is not None and a.log_since(frozen) is None
+                for b in pool + [frozen]:
+                    if b == frozen:
+                        want = _changed_by_value(a, b)
+                        assert changed_vertices(a, b, log) == want
+                        logged["changed"] += bool(want[0])
+                        logged["gone"] += bool(want[1])
     assert min(seen.values()) > 1000
+    assert min(logged.values()) > 100
 
 
 def test_restrict_copies_a_union_of_components():

@@ -117,6 +117,47 @@ class MultiLevelMock:
         return inst.fingerprint()
 
 
+class LazyGraphDS:
+    """An instance is a graph built only when it is read: a copy of the
+    graph initialize got, or its parent instance's graph with the batch
+    applied.  So every read of an instance reads the graph initialize
+    got, as the engine's deferred level-0 re-initialize does."""
+
+    def __init__(self):
+        self.steps = 0
+
+    def initialize(self, g):
+        self.steps += 1
+        return g.copy
+
+    def batch_update(self, inst, g_before, seq, g_after):
+        self.steps += len(seq) + 1
+        return lambda: apply_seq(inst(), seq)
+
+    def clone(self, inst):
+        return inst
+
+
+def test_scheduler_reads_no_graph_its_caller_writes():
+    """A BatchableDS may read the graph initialize got at any later time,
+    while the scheduler's caller may go on writing the graph it handed
+    over (the engine writes its reduction image on every update).  So the
+    scheduler initializes from its own copy: after the caller's graph is
+    emptied and given a new vertex, every served instance still reads the
+    graph as it was handed over, plus the updates stepped in."""
+    rng = random.Random(6)
+    g = random_connected_graph(rng, 7, 4)
+    want = g.copy()
+    ops = op_stream(rng, g.copy(), 30)
+    sched = Scheduler(LazyGraphDS(), g, 1, 12)
+    for u, v in g.edge_keys():
+        g.remove_edge(u, v)
+    g.add_vertex(99)
+    for op in ops:
+        apply_update(want, op)
+        assert sched.step(op)() == want
+
+
 def op_stream(rng, g, count):
     """Prefix-valid insert/delete ops; mutates g as the mirror state."""
     ops = []

@@ -73,6 +73,16 @@ def barbell() -> MultiGraph:
         [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
 
 
+def two_barbells() -> MultiGraph:
+    """barbell() on 0..5 and a second copy of it on 10..15."""
+    g = barbell()
+    for v in range(10, 16):
+        g.add_vertex(v)
+    for (u, v), _ in barbell().edge_items():
+        g.add_edge(u + 10, v + 10, 1)
+    return g
+
+
 def path_graph(n: int) -> MultiGraph:
     return MultiGraph.from_edges(range(n), [(i, i + 1) for i in range(n - 1)])
 
