@@ -301,7 +301,7 @@ def changed_vertices(g: MultiGraph, base: MultiGraph,
     those vertices are compared, and `gone` is read off them too.  The
     log of g's writes since copy() made it from a graph that equals base
     by value, and that nobody wrote since, is such a set (see
-    MultiGraph.log_since).  Without it every vertex of g is compared.
+    MultiGraph.log_since).  Without it every vertex of g or base is.
 
     A vertex whose neighbour dict is the same object in both graphs has
     the same adjacency in both, since a dict equals itself; only the other
@@ -311,9 +311,7 @@ def changed_vertices(g: MultiGraph, base: MultiGraph,
     dicts written since the two graphs parted."""
     old, new = base._adj, g._adj
     if among is None:
-        changed = {v for v, nbrs in new.items()
-                   if (was := old.get(v)) is not nbrs and was != nbrs}
-        return changed, old.keys() - new.keys()
+        among = old.keys() | new.keys()
     changed, gone = set(), set()
     for v in among:
         nbrs = new.get(v)
