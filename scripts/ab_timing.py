@@ -17,7 +17,9 @@ Prints each side's update and query p50 and p90 in ms, the median over
 ops of B's time divided by A's for updates and for queries, and each
 side's scheduler.impl.steps at the end.  Exits 1 if the two engines answer
 a query differently, or record it differently: the h_vertices, h_edges and
-expansion of each query's Engine.query_stats entry must agree.
+expansion of each query's Engine.query_stats entry must agree.  Exits 1
+too if the two sides end with different scheduler.impl.steps, since a
+change that claims the same work must charge the same steps.
 """
 
 import argparse
@@ -132,6 +134,10 @@ def main() -> int:
               for k in ("update", "query")}
     print(f"B/A median per-op ratio: update={ratios['update']:.3f} "
           f"query={ratios['query']:.3f}", flush=True)
+    steps = [s.engine.scheduler.impl.steps for s in sides]
+    if steps[0] != steps[1]:
+        print(f"step charge differs: A {steps[0]}, B {steps[1]}", flush=True)
+        return 1
     return 0
 
 

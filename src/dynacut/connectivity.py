@@ -214,7 +214,10 @@ class StackDS:
 def _flat_schedule(c: int, n_cap: int) -> ParamSchedule:
     """Desk schedule whose conductance floor sits below every component
     conductance any simple graph on n_cap vertices can reach after degree
-    reduction, so preprocessing always certifies whole components."""
+    reduction.  Its phi is 1/(4 V^2) for the image's volume cap V, so
+    phi * m <= 1 on every image graph, and preprocessing certifies whole
+    components by the graph's size alone, with no expander decomposition
+    (expander.certified_by_size)."""
     edges_cap = max(n_cap * (n_cap - 1) // 2, 1)
     volume_cap = 2 * edges_cap * (2 * c + 3)
     n_image = n_cap + 2 * edges_cap

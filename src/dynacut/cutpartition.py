@@ -27,7 +27,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from .cutprimitives import CutSearch, components, touched_components
 from .dynforest import DeleteTerminal, GraphDS, InsertTerminal, contracted_diff
 from .errors import RejectedOp
-from .expander import decremental_single_expander, expander_decomposition
+from .expander import certified_by_size, decremental_single_expander, \
+    expander_decomposition
 from .multigraph import (
     DeleteEdge, DeleteVertex, EdgeKey, InsertEdge, InsertVertex, MultiGraph,
     UpdateOp, UpdateSeq, VertexId, apply_update, edge_key, induced_subgraph,
@@ -184,6 +185,10 @@ def cut_partition_preprocess(g: MultiGraph, phi: Fraction,
     witness layer per composition step.  The structure carries params and
     gamma, which must exceed params.c.
 
+    When phi * m(g) <= 1 the decomposition is g's components with no
+    intercluster edge (certified_by_size), so it is not run; the flat
+    schedule is always there.
+
     A layer with no witness edges equals the layer before it, so it is the
     same GraphDS object: it gets no graph copy and no forest of its own.
     With no intercluster edges layer 0's graph equals g, so it is the
@@ -195,10 +200,9 @@ def cut_partition_preprocess(g: MultiGraph, phi: Fraction,
     the graph of its copy."""
     if gamma <= params.c:
         raise RejectedOp("cut-partition", f"need gamma > c, got {gamma}")
-    phi = Fraction(phi)
     # the decomposition reads distinct adjacency only, never a multiplicity
-    deco = expander_decomposition(g, phi)
-    inter = deco.intercluster
+    inter = (set() if certified_by_size(g, phi)
+             else expander_decomposition(g, phi).intercluster)
     n = params.layer_count()
     # _remove_edges returns a fresh graph that only the layer and, with
     # no intercluster edges, the structure then hold
@@ -223,13 +227,17 @@ def splice_partition(parent: CutPartitionDS, drop: Set[VertexId],
     """parent with its components on the vertices `drop` replaced by
     `part`, a structure built with the same parameters on other components.
 
-    Every stage of cut_partition_preprocess works per component: the
-    expander decomposition starts from the components, _layer_ia loops over
-    them, and each BFS tree of a layer's forest is rooted at its least
-    vertex and walks sorted neighbours.  So when parent and part were both
-    preprocessed, the result is what cut_partition_preprocess builds on the
-    spliced graph.  The kept components' adjacency and forest edges are
-    shared with parent, so neither may be mutated afterwards.
+    Every stage of cut_partition_preprocess works per component.  Above
+    the size certificate the expander decomposition starts from the
+    components, and its 2/vol test reads only the cluster it tests.  Under
+    the certificate (certified_by_size) each component passes that test,
+    inside any graph that holds it, so structures built in the two regimes
+    splice alike.  _layer_ia loops over the clusters, and each BFS tree of
+    a layer's forest is rooted at its least vertex and walks sorted
+    neighbours.  So when parent and part were both preprocessed, the result
+    is what cut_partition_preprocess builds on the spliced graph.  The kept
+    components' adjacency and forest edges are shared with parent, so
+    neither may be mutated afterwards.
 
     Each distinct (old, new) layer pair is spliced once, and every index
     that holds that pair shares the result.  So the result shares a layer

@@ -14,11 +14,14 @@ that is refused with RejectedOp("expander-decomposition", ...), never
 accepted or split on an uncertified cut.  A failed cluster is split on its
 exact sparsest cut, the one the search that failed it found.
 
-The engine's flat schedule puts phi below 2/vol for every cluster it can
-hold, so the engine certifies every cluster by the bound alone.  The
-exhaustive searches run on desk schedules with a larger phi, such as the
-two-barbell schedule of the connectivity tests; pruning around a nonempty
-deletion set runs in its own tests only.
+When phi * m <= 1 for a graph of m distinct edges, the bound certifies
+every cluster of it, so its decomposition is its components with no
+intercluster edge (certified_by_size), and callers skip the call.  The
+engine's flat schedule is always there, so the engine runs no
+decomposition: only desk schedules with a larger phi reach it, such as the
+two-barbell schedule of the connectivity tests, and the exhaustive searches
+run there.  Pruning around a nonempty deletion set runs in its own tests
+only.
 """
 
 from __future__ import annotations
@@ -100,6 +103,23 @@ def _sparsest_cut(g: MultiGraph
             best = val
             best_mask = mask
     return best, frozenset(verts[i] for i in range(n) if best_mask >> i & 1)
+
+
+def certified_by_size(g: MultiGraph, phi: Fraction) -> bool:
+    """True when phi * m(g) <= 1, for m(g) the distinct edge count.  Then
+    the expander decomposition at phi of g, or of any subgraph H of g,
+    is the components of H with no intercluster edge, so a caller can take
+    that without running it.
+
+    Proof.  Every cluster the decomposition examines is a component of H
+    or of an induced subgraph of H, so a connected set; singletons are not
+    examined, and a connected set of two vertices or more has volume vol
+    with 2 <= vol <= 2 m(H) <= 2 m(g), counted on distinct edges as
+    _failed_side counts it.  Then phi <= 1/m(g) <= 2/vol, so the cluster
+    passes the 2/vol test and is kept whole: the first clusters, the
+    components of H, are the result, and no edge of H runs between two of
+    them."""
+    return Fraction(phi) * g.distinct_edge_count() <= 1
 
 
 @dataclass
@@ -238,14 +258,10 @@ def decremental_single_expander(g: MultiGraph, phi: Fraction,
     copy of G: the decomposition reads only sorted vertex lists and sets,
     so it gives what it gives on induced_subgraph(G, V(G)).
 
-    The re-decomposition is skipped when sub_phi * m(G) <= 1, since it
-    then finds no intercluster edge.  Proof: it runs on a subgraph H of G,
-    and every cluster it examines is a component of H or of a subgraph of
-    H, so a connected set of two vertices or more (singletons are not
-    examined) with volume vol <= 2 m(H) <= 2 m(G).  Then sub_phi <=
-    1/m(G) <= 2/vol, so the cluster passes the 2/vol test, is kept whole,
-    and no edge of H runs between two clusters.  The engine's flat
-    schedule meets this in every call."""
+    The re-decomposition runs on a subgraph of G, so it is skipped, before
+    that subgraph is built, when certified_by_size(G, sub_phi) shows it
+    finds no intercluster edge.  The engine's flat schedule meets this in
+    every call."""
     d_set = {edge_key(u, v) for u, v in d_edges}
     phi = Fraction(phi)
     m = g.distinct_edge_count()
@@ -258,7 +274,7 @@ def decremental_single_expander(g: MultiGraph, phi: Fraction,
         except RejectedOp:
             p = set(g.vertex_list())
     sub_phi = phi / 64  # desk surrogate for the subpolynomial loss
-    if sub_phi * m <= 1:
+    if certified_by_size(g, sub_phi):
         return r
     h = g.copy() if len(p) == g.vertex_count() else induced_subgraph(g, p)
     for u, v in d_set:

@@ -275,10 +275,14 @@ def induced_subgraph(g: MultiGraph, vertices) -> MultiGraph:
 
 def splice_graph(base: MultiGraph, drop, part: MultiGraph) -> MultiGraph:
     """base without the vertices `drop`, plus `part`.  `drop` must be
-    vertices of base closed under adjacency, and disjoint from part's
-    vertices.  The result shares the kept vertices' adjacency with base and
-    part's adjacency with part until one of them writes it, so all three
-    may be mutated afterwards (see the module docstring)."""
+    vertices of base closed under adjacency in base, and hold every vertex
+    of part that base has; it may share vertices with part, as every splice
+    of a rebuilt component back into its graph does.  Then no kept vertex
+    of base is a vertex of part or a neighbour of a dropped one, so the
+    dropped vertices' degrees count twice the edges removed.  The result
+    shares the kept vertices' adjacency with base and part's adjacency with
+    part until one of them writes it, so all three may be mutated
+    afterwards (see the module docstring)."""
     adj = dict(base._adj)
     dropped = sum(len(adj.pop(v)) for v in drop)
     adj.update(part._adj)

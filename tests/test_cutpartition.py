@@ -14,12 +14,13 @@ from dynacut.cutprimitives import boundary, components, cut_size, \
     is_connected_subset
 from dynacut.dynforest import GraphDS
 from dynacut.errors import RejectedOp
+from dynacut.expander import certified_by_size
 from dynacut.multigraph import (DeleteEdge, InsertEdge, InsertVertex,
                                 MultiGraph, apply_seq, edge_key, simple_view,
                                 splice_graph)
 
 from util import (barbell, default_params, random_connected_graph,
-                  two_barbells)
+                  random_multigraph, two_barbells)
 
 
 def _ends(edges):
@@ -403,6 +404,117 @@ def test_one_graph_per_flat_level(monkeypatch):
     assert r and all(new_ods.g.has_edge(*e) for e in r)
     assert not any(new_ods.layers[0].g.has_edge(*e) for e in r)
     assert ods.fingerprint() == before
+
+
+def _spy_decomposition(monkeypatch):
+    """The phi of every expander decomposition cut_partition_preprocess
+    runs from now on."""
+    ran = []
+    decompose = cutpartition.expander_decomposition
+
+    def spy(g, phi):
+        ran.append(phi)
+        return decompose(g, phi)
+
+    monkeypatch.setattr(cutpartition, "expander_decomposition", spy)
+    return ran
+
+
+def test_preprocess_under_the_size_certificate_is_exact_fuzz(monkeypatch):
+    """When phi * m(g) <= 1 cut_partition_preprocess runs no expander
+    decomposition, and builds the structure it builds with the
+    decomposition forced to run: the same fingerprint, and the same one
+    graph per level.  Above that bound it runs the decomposition."""
+    ran = _spy_decomposition(monkeypatch)
+    rng = random.Random(76)
+    heavy = disconnected = 0
+    for i in range(40):
+        g = random_multigraph(rng, rng.randrange(1, 13),
+                              rng.choice((0.15, 0.35, 0.7)), 3)
+        m = g.distinct_edge_count()
+        heavy += any(k > 1 for _, k in g.edge_items())
+        disconnected += len(components(g)) > 1
+        c = 1 + i % 2
+        params = default_params(3, c, strict=i % 4 < 2)
+        for phi in (Fraction(1, max(m, 1)), Fraction(1, 1000 * (m + 1))):
+            ran.clear()
+            ods = cut_partition_preprocess(g, phi, params, c + 1)
+            assert ran == []
+            with monkeypatch.context() as forced:
+                forced.setattr(cutpartition, "certified_by_size",
+                               lambda g, phi: False)
+                want = cut_partition_preprocess(g, phi, params, c + 1)
+            assert ran == [phi]
+            assert ods.fingerprint() == want.fingerprint()
+            assert ods.g is ods.layers[0].g and want.g is want.layers[0].g
+        if m > 1:
+            ran.clear()
+            cut_partition_preprocess(g, Fraction(2, m), params, c + 1)
+            assert ran == [Fraction(2, m)]
+    assert heavy >= 20 and disconnected >= 10
+
+
+def _disjoint_union(graphs):
+    """The graphs side by side, each relabelled past the vertices before
+    it."""
+    g = MultiGraph()
+    for part in graphs:
+        base = max(g.vertex_list(), default=-1) + 1
+        for v in part.vertex_list():
+            g.add_vertex(base + v)
+        for (u, v), k in part.edge_items():
+            g.add_edge(base + u, base + v, k)
+    return g
+
+
+def test_splice_across_the_size_certificate_fuzz(monkeypatch):
+    """splice_partition's per-component argument holds across both regimes
+    of cut_partition_preprocess: a part preprocessed under the size
+    certificate, with no decomposition run, spliced into a parent whose
+    phi * m > 1 ran it, equals the preprocess of the spliced graph.  The
+    decomposition's 2/vol test reads only the cluster, so each component of
+    the part passes it inside any graph.  Some parents hold a sparse cut
+    the decomposition splits on."""
+    ran = _spy_decomposition(monkeypatch)
+    rng = random.Random(77)
+    phi = Fraction(1, 8)
+    split = 0
+    for i in range(30):
+        pieces = []
+        for _ in range(rng.randrange(1, 4)):
+            # two halves of at least 6 edges each and one bridge between
+            # them: a cut of conductance below phi
+            halves = [random_connected_graph(rng, rng.randrange(4, 7), 3)
+                      for _ in range(2)]
+            piece = _disjoint_union(halves)
+            piece.add_edge(0, halves[0].vertex_count(), 1)
+            pieces.append(piece)
+        pieces.append(random_connected_graph(rng, rng.randrange(1, 6), 2))
+        g = _disjoint_union(pieces)
+        comps = components(g)
+        drop = set().union(*rng.sample(comps, rng.randrange(1, len(comps)
+                                                              + 1)))
+        verts = rng.sample(sorted(drop), rng.randint(0, len(drop)))
+        verts += [100 + j for j in range(rng.randrange(3))]
+        h = MultiGraph.from_edges(verts, [])
+        for u in verts:
+            for v in verts:
+                if (u < v and h.distinct_edge_count() < 8
+                        and rng.random() < 0.3):
+                    h.add_edge(u, v, rng.randint(1, 3))
+        assert certified_by_size(h, phi) and not certified_by_size(g, phi)
+        c = 1 + i % 2
+        params = default_params(3, c, strict=i % 4 < 2)
+        ran.clear()
+        ods = cut_partition_preprocess(g, phi, params, c + 1)
+        part = cut_partition_preprocess(h, phi, params, c + 1)
+        assert ran == [phi]
+        split += ods.g is not ods.layers[0].g
+        out = splice_partition(ods, drop, part)
+        assert out.g == splice_graph(g, drop, h)
+        assert out.fingerprint() == cut_partition_preprocess(
+            out.g.copy(), phi, params, c + 1).fingerprint()
+    assert split >= 20
 
 
 def test_update_partition_reads_only_its_layer_indices():

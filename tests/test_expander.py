@@ -7,7 +7,8 @@ import pytest
 from dynacut.cutprimitives import boundary, components, is_connected_subset
 from dynacut import expander
 from dynacut.errors import RejectedOp
-from dynacut.expander import (conductance, decremental_single_expander,
+from dynacut.expander import (certified_by_size, conductance,
+                              decremental_single_expander,
                               expander_decomposition, pruning, volume)
 from dynacut.multigraph import MultiGraph, edge_key, induced_subgraph, \
     simple_view
@@ -172,6 +173,36 @@ def test_decomposition_ignores_multiplicities_fuzz():
             pruned += len(d) <= len(edges) * phi / 10
     assert heavy > len(cases) // 2 and splits > len(cases) // 2
     assert pruned > len(cases) // 4
+
+
+def test_size_certificate_gives_the_components_fuzz():
+    """At phi = 1/m(g) and below, certified_by_size holds, and the
+    decomposition of g, and of a subgraph of g, is its components with no
+    intercluster edge: what cut_partition_preprocess and
+    decremental_single_expander take without running it.  Just above
+    1/m(g) the predicate fails.  The graphs are multigraphs, connected or
+    not."""
+    rng = random.Random(81)
+    heavy = disconnected = 0
+    for _ in range(80):
+        g = random_multigraph(rng, rng.randrange(1, 13),
+                              rng.choice((0.15, 0.35, 0.7)), 4)
+        m = g.distinct_edge_count()
+        heavy += any(k > 1 for _, k in g.edge_items())
+        disconnected += len(components(g)) > 1
+        h = g.copy()
+        for u, v in rng.sample(g.edge_keys(), rng.randint(0, m)):
+            h.remove_edge(u, v)
+        for phi in (Fraction(1, max(m, 1)), Fraction(1, 3 * m + 1)):
+            assert certified_by_size(g, phi)
+            for x in (g, h):
+                deco = expander_decomposition(x, phi)
+                assert sorted(map(sorted, deco.partition)) == \
+                    sorted(map(sorted, components(x)))
+                assert deco.intercluster == set()
+        if m:
+            assert not certified_by_size(g, Fraction(m + 1, m * m))
+    assert heavy >= 40 and disconnected >= 20
 
 
 def test_decomposition_exact_backend_rejects_large():

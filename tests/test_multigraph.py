@@ -179,6 +179,37 @@ def test_splice_graph_shares_kept_adjacency():
     assert g.has_vertex(4) and g.has_edge(3, 4)
 
 
+def test_splice_graph_with_a_drop_overlapping_part_fuzz():
+    """`drop` may share vertices with part, as in every engine splice: a
+    union of components of base is dropped and part brings back some of
+    those vertices, with other edges, beside new ones.  The result is base
+    on the kept vertices plus part, by value and in its distinct edge
+    count."""
+    rng = random.Random(31)
+    overlaps = 0
+    for _ in range(200):
+        base = random_multigraph(rng, rng.randrange(1, 12), 0.25)
+        drop = _union_of_components(rng, base)
+        kept = set(base.vertex_list()) - drop
+        verts = rng.sample(sorted(drop), rng.randint(0, len(drop)))
+        verts += [100 + i for i in range(rng.randrange(3))]
+        part = MultiGraph.from_edges(verts, [])
+        for u in verts:
+            for v in verts:
+                if u < v and rng.random() < 0.4:
+                    part.add_edge(u, v, rng.randint(1, 3))
+        want = base.restrict(kept)
+        for v in part.vertex_list():
+            want.add_vertex(v)
+        for (u, v), m in part.edge_items():
+            want.add_edge(u, v, m)
+        out = splice_graph(base, drop, part)
+        assert out == want
+        assert out.distinct_edge_count() == want.distinct_edge_count()
+        overlaps += bool(drop & set(verts)) and part.distinct_edge_count() > 0
+    assert overlaps >= 50
+
+
 def _check_against(g, ref):
     """g holds exactly the adjacency `ref`, each neighbour dict in ref's
     insertion order, and counts its distinct edges right."""

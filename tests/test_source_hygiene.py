@@ -55,12 +55,22 @@ UNREACHED = {
         "read only after a scheduler raise, which valid traces never give",
     "cutpartition.CutPartitionDS.clone":
         "paper object: the multi-level update off the flat schedule (item 4)",
+    "cutprimitives.components":
+        "read only by the expander module's paper objects and test oracles; "
+        "the engine reads components off spanning forests (item 4)",
     "errors.RejectedOp.__init__": "runs only when an op is refused",
     "errors.RejectedSchedule.__init__": "runs only when a schedule is refused",
+    "expander._failed_side":
+        "paper object: read only by expander_decomposition (item 4)",
+    "expander._intercluster":
+        "paper object: read only by expander_decomposition (item 4)",
     "expander._sparsest_cut":
         "paper object: clusters beyond the 2/vol certificate (item 4)",
     "expander.conductance":
         "paper object: clusters beyond the 2/vol certificate (item 4)",
+    "expander.expander_decomposition":
+        "paper object: graphs beyond the size certificate, phi * m > 1 "
+        "(item 4)",
     "expander.pruning":
         "paper object: decremental pruning of an uncertified cluster (item 4)",
     "expander.volume": "paper object: read only by pruning (item 4)",
